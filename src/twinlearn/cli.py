@@ -12,23 +12,20 @@ import sys
 
 import numpy as np
 
-from . import harness
 from .data import DataError, knn_impute, load_csv, make_imbalanced, save_csv
 from .harness import (
-    BINARY_MODELS,
     ExperimentSpec,
     MODEL_KINDS,
     compare_algorithms,
+    fit_model,
     format_result_table,
     load_dataset,
     run_experiment,
     run_onevsrest,
 )
-from .multiclass import MCHyper, mc_predict, mc_train
+from .models import kind_of
 from .numcore import NumericalError, ShapeError
 from .serialize import load_model, save_model
-from .twin_nn import TwinNNModel, RfnnModel, predict as twin_predict, rfnn_predict
-from .twsvm import TwsvmModel, twsvm_predict
 
 __all__ = ["main", "entrypoint"]
 
@@ -96,33 +93,15 @@ def _write_or_print(text: str, out_path: str | None) -> None:
 
 
 def _cmd_train(args) -> int:
-    spec = ExperimentSpec(
-        data_path=args.data, data_format=args.format, model=args.model,
-        seed=args.seed, positive_class=_positive_class(args.positive_class),
-        label_column=args.label_column,
-    )
-    dataset = load_dataset(spec.data_path, spec.data_format, spec.label_column)
-    params = harness._coerce_params(_single_values(_parse_grid(args.grid)))
-    if args.model in BINARY_MODELS:
-        working = harness._as_binary(dataset, spec.positive_class)
-        model = harness._fit_binary(args.model, working, params, args.seed)
-    else:
-        model = mc_train(dataset, MCHyper(seed=args.seed, **params))
     if not args.out:
         raise UsageError("train requires --out for the model file")
+    params = _single_values(_parse_grid(args.grid))
+    positive = _positive_class(args.positive_class)
+    dataset = load_dataset(args.data, args.format, args.label_column)
+    model = fit_model(args.model, dataset, params, args.seed, positive)
     save_model(model, args.out)
     print(f"saved {args.model} model to {args.out}")
     return 0
-
-
-def _predict_with(model, features: np.ndarray) -> np.ndarray:
-    if isinstance(model, TwinNNModel):
-        return twin_predict(model, features)
-    if isinstance(model, RfnnModel):
-        return rfnn_predict(model, features)
-    if isinstance(model, TwsvmModel):
-        return twsvm_predict(model, features)
-    return mc_predict(model, features)
 
 
 def _cmd_predict(args) -> int:
@@ -130,22 +109,24 @@ def _cmd_predict(args) -> int:
     dataset = load_dataset(args.data, args.format, args.label_column)
     if dataset.missing is not None:
         raise DataError("prediction input has missing values; run impute first")
-    labels = _predict_with(model, dataset.features)
+    labels = kind_of(model).predict(model, dataset.features)
     text = "\n".join(str(int(v)) for v in np.atleast_1d(labels)) + "\n"
     _write_or_print(text, args.out)
     return 0
 
 
-def _cmd_cv(args) -> int:
-    spec = ExperimentSpec(
-        data_path=args.data, data_format=args.format, model=args.model,
-        grid=_parse_grid(args.grid), folds=args.folds, repeats=args.repeats,
-        seed=args.seed, out_path=args.out,
+def _spec(args, model: str, grid: dict) -> ExperimentSpec:
+    return ExperimentSpec(
+        data_path=args.data, data_format=args.format, model=model, grid=grid,
+        folds=args.folds, repeats=args.repeats, seed=args.seed,
         positive_class=_positive_class(args.positive_class),
         label_column=args.label_column, knn_k=args.knn_k,
     )
+
+
+def _cmd_cv(args) -> int:
     runner = run_onevsrest if args.one_vs_rest else run_experiment
-    result = runner(spec)
+    result = runner(_spec(args, args.model, _parse_grid(args.grid)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(result.to_json())
@@ -157,23 +138,14 @@ def _cmd_bench(args) -> int:
     models = [m.strip() for m in args.model.split(",") if m.strip()]
     if not models:
         raise UsageError("bench needs at least one model kind")
-    for m in models:
-        if m not in MODEL_KINDS:
-            raise UsageError(f"unknown model {m!r}; choose from {MODEL_KINDS}")
     grids = _parse_grid(args.grid, allow_prefix=True)
     stray = [k for k in grids if k not in models]
     if stray:
         raise UsageError(f"grid prefixes {stray} do not name a benched model; "
                          f"use model:key=v1,v2")
-    results = {}
-    for model in models:
-        spec = ExperimentSpec(
-            data_path=args.data, data_format=args.format, model=model,
-            grid=grids.get(model, {}), folds=args.folds, repeats=args.repeats,
-            seed=args.seed, positive_class=_positive_class(args.positive_class),
-            label_column=args.label_column, knn_k=args.knn_k,
-        )
-        results[model] = run_experiment(spec)
+    # every spec (and so every model name) is checked before any run starts
+    specs = [_spec(args, model, grids.get(model, {})) for model in models]
+    results = {spec.model: run_experiment(spec) for spec in specs}
     for model in models:
         print(f"== {model}")
         print(format_result_table(results[model]))
@@ -186,10 +158,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    dataset = load_csv(args.data, label_column=args.label_column)
-    completed = knn_impute(dataset, args.knn_k)
     if not args.out:
         raise UsageError("impute requires --out for the completed CSV")
+    dataset = load_csv(args.data, label_column=args.label_column)
+    completed = knn_impute(dataset, args.knn_k)
     save_csv(completed, args.out, named_labels=True)
     n_filled = 0 if dataset.missing is None else int(dataset.missing.sum())
     print(f"imputed {n_filled} cells -> {args.out}")
@@ -197,13 +169,13 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_gen_imbalance(args) -> int:
-    dataset = load_dataset(args.data, args.format, args.label_column)
     positive = _positive_class(args.positive_class)
     if positive is None:
         raise UsageError("gen-imbalance requires --positive-class")
-    binary = make_imbalanced(dataset, positive)
     if not args.out:
         raise UsageError("gen-imbalance requires --out for the relabeled CSV")
+    dataset = load_dataset(args.data, args.format, args.label_column)
+    binary = make_imbalanced(dataset, positive)
     save_csv(binary, args.out)
     counts = binary.class_counts()
     print(f"wrote {args.out}: {counts.get(1, 0)} positive vs {counts.get(-1, 0)} rest")

@@ -187,17 +187,22 @@ class FoldPlan:
         return cls(d["k"], d["repeat"], d["seed"], np.asarray(d["assignments"]))
 
 
+def _is_int64(value: float) -> bool:
+    """True when a parsed label is an integer that fits in int64."""
+    return value.is_integer() and -2.0**63 <= value < 2.0**63
+
+
 def _parse_label_tokens(tokens: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     """Map raw label tokens to integers with a recorded mapping.
 
-    Integral tokens keep their values (so a +-1 file stays +-1);
-    anything else is mapped to dense integers 0..K-1 with distinct
-    tokens ordered numerically when possible, lexicographically
-    otherwise.
+    Integral tokens in the int64 range keep their values (so a +-1 file
+    stays +-1); anything else, nan and inf included, is mapped to dense
+    integers 0..K-1 with distinct tokens ordered numerically when
+    possible, lexicographically otherwise.
     """
     try:
         values = [float(t) for t in tokens]
-        if all(v == int(v) for v in values):
+        if all(_is_int64(v) for v in values):
             labels = np.array([int(v) for v in values], dtype=np.int64)
             names = {int(v): t for v, t in zip(values, tokens)}
             return labels, names
@@ -329,8 +334,8 @@ def load_libsvm(path) -> Dataset:
                 raw = float(parts[0])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: unparsable label {parts[0]!r}") from None
-            if raw != int(raw):
-                raise DataError(f"{path}: line {lineno}: non-integral label {parts[0]!r}")
+            if not _is_int64(raw):
+                raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not an int64")
             entry: dict[int, float] = {}
             prev = 0
             for token in parts[1:]:

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
-from . import twin_nn
 from .data import (
     DataError,
     Dataset,
@@ -36,9 +37,8 @@ from .data import (
     make_imbalanced,
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
-from .multiclass import MCHyper, mc_predict, mc_train
-from .numcore import NumericalError, mix_seed
-from .twsvm import KernelSpec, TwsvmProblem, solve_dual, twsvm_distances, twsvm_predict
+from .models import BINARY_MODELS, MODEL_KINDS, MODELS
+from .numcore import NumericalError, Rng, mix_seed
 
 __all__ = [
     "ExperimentSpec",
@@ -46,6 +46,7 @@ __all__ = [
     "ComparisonReport",
     "BINARY_MODELS",
     "MODEL_KINDS",
+    "fit_model",
     "prepare_fold",
     "expand_grid",
     "run_experiment",
@@ -60,9 +61,6 @@ __all__ = [
 ]
 
 RESULT_SCHEMA_VERSION = 1
-
-BINARY_MODELS = ("twin_nn", "rfnn", "twsvm_linear", "twsvm_rbf")
-MODEL_KINDS = BINARY_MODELS + ("twin_nn_mc",)
 
 _BINARY_METRICS = ("acc", "tpr", "tnr", "ppv", "npv", "gmeans", "fmeasure", "mcc")
 
@@ -89,7 +87,6 @@ class ExperimentSpec:
     folds: int = 5
     repeats: int = 1
     seed: int = 0
-    out_path: str | None = None
     positive_class: int | None = None
     label_column: str | int = "label"
     knn_k: int = 5
@@ -110,9 +107,6 @@ class ExperimentSpec:
     def as_dict(self) -> dict:
         d = asdict(self)
         d["grid"] = {k: list(v) for k, v in sorted(self.grid.items())}
-        # where the result lands does not affect it; keep the JSON
-        # byte-identical across output locations
-        d.pop("out_path")
         return d
 
 
@@ -153,9 +147,8 @@ def load_dataset(path, data_format: str = "csv", label_column="label") -> Datase
 
 
 def expand_grid(grid: dict) -> list[dict]:
-    """Cartesian product of grid values, keys in sorted order."""
-    if not grid:
-        return [{}]
+    """Cartesian product of grid values, keys in sorted order; an empty
+    grid gives one empty point."""
     keys = sorted(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
@@ -163,56 +156,21 @@ def expand_grid(grid: dict) -> list[dict]:
 _INT_PARAMS = {"hidden", "epochs", "subnet_features", "planes"}
 
 
-def _coerce_params(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        out[key] = int(value) if key in _INT_PARAMS else float(value)
-    return out
+def _fit(kind: str, ds: Dataset, params: dict, seed: int):
+    params = {k: int(v) if k in _INT_PARAMS else float(v) for k, v in params.items()}
+    return MODELS[kind].fit(ds, params, seed)
 
 
-def _fit_binary(kind: str, ds: Dataset, params: dict, seed: int):
-    params = _coerce_params(params)
-    if kind == "twin_nn":
-        return twin_nn.train(ds, twin_nn.TwinHyper(seed=seed, **params))
-    if kind == "rfnn":
-        return twin_nn.train_rfnn_baseline(ds, seed=seed, **params)
-    if kind in ("twsvm_linear", "twsvm_rbf"):
-        a, b = twin_nn.class_rows(ds)
-        if kind == "twsvm_rbf":
-            kernel = KernelSpec("rbf", gamma=params.pop("gamma", 1.0))
-        else:
-            kernel = KernelSpec("linear")
-        problem = TwsvmProblem(
-            a, b,
-            c1=params.pop("c1", 1.0), c2=params.pop("c2", 1.0),
-            kernel=kernel, ridge=params.pop("ridge", None),
-        )
-        if params:
-            raise ValueError(f"unknown twsvm parameters {sorted(params)}")
-        return solve_dual(problem)
-    raise ValueError(f"{kind!r} is not a binary model kind")
+def fit_model(kind: str, dataset: Dataset, params: dict, seed: int,
+              positive_class: int | None = None):
+    """Fit one model of ``kind`` with hyperparameters ``params``.
 
-
-def _predict_binary(kind: str, model, features: np.ndarray) -> np.ndarray:
-    if kind == "twin_nn":
-        return twin_nn.predict(model, features)
-    if kind == "rfnn":
-        return twin_nn.rfnn_predict(model, features)
-    return twsvm_predict(model, features)
-
-
-def _positive_distance(kind: str, model, features: np.ndarray) -> np.ndarray:
-    """Own-plane distance used to arbitrate one-vs-rest ensembles.
-
-    The twin models report the normalized distance to their positive
-    plane; the rfnn baseline has no plane, so its negated output stands
-    in (largest output = smallest pseudo-distance).
+    Binary kinds train on {+1,-1} labels; other labelings are relabeled
+    one-vs-rest against ``positive_class`` (default: the minority class).
     """
-    if kind == "twin_nn":
-        return twin_nn.decision_values(model, features)[0]
-    if kind == "rfnn":
-        return -twin_nn.rfnn_decision(model, features)
-    return twsvm_distances(model, features)[0]
+    if MODELS[kind].task == "binary":
+        dataset = _as_binary(dataset, positive_class)
+    return _fit(kind, dataset, params, seed)
 
 
 def prepare_fold(dataset: Dataset, train_idx, test_idx, knn_k: int = 5):
@@ -238,8 +196,6 @@ def prepare_fold(dataset: Dataset, train_idx, test_idx, knn_k: int = 5):
 def _stratified_holdout(ds: Dataset, fraction: float, seed: int):
     """(fit_idx, val_idx): per-class shuffled split; singleton classes
     stay on the fit side."""
-    from .numcore import Rng
-
     rng = Rng(seed)
     fit_parts, val_parts = [], []
     for c in ds.class_ids:
@@ -255,27 +211,35 @@ def _stratified_holdout(ds: Dataset, fraction: float, seed: int):
     return np.sort(np.concatenate(fit_parts)), np.sort(np.concatenate(val_parts))
 
 
-def _minority_class(ds: Dataset) -> int:
-    counts = ds.class_counts()
-    return min(counts, key=lambda c: (counts[c], c))
-
-
 def _as_binary(ds: Dataset, positive_class: int | None) -> Dataset:
+    """{+1,-1} labels as they are, else ``positive_class`` (default: the
+    minority class, lowest id on ties) against the rest."""
     if positive_class is None:
         if set(ds.class_ids.tolist()) == {-1, 1}:
             return ds
-        positive_class = _minority_class(ds)
+        counts = ds.class_counts()
+        positive_class = min(counts, key=lambda c: (counts[c], c))
     return make_imbalanced(ds, positive_class)
 
 
-def _multiclass_confusion(class_ids: np.ndarray, true_labels, predicted) -> list:
-    k = class_ids.size
-    index = {int(c): i for i, c in enumerate(class_ids)}
-    counts = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(true_labels, predicted):
-        counts[index[int(t)], index[int(p)]] += 1
-    return counts.tolist()
+def _binary_report(class_ids, labels, predicted) -> tuple[dict, dict]:
+    cm = confusion(labels, predicted)
+    return metrics(cm).as_dict(), {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn}
 
+
+def _multiclass_report(class_ids, labels, predicted) -> tuple[dict, list]:
+    """Accuracy and the K x K confusion counts (row: true, column: predicted)."""
+    counts = np.zeros((class_ids.size, class_ids.size), dtype=np.int64)
+    np.add.at(counts, (np.searchsorted(class_ids, labels),
+                       np.searchsorted(class_ids, predicted)), 1)
+    return {"acc": float(np.mean(predicted == labels))}, counts.tolist()
+
+
+# task -> (fold metrics and confusion, metrics aggregated, grid-selection metric)
+_TASKS = {
+    "binary": (_binary_report, _BINARY_METRICS, "gmeans"),
+    "multiclass": (_multiclass_report, ("acc",), "acc"),
+}
 
 _TRAIN_ERRORS = (NumericalError, ValueError)
 
@@ -295,47 +259,75 @@ def _aggregate(folds: list, names) -> dict:
 
 
 def _modal_choice(folds: list, grid_points: list[dict]) -> dict:
-    chosen = [f["grid_index"] for f in folds if not f["failed"]]
-    if not chosen:
+    counts = Counter(f["grid_index"] for f in folds if not f["failed"])
+    if not counts:
         return {}
-    counts = {}
-    for gi in chosen:
-        counts[gi] = counts.get(gi, 0) + 1
     best = min(counts, key=lambda gi: (-counts[gi], gi))
     return dict(grid_points[best])
 
 
-def _select_grid_point(train: Dataset, kind: str, grid_points: list[dict],
-                       spec: ExperimentSpec, repeat: int, fold: int,
-                       fit_fn, score_fn, failures: list) -> int | None:
-    """Index of the winning grid point, or None when every point failed."""
-    if len(grid_points) == 1:
-        return 0
-    fit_idx, val_idx = _stratified_holdout(
-        train, 0.2, mix_seed(spec.seed, _INNER_TAG, repeat, fold))
-    inner_fit = train.rows(fit_idx)
-    inner_val = train.rows(val_idx)
-    best_gi, best_score = None, -np.inf
-    for gi, params in enumerate(grid_points):
-        seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
-        try:
-            model = fit_fn(kind, inner_fit, params, seed)
-            score = score_fn(kind, model, inner_val)
-        except _TRAIN_ERRORS as exc:
-            failures.append({
-                "repeat": repeat, "fold": fold, "grid_index": gi,
-                "stage": "selection", "error": str(exc),
-            })
-            continue
-        if score > best_score:
-            best_gi, best_score = gi, score
-    return best_gi
+def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
+                    fit, predict) -> RunResult:
+    """Repeated stratified CV of ``fit(train, params, seed)`` models that
+    label rows through ``predict(model, features)``; ``task`` picks the
+    fold metrics and the score that selects among grid points."""
+    report, names, selection_metric = _TASKS[task]
+    class_ids = working.class_ids
+    plan = make_folds(working, spec.folds, spec.repeats, spec.seed)
+    grid_points = expand_grid(spec.grid)
+    folds_out, failures, timings = [], [], []
 
+    def select(train: Dataset, repeat: int, fold: int) -> int | None:
+        """Index of the winning grid point, or None when every point failed."""
+        if len(grid_points) == 1:
+            return 0
+        fit_idx, val_idx = _stratified_holdout(
+            train, 0.2, mix_seed(spec.seed, _INNER_TAG, repeat, fold))
+        inner_fit, inner_val = train.rows(fit_idx), train.rows(val_idx)
+        best_gi, best_score = None, -np.inf
+        for gi, params in enumerate(grid_points):
+            try:
+                model = fit(inner_fit, params, mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi))
+                predicted = predict(model, inner_val.features)
+                score = report(class_ids, inner_val.labels, predicted)[0][selection_metric]
+            except _TRAIN_ERRORS as exc:
+                failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
+                                 "stage": "selection", "error": str(exc)})
+                continue
+            if score > best_score:
+                best_gi, best_score = gi, score
+        return best_gi
 
-def _binary_score(kind: str, model, val: Dataset) -> float:
-    preds = _predict_binary(kind, model, val.features)
-    report = metrics(confusion(val.labels, preds))
-    return report.gmeans
+    for repeat in range(spec.repeats):
+        for fold in range(spec.folds):
+            start = time.perf_counter()
+            train, test, _ = prepare_fold(working, *plan.fold_indices(repeat, fold), spec.knn_k)
+            record = {"repeat": repeat, "fold": fold, "failed": True,
+                      "grid_index": None, "chosen": None, "metrics": None}
+            folds_out.append(record)
+            gi = select(train, repeat, fold)
+            if gi is None:
+                failures.append({"repeat": repeat, "fold": fold, "grid_index": None,
+                                 "stage": "selection", "error": "every grid point failed"})
+            else:
+                seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
+                try:
+                    model = fit(train, grid_points[gi], seed)
+                except _TRAIN_ERRORS as exc:
+                    failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
+                                     "stage": "train", "error": str(exc)})
+                else:
+                    record.update(failed=False, grid_index=gi, chosen=dict(grid_points[gi]))
+                    record["metrics"], record["confusion"] = report(
+                        class_ids, test.labels, predict(model, test.features))
+            timings.append(time.perf_counter() - start)
+
+    return RunResult(
+        spec=spec.as_dict(), task=task, folds=folds_out,
+        aggregates=_aggregate(folds_out, names), failures=failures,
+        chosen_hyperparameters=_modal_choice(folds_out, grid_points),
+        fold_seconds=timings,
+    )
 
 
 def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
@@ -349,78 +341,12 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunR
     """
     if dataset is None:
         dataset = load_dataset(spec.data_path, spec.data_format, spec.label_column)
-
-    if spec.model in BINARY_MODELS:
-        working = _as_binary(dataset, spec.positive_class)
-        task = "binary"
-    else:
-        if dataset.class_ids.size < 2:
-            raise DataError("multiclass run needs at least 2 classes")
-        working = dataset
-        task = "multiclass"
-
-    plan = make_folds(working, spec.folds, spec.repeats, spec.seed)
-    grid_points = expand_grid(spec.grid)
-
-    if task == "binary":
-        fit_fn, score_fn = _fit_binary, _binary_score
-    else:
-        def fit_fn(kind, ds, params, seed):
-            return mc_train(ds, MCHyper(seed=seed, **_coerce_params(params)))
-
-        def score_fn(kind, model, val):
-            return float(np.mean(mc_predict(model, val.features) == val.labels))
-
-    folds_out, failures, timings = [], [], []
-    class_ids = working.class_ids
-    for repeat in range(spec.repeats):
-        for fold in range(spec.folds):
-            start = time.perf_counter()
-            train_idx, test_idx = plan.fold_indices(repeat, fold)
-            train, test, _ = prepare_fold(working, train_idx, test_idx, spec.knn_k)
-            record = {"repeat": repeat, "fold": fold, "failed": False,
-                      "grid_index": None, "chosen": None, "metrics": None}
-            gi = _select_grid_point(train, spec.model, grid_points, spec,
-                                    repeat, fold, fit_fn, score_fn, failures)
-            if gi is None:
-                record["failed"] = True
-                failures.append({"repeat": repeat, "fold": fold, "grid_index": None,
-                                 "stage": "selection", "error": "every grid point failed"})
-                folds_out.append(record)
-                timings.append(time.perf_counter() - start)
-                continue
-            params = grid_points[gi]
-            seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
-            try:
-                model = fit_fn(spec.model, train, params, seed)
-            except _TRAIN_ERRORS as exc:
-                record["failed"] = True
-                failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
-                                 "stage": "train", "error": str(exc)})
-                folds_out.append(record)
-                timings.append(time.perf_counter() - start)
-                continue
-            record["grid_index"] = gi
-            record["chosen"] = dict(params)
-            if task == "binary":
-                preds = _predict_binary(spec.model, model, test.features)
-                cm = confusion(test.labels, preds)
-                record["metrics"] = metrics(cm).as_dict()
-                record["confusion"] = {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn}
-            else:
-                preds = mc_predict(model, test.features)
-                record["metrics"] = {"acc": float(np.mean(preds == test.labels))}
-                record["confusion"] = _multiclass_confusion(class_ids, test.labels, preds)
-            folds_out.append(record)
-            timings.append(time.perf_counter() - start)
-
-    names = _BINARY_METRICS if task == "binary" else ("acc",)
-    aggregates = _aggregate(folds_out, names)
-    return RunResult(
-        spec=spec.as_dict(), task=task, folds=folds_out, aggregates=aggregates,
-        failures=failures, chosen_hyperparameters=_modal_choice(folds_out, grid_points),
-        fold_seconds=timings,
-    )
+    kind = MODELS[spec.model]
+    if kind.task == "binary":
+        dataset = _as_binary(dataset, spec.positive_class)
+    elif dataset.class_ids.size < 2:
+        raise DataError("multiclass run needs at least 2 classes")
+    return _cross_validate(dataset, spec, kind.task, partial(_fit, spec.model), kind.predict)
 
 
 @dataclass(eq=False)
@@ -436,19 +362,16 @@ def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnse
     """Train one binary model per class against the rest."""
     if kind not in BINARY_MODELS:
         raise ValueError(f"one-vs-rest needs a binary model kind, got {kind!r}")
-    models = []
-    for c in train.class_ids:
-        binary = make_imbalanced(train, int(c))
-        models.append(_fit_binary(kind, binary, params, mix_seed(seed, _OVR_TAG, int(c))))
+    models = [_fit(kind, make_imbalanced(train, int(c)), params, mix_seed(seed, _OVR_TAG, int(c)))
+              for c in train.class_ids]
     return OvrEnsemble(kind, train.class_ids.copy(), models)
 
 
 def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
     """(N, K) own-plane distances, one column per class."""
     rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return np.column_stack([
-        _positive_distance(ensemble.kind, model, rows) for model in ensemble.models
-    ])
+    distance = MODELS[ensemble.kind].distance
+    return np.column_stack([distance(model, rows) for model in ensemble.models])
 
 
 def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
@@ -470,59 +393,9 @@ def run_onevsrest(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunRe
         raise ValueError(f"one-vs-rest needs a binary model kind, got {spec.model!r}")
     if dataset.class_ids.size < 3:
         raise DataError("dataset has fewer than 3 classes: use run_experiment")
-
-    plan = make_folds(dataset, spec.folds, spec.repeats, spec.seed)
-    grid_points = expand_grid(spec.grid)
-    class_ids = dataset.class_ids
-
-    def fit_fn(kind, ds, params, seed):
-        return fit_onevsrest(ds, kind, params, seed)
-
-    def score_fn(kind, ensemble, val):
-        return float(np.mean(ovr_predict(ensemble, val.features) == val.labels))
-
-    folds_out, failures, timings = [], [], []
-    for repeat in range(spec.repeats):
-        for fold in range(spec.folds):
-            start = time.perf_counter()
-            train_idx, test_idx = plan.fold_indices(repeat, fold)
-            train, test, _ = prepare_fold(dataset, train_idx, test_idx, spec.knn_k)
-            record = {"repeat": repeat, "fold": fold, "failed": False,
-                      "grid_index": None, "chosen": None, "metrics": None}
-            gi = _select_grid_point(train, spec.model, grid_points, spec,
-                                    repeat, fold, fit_fn, score_fn, failures)
-            if gi is None:
-                record["failed"] = True
-                failures.append({"repeat": repeat, "fold": fold, "grid_index": None,
-                                 "stage": "selection", "error": "every grid point failed"})
-                folds_out.append(record)
-                timings.append(time.perf_counter() - start)
-                continue
-            params = grid_points[gi]
-            seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
-            try:
-                ensemble = fit_onevsrest(train, spec.model, params, seed)
-            except _TRAIN_ERRORS as exc:
-                record["failed"] = True
-                failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
-                                 "stage": "train", "error": str(exc)})
-                folds_out.append(record)
-                timings.append(time.perf_counter() - start)
-                continue
-            preds = ovr_predict(ensemble, test.features)
-            record["grid_index"] = gi
-            record["chosen"] = dict(params)
-            record["metrics"] = {"acc": float(np.mean(preds == test.labels))}
-            record["confusion"] = _multiclass_confusion(class_ids, test.labels, preds)
-            folds_out.append(record)
-            timings.append(time.perf_counter() - start)
-
-    aggregates = _aggregate(folds_out, ("acc",))
-    return RunResult(
-        spec=spec.as_dict(), task="multiclass", folds=folds_out, aggregates=aggregates,
-        failures=failures, chosen_hyperparameters=_modal_choice(folds_out, grid_points),
-        fold_seconds=timings,
-    )
+    return _cross_validate(dataset, spec, "multiclass",
+                           lambda ds, params, seed: fit_onevsrest(ds, spec.model, params, seed),
+                           ovr_predict)
 
 
 @dataclass(eq=False)

@@ -1,13 +1,14 @@
 """Multiclass twin network: one sub-network and plane bank per class.
 
 Each class owns a tanh sub-network producing its own feature space and a
-bank of origin-passing tanh classifier neurons (hyperplanes).  Training
-drives the smallest absolute plane activation toward 0 for the sample's
-own class and toward 1 for the nearest foreign plane, with no penalty
-once a foreign plane is further than the unit target.  Prediction picks
-the class whose nearest plane has the smallest normalized distance
-|w.phi(x)+b| / ||w||, computed on raw pre-activations so that labels are
-invariant to positive rescaling of any plane.
+bank of tanh classifier neurons: hyperplanes w.phi(x) + b, each with its
+own trained weights w and bias b.  Training drives the smallest absolute
+plane activation toward 0 for the sample's own class and toward 1 for
+the nearest foreign plane, with no penalty once a foreign plane is
+further than the unit target.  Prediction picks the class whose nearest
+plane has the smallest normalized distance |w.phi(x)+b| / ||w||,
+computed on raw pre-activations so that labels are invariant to positive
+rescaling of any plane.
 
 The min operator routes gradient only to the argmin plane of each group;
 ties break toward the lowest bank/plane index.  Training rows are
@@ -138,14 +139,14 @@ def class_distance(bank: ClassBank, x: np.ndarray):
     return float(d.min()) if d.ndim == 1 else d.min(axis=1)
 
 
-def loss_from_mins(own_min: float, other_min: float, margin_weight: float) -> float:
+def loss_from_mins(own_min, other_min, margin_weight: float):
     """Per-sample loss from the two min absolute activations.
 
     margin_weight * own_min^2 + max(1 - other_min, 0)^2: the own-class
     target is 0, the foreign target is 1, and a foreign plane beyond the
-    unit target incurs no penalty.
+    unit target incurs no penalty.  Scalars or arrays, elementwise.
     """
-    deficit = max(1.0 - other_min, 0.0)
+    deficit = np.maximum(1.0 - other_min, 0.0)
     return margin_weight * own_min * own_min + deficit * deficit
 
 
@@ -200,9 +201,7 @@ def mc_loss(model: MulticlassTwinModel, features, labels) -> float:
     if class_idx.shape[0] != rows.shape[0]:
         raise ShapeError("features and labels disagree on sample count")
     own_min, _, other_min, _, _, _ = _min_abs_activations(model, rows, class_idx)
-    deficit = np.maximum(1.0 - other_min, 0.0)
-    per_sample = model.hyper.margin_weight * own_min**2 + deficit**2
-    return float(per_sample.mean())
+    return float(loss_from_mins(own_min, other_min, model.hyper.margin_weight).mean())
 
 
 def mc_gradients(model: MulticlassTwinModel, features, labels) -> list[BankGradients]:

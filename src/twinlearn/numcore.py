@@ -20,8 +20,6 @@ __all__ = [
     "DivergenceError",
     "ConvergenceError",
     "as_matrix",
-    "as_vector",
-    "matmul",
     "solve_spd",
     "default_ridge",
     "Rng",
@@ -73,30 +71,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericalError(f"{name} contains non-finite entries")
     return m
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise NumericalError(f"{name} contains non-finite entries")
-    return v
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit dimension and finiteness checks."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("matrix product overflowed to non-finite values")
-    return out
 
 
 def default_ridge(m: np.ndarray) -> float:

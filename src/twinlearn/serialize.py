@@ -3,26 +3,15 @@
 Floats are emitted with Python's shortest round-trip repr, so a dump and
 reload reproduces parameters bit for bit.  Only prediction-relevant state
 is stored; recorded training losses and cached plane norms are rebuilt or
-dropped on load.
+dropped on load.  Each file carries ``version`` and ``kind``; the rest of
+its schema is the kind's codec in the ``twinlearn.models`` table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
-import numpy as np
-
-from .multiclass import ClassBank, MCHyper, MulticlassTwinModel
-from .twin_nn import (
-    HeadParams,
-    HiddenLayer,
-    RfnnModel,
-    SideNet,
-    TwinHyper,
-    TwinNNModel,
-)
-from .twsvm import KernelSpec, TwsvmModel, kernel_matrix
+from .models import MODELS, kind_of
 
 __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model"]
@@ -30,135 +19,19 @@ __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
 MODEL_SCHEMA_VERSION = 1
 
 
-def _side_to_dict(side: SideNet) -> dict:
-    return {
-        "hidden_w": side.hidden.weights.tolist(),
-        "hidden_b": side.hidden.biases.tolist(),
-        "w": side.head.w.tolist(),
-        "b": side.head.b,
-    }
-
-
-def _side_from_dict(d: dict) -> SideNet:
-    return SideNet(
-        HiddenLayer(np.asarray(d["hidden_w"]), np.asarray(d["hidden_b"])),
-        HeadParams(np.asarray(d["w"]), d["b"]),
-    )
-
-
 def model_to_dict(model) -> dict:
-    if isinstance(model, TwinNNModel):
-        return {
-            "version": MODEL_SCHEMA_VERSION,
-            "kind": "twin_nn",
-            "M": model.n_features,
-            "h": model.hyper.hidden,
-            "hyper": asdict(model.hyper),
-            "plus": _side_to_dict(model.plus),
-            "minus": _side_to_dict(model.minus),
-        }
-    if isinstance(model, MulticlassTwinModel):
-        return {
-            "version": MODEL_SCHEMA_VERSION,
-            "kind": "twin_nn_mc",
-            "K": len(model.banks),
-            "M": model.n_features,
-            "n": model.hyper.subnet_features,
-            "p": model.hyper.planes,
-            "hyper": asdict(model.hyper),
-            "banks": [
-                {
-                    "class_id": bank.class_id,
-                    "subnet_w": bank.subnet.weights.tolist(),
-                    "subnet_b": bank.subnet.biases.tolist(),
-                    "planes": [
-                        {"w": bank.plane_weights[j].tolist(),
-                         "b": float(bank.plane_biases[j])}
-                        for j in range(bank.n_planes)
-                    ],
-                }
-                for bank in model.banks
-            ],
-        }
-    if isinstance(model, TwsvmModel):
-        return {
-            "version": MODEL_SCHEMA_VERSION,
-            "kind": "twsvm",
-            "M": model.n_features,
-            "u": model.u.tolist(),
-            "v": model.v.tolist(),
-            "alpha": model.alpha.tolist(),
-            "beta": model.beta.tolist(),
-            "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-            "ridge_alpha": model.ridge_alpha,
-            "ridge_beta": model.ridge_beta,
-            "support": None if model.support is None else model.support.tolist(),
-        }
-    if isinstance(model, RfnnModel):
-        return {
-            "version": MODEL_SCHEMA_VERSION,
-            "kind": "rfnn",
-            "M": model.n_features,
-            "h": model.hidden.width,
-            "hyper": {"l2": model.l2, "lr": model.lr,
-                      "epochs": model.epochs, "seed": model.seed},
-            "hidden_w": model.hidden.weights.tolist(),
-            "hidden_b": model.hidden.biases.tolist(),
-            "w": model.w.tolist(),
-            "b": model.b,
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    kind = kind_of(model)
+    return {"version": MODEL_SCHEMA_VERSION, "kind": kind.codec, **kind.to_dict(model)}
 
 
 def model_from_dict(d: dict):
     version = d.get("version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {version!r}")
-    kind = d.get("kind")
-    if kind == "twin_nn":
-        return TwinNNModel(
-            plus=_side_from_dict(d["plus"]),
-            minus=_side_from_dict(d["minus"]),
-            hyper=TwinHyper(**d["hyper"]),
-            n_features=d["M"],
-        )
-    if kind == "twin_nn_mc":
-        banks = tuple(
-            ClassBank(
-                bank["class_id"],
-                HiddenLayer(np.asarray(bank["subnet_w"]), np.asarray(bank["subnet_b"])),
-                np.asarray([plane["w"] for plane in bank["planes"]]),
-                np.asarray([plane["b"] for plane in bank["planes"]]),
-            )
-            for bank in d["banks"]
-        )
-        return MulticlassTwinModel(banks, MCHyper(**d["hyper"]), d["M"])
-    if kind == "twsvm":
-        kernel = KernelSpec(d["kernel"]["kind"], d["kernel"]["gamma"])
-        support = None if d["support"] is None else np.asarray(d["support"])
-        u = np.asarray(d["u"])
-        v = np.asarray(d["v"])
-        if kernel.kind == "linear":
-            norm_plus = float(np.linalg.norm(u[:-1]))
-            norm_minus = float(np.linalg.norm(v[:-1]))
-        else:
-            gram = kernel_matrix(kernel, support, support)
-            norm_plus = float(np.sqrt(max(u[:-1] @ (gram @ u[:-1]), 0.0)))
-            norm_minus = float(np.sqrt(max(v[:-1] @ (gram @ v[:-1]), 0.0)))
-        return TwsvmModel(
-            u=u, v=v, alpha=np.asarray(d["alpha"]), beta=np.asarray(d["beta"]),
-            kernel=kernel, ridge_alpha=d["ridge_alpha"], ridge_beta=d["ridge_beta"],
-            n_features=d["M"], support=support,
-            norm_plus=norm_plus, norm_minus=norm_minus,
-        )
-    if kind == "rfnn":
-        hyper = d["hyper"]
-        return RfnnModel(
-            HiddenLayer(np.asarray(d["hidden_w"]), np.asarray(d["hidden_b"])),
-            np.asarray(d["w"]), d["b"],
-            l2=hyper["l2"], lr=hyper["lr"], epochs=hyper["epochs"], seed=hyper["seed"],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    for kind in MODELS.values():
+        if kind.codec == d.get("kind"):
+            return kind.from_dict(d)
+    raise ValueError(f"unknown model kind {d.get('kind')!r}")
 
 
 def save_model(model, path) -> None:

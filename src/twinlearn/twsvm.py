@@ -37,6 +37,7 @@ __all__ = [
     "box_kkt_residual",
     "projected_gradient_box_max",
     "solve_dual",
+    "plane_norms",
     "twsvm_distances",
     "twsvm_predict",
 ]
@@ -143,13 +144,14 @@ def dual_matrices(problem: TwsvmProblem) -> tuple[np.ndarray, np.ndarray]:
     Returns (G (H'H+rI)^-1 G', H (G'G+rI)^-1 H').
     """
     h, g, _ = _design_blocks(problem)
-    hth = h.T @ h
-    gtg = g.T @ g
-    r_alpha = problem.ridge if problem.ridge is not None else default_ridge(hth)
-    r_beta = problem.ridge if problem.ridge is not None else default_ridge(gtg)
-    m_alpha = g @ solve_spd(hth, g.T, ridge=r_alpha)
-    m_beta = h @ solve_spd(gtg, h.T, ridge=r_beta)
-    return m_alpha, m_beta
+    return _dual_side(h, g, problem.ridge)[0], _dual_side(g, h, problem.ridge)[0]
+
+
+def _dual_side(own: np.ndarray, other: np.ndarray, ridge: float | None):
+    """(M, own'own, r) for the dual over ``other``'s rows; M = other (own'own+rI)^-1 other'."""
+    gram = own.T @ own
+    r = ridge if ridge is not None else default_ridge(gram)
+    return other @ solve_spd(gram, other.T, ridge=r), gram, r
 
 
 def dual_objective(m: np.ndarray, x: np.ndarray) -> float:
@@ -164,7 +166,11 @@ def box_kkt_residual(m: np.ndarray, x: np.ndarray, c: float) -> float:
     zero gradient, coordinates at 0 have non-positive gradient, and
     coordinates at c have non-negative gradient.
     """
-    g = 1.0 - m @ x
+    return _projected_gradient_norm(1.0 - m @ x, x, c)
+
+
+def _projected_gradient_norm(g: np.ndarray, x: np.ndarray, c: float) -> float:
+    """box_kkt_residual given the gradient g = e - Mx."""
     pg = g.copy()
     at_lower = x <= 0.0
     at_upper = x >= c
@@ -214,7 +220,8 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
     step = 1.0 / lipschitz
     x = np.zeros(n)
     for iteration in range(max_iter):
-        residual = box_kkt_residual(m, x, c)
+        grad = 1.0 - m @ x
+        residual = _projected_gradient_norm(grad, x, c)
         if trace is not None:
             trace.append(dual_objective(m, x))
         if residual <= tol:
@@ -223,7 +230,7 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
             polished = _active_set_polish(m, x, c, tol)
             if polished is not None:
                 return polished
-        x = np.clip(x + step * (1.0 - m @ x), 0.0, c)
+        x = np.clip(x + step * grad, 0.0, c)
     residual = box_kkt_residual(m, x, c)
     if residual <= tol:
         return x
@@ -238,35 +245,30 @@ def solve_dual(problem: TwsvmProblem, tol: float = 1e-8,
                max_iter: int = 200_000) -> TwsvmModel:
     """Solve both dual QPs and recover the two planes."""
     h, g, support = _design_blocks(problem)
-    hth = h.T @ h
-    gtg = g.T @ g
-    r_alpha = problem.ridge if problem.ridge is not None else default_ridge(hth)
-    r_beta = problem.ridge if problem.ridge is not None else default_ridge(gtg)
-
-    s_inv_gt = solve_spd(hth, g.T, ridge=r_alpha)
-    m_alpha = g @ s_inv_gt
+    m_alpha, hth, r_alpha = _dual_side(h, g, problem.ridge)
     alpha = projected_gradient_box_max(m_alpha, problem.c1, tol=tol, max_iter=max_iter)
     u = -solve_spd(hth, g.T @ alpha, ridge=r_alpha)
 
-    t_inv_ht = solve_spd(gtg, h.T, ridge=r_beta)
-    m_beta = h @ t_inv_ht
+    m_beta, gtg, r_beta = _dual_side(g, h, problem.ridge)
     beta = projected_gradient_box_max(m_beta, problem.c2, tol=tol, max_iter=max_iter)
     v = solve_spd(gtg, h.T @ beta, ridge=r_beta)
 
-    if problem.kernel.kind == "linear":
-        norm_plus = float(np.linalg.norm(u[:-1]))
-        norm_minus = float(np.linalg.norm(v[:-1]))
-    else:
-        gram = kernel_matrix(problem.kernel, support, support)
-        norm_plus = float(np.sqrt(max(u[:-1] @ (gram @ u[:-1]), 0.0)))
-        norm_minus = float(np.sqrt(max(v[:-1] @ (gram @ v[:-1]), 0.0)))
-
+    norm_plus, norm_minus = plane_norms(problem.kernel, support, u, v)
     return TwsvmModel(
         u=u, v=v, alpha=alpha, beta=beta, kernel=problem.kernel,
         ridge_alpha=r_alpha, ridge_beta=r_beta,
         n_features=problem.a.shape[1], support=support,
         norm_plus=norm_plus, norm_minus=norm_minus,
     )
+
+
+def plane_norms(kernel: KernelSpec, support, u, v) -> tuple[float, float]:
+    """Norms of the weight parts of u and v: Euclidean for the linear
+    kernel, sqrt(w'Kw) over the expansion ``support`` otherwise."""
+    if kernel.kind == "linear":
+        return float(np.linalg.norm(u[:-1])), float(np.linalg.norm(v[:-1]))
+    gram = kernel_matrix(kernel, support, support)
+    return tuple(float(np.sqrt(max(w[:-1] @ (gram @ w[:-1]), 0.0))) for w in (u, v))
 
 
 def _plane_values(model: TwsvmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

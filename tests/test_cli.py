@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_blobs
 from twinlearn.cli import main
@@ -44,6 +48,15 @@ class TestTrainPredict:
     def test_train_requires_out(self, blob_csv):
         path, _ = blob_csv
         assert main(["train", "--data", path]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["impute"],
+        ["gen-imbalance", "--positive-class", "1"],
+    ])
+    def test_out_checked_before_loading(self, argv):
+        # a missing --out is a usage error even when the data cannot load
+        assert main(argv + ["--data", "/does/not/exist.csv"]) == 2
 
     def test_train_rejects_multivalued_grid(self, tmp_path, blob_csv):
         path, _ = blob_csv
@@ -171,6 +184,47 @@ class TestImputeAndImbalance:
         rc = main(["gen-imbalance", "--data", path, "--positive-class", "9",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+
+def _write_labeled(path, fmt: str, labels) -> None:
+    """Five one-feature rows, labels as given, in CSV or LibSVM format."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(["f0", "label"])
+            writer.writerows([[repr(float(i)), label] for i, label in enumerate(labels)])
+        else:
+            fh.writelines(f"{label} 1:{float(i)!r}\n" for i, label in enumerate(labels))
+
+
+def _train_exit_code(token: str, fmt: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data")
+        _write_labeled(data, fmt, ["1", "-1", "1", "-1", token])
+        return main(["train", "--data", data, "--format", fmt, "--grid", "hidden=2",
+                     "--grid", "epochs=2", "--out", os.path.join(tmp, "m.json")])
+
+
+class TestLabelTokens:
+    @pytest.mark.parametrize("fmt, token, code", [
+        # CSV: non-integral tokens are class names, mapped to dense ids
+        ("csv", "inf", 0), ("csv", "-inf", 0), ("csv", "nan", 0), ("csv", "1e19", 0),
+        # LibSVM labels must be int64 integers
+        ("libsvm", "nan", 3), ("libsvm", "inf", 3), ("libsvm", "-inf", 3),
+        ("libsvm", "1e19", 3),
+    ])
+    def test_non_finite_and_huge_labels(self, fmt, token, code):
+        assert _train_exit_code(token, fmt) == code
+
+    @settings(max_examples=60, deadline=None)
+    @given(token=st.one_of(
+        st.sampled_from(["inf", "-inf", "nan", "1e400", "9223372036854775807", "1.5", ""]),
+        st.floats().map(repr),
+        st.integers().map(str),
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+    ), fmt=st.sampled_from(["csv", "libsvm"]))
+    def test_any_label_token_maps_to_an_exit_code(self, token, fmt):
+        assert _train_exit_code(token, fmt) in (0, 2, 3, 4)
 
 
 class TestCompare:

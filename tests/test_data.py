@@ -110,6 +110,12 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [1, 0, 1]
         assert ds.label_names == {0: "no", 1: "yes"}
 
+    def test_non_finite_labels_densely_mapped(self, tmp_path):
+        p = write(tmp_path / "d.csv", "a,label\n1,inf\n2,1\n3,-inf\n4,1\n")
+        ds = load_csv(p)
+        assert ds.labels.tolist() == [2, 1, 0, 1]
+        assert ds.label_names == {0: "-inf", 1: "1", 2: "inf"}
+
     def test_label_column_by_index_no_header(self, tmp_path):
         p = write(tmp_path / "d.csv", "1,2,0\n3,4,1\n")
         ds = load_csv(p, label_column=-1, has_header=False)
@@ -137,6 +143,12 @@ class TestLoadLibsvm:
     def test_non_ascending_indices(self, tmp_path):
         p = write(tmp_path / "d.svm", "1 3:1.0 2:1.0\n")
         with pytest.raises(DataError, match="ascending"):
+            load_libsvm(p)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.5", "1e19"])
+    def test_label_not_an_int64_integer(self, tmp_path, label):
+        p = write(tmp_path / "d.svm", f"1 1:1.0\n{label} 1:2.0\n")
+        with pytest.raises(DataError, match="line 2: label"):
             load_libsvm(p)
 
     def test_unparsable_token(self, tmp_path):

@@ -3,54 +3,11 @@ import pytest
 
 from twinlearn.numcore import (
     FactorizationError,
-    NumericalError,
     Rng,
     ShapeError,
-    matmul,
     mix_seed,
     solve_spd,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_case(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        np.testing.assert_array_equal(out, [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        expected = np.zeros((7, 3))
-        for i in range(7):
-            for j in range(3):
-                for k in range(5):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(matmul(a, b) - expected)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_non_finite_input(self):
-        bad = np.ones((2, 2))
-        bad[0, 0] = np.inf
-        with pytest.raises(NumericalError):
-            matmul(bad, np.ones((2, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((3, 5))
-            c = rng.standard_normal((5, 2))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
 class TestSolveSpd:
