@@ -23,7 +23,7 @@ from .harness import (
     run_experiment,
     run_onevsrest,
 )
-from .models import kind_of
+from .models import MODELS, kind_of
 from .numcore import NumericalError, ShapeError
 from .serialize import load_model, save_model
 
@@ -39,6 +39,8 @@ def _parse_number(token: str):
         value = float(token)
     except ValueError:
         raise UsageError(f"cannot parse {token!r} as a number") from None
+    if not np.isfinite(value):
+        raise UsageError(f"grid value {token!r} is not a finite number")
     return int(value) if value == int(value) else value
 
 
@@ -96,6 +98,7 @@ def _cmd_train(args) -> int:
     if not args.out:
         raise UsageError("train requires --out for the model file")
     params = _single_values(_parse_grid(args.grid))
+    MODELS[args.model].check_params(params)
     positive = _positive_class(args.positive_class)
     dataset = load_dataset(args.data, args.format, args.label_column)
     model = fit_model(args.model, dataset, params, args.seed, positive)

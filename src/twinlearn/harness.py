@@ -94,6 +94,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODEL_KINDS}")
+        MODELS[self.model].check_params(self.grid)
         if self.data_format not in ("csv", "libsvm"):
             raise ValueError(f"unknown data format {self.data_format!r}")
         if self.folds < 2:
@@ -167,7 +168,9 @@ def fit_model(kind: str, dataset: Dataset, params: dict, seed: int,
 
     Binary kinds train on {+1,-1} labels; other labelings are relabeled
     one-vs-rest against ``positive_class`` (default: the minority class).
+    A name in ``params`` that the kind does not take raises ValueError.
     """
+    MODELS[kind].check_params(params)
     if MODELS[kind].task == "binary":
         dataset = _as_binary(dataset, positive_class)
     return _fit(kind, dataset, params, seed)

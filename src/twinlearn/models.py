@@ -10,7 +10,8 @@ below plus the ``version`` and ``kind`` fields added by ``serialize``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import inspect
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable
 
@@ -39,6 +40,22 @@ class ModelKind:
     distance: Callable | None
     to_dict: Callable
     from_dict: Callable
+    params: frozenset  # the hyperparameter names fit takes; never "seed"
+
+    def check_params(self, names) -> None:
+        """ValueError unless every name is a hyperparameter of this kind."""
+        unknown = sorted(set(names) - self.params)
+        if unknown:
+            raise ValueError(f"{self.name} takes no hyperparameter {unknown}; "
+                             f"choose from {sorted(self.params)}")
+
+
+def _names(source, *excluded: str) -> frozenset:
+    """Field names of a dataclass or parameter names of a function, less
+    ``excluded``; the seed always comes from the run, never the grid."""
+    names = ([f.name for f in fields(source)] if isinstance(source, type)
+             else list(inspect.signature(source).parameters))
+    return frozenset(names) - {"seed", *excluded}
 
 
 def _side_to_dict(side: SideNet) -> dict:
@@ -158,15 +175,12 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
 
 
 def _fit_twsvm(kernel: str, ds, params: dict, seed: int) -> TwsvmModel:
-    params = dict(params)
     a, b = twin_nn.class_rows(ds)
-    gamma = params.pop("gamma", 1.0) if kernel == "rbf" else None
+    gamma = params.get("gamma", 1.0) if kernel == "rbf" else None
     problem = TwsvmProblem(
-        a, b, c1=params.pop("c1", 1.0), c2=params.pop("c2", 1.0),
-        kernel=KernelSpec(kernel, gamma), ridge=params.pop("ridge", None),
+        a, b, c1=params.get("c1", 1.0), c2=params.get("c2", 1.0),
+        kernel=KernelSpec(kernel, gamma), ridge=params.get("ridge"),
     )
-    if params:
-        raise ValueError(f"unknown twsvm parameters {sorted(params)}")
     return twsvm.solve_dual(problem)
 
 
@@ -178,6 +192,8 @@ def _twsvm_kind(name: str, kernel: str) -> ModelKind:
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
         distance=lambda model, x: twsvm.twsvm_distances(model, x)[0],
         to_dict=_twsvm_to_dict, from_dict=_twsvm_from_dict,
+        params=_names(TwsvmProblem, "a", "b", "kernel")
+        | (_names(KernelSpec, "kind") if kernel == "rbf" else frozenset()),
     )
 
 
@@ -188,6 +204,7 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
         predict=lambda model, x: twin_nn.predict(model, x),
         distance=lambda model, x: twin_nn.decision_values(model, x)[0],
         to_dict=_twin_to_dict, from_dict=_twin_from_dict,
+        params=_names(TwinHyper),
     ),
     ModelKind(
         "rfnn", "binary", RfnnModel, "rfnn",
@@ -196,6 +213,7 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
         # no plane: the negated output stands in (largest output = nearest)
         distance=lambda model, x: -twin_nn.rfnn_decision(model, x),
         to_dict=_rfnn_to_dict, from_dict=_rfnn_from_dict,
+        params=_names(twin_nn.train_rfnn_baseline, "data"),
     ),
     _twsvm_kind("twsvm_linear", "linear"),
     _twsvm_kind("twsvm_rbf", "rbf"),
@@ -205,6 +223,7 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
         predict=lambda model, x: multiclass.mc_predict(model, x),
         distance=None,
         to_dict=_mc_to_dict, from_dict=_mc_from_dict,
+        params=_names(MCHyper),
     ),
 )}
 

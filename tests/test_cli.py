@@ -5,12 +5,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_blobs
 from twinlearn.cli import main
 from twinlearn.data import load_csv, save_csv
+from twinlearn.models import MODELS
 
 
 @pytest.fixture
@@ -184,6 +185,46 @@ class TestImputeAndImbalance:
         rc = main(["gen-imbalance", "--data", path, "--positive-class", "9",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_non_finite_grid_value_exits_2(self, tmp_path, blob_csv, command, token):
+        path, _ = blob_csv
+        argv = [command, "--data", path, "--grid", f"hidden={token}"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("key", ["foo", "seed", "gamma"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "never-written.json"],
+        ["cv"],
+        ["bench", "--model", "rfnn,twin_nn"],
+    ])
+    def test_unknown_grid_key_exits_2_before_loading(self, command, key):
+        # the data file does not exist: loading it first would exit 3
+        prefix = "twin_nn:" if command[0] == "bench" else ""
+        argv = command + ["--data", "/does/not/exist.csv", "--grid", f"{prefix}{key}=1"]
+        assert main(argv) == 2
+
+    def test_every_hyperparameter_of_a_kind_is_accepted(self, tmp_path, blob_csv):
+        path, _ = blob_csv
+        rc = main(["cv", "--data", path, "--model", "twsvm_rbf", "--folds", "2",
+                   "--grid", "c1=0.5", "--grid", "c2=0.5", "--grid", "gamma=1",
+                   "--grid", "ridge=1e-6", "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(MODELS)),
+           key=st.text(st.characters(exclude_categories=("Cs",), exclude_characters="="),
+                       min_size=1, max_size=8))
+    def test_any_key_outside_the_kind_exits_2(self, kind, key):
+        assume(key.strip() and key.strip() not in MODELS[kind].params)
+        assert main(["train", "--data", "/does/not/exist.csv", "--model", kind,
+                     f"--grid={key}=1", "--out", "never-written.json"]) == 2
 
 
 def _write_labeled(path, fmt: str, labels) -> None:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinlearn.data import Dataset
+from twinlearn.harness import ExperimentSpec, run_experiment
 from twinlearn.numcore import ConvergenceError, ShapeError
 from twinlearn.twsvm import (
     KernelSpec,
@@ -21,6 +25,14 @@ def random_problem(rng, n_a=6, n_b=3, m=2, c1=0.5, c2=0.5, ridge=1e-6):
     a = rng.standard_normal((n_a, m)) + np.array([1.5] + [0.0] * (m - 1))
     b = rng.standard_normal((n_b, m)) - np.array([1.5] + [0.0] * (m - 1))
     return TwsvmProblem(a, b, c1=c1, c2=c2, ridge=ridge)
+
+
+def blob_rows(seed, n_plus, n_minus, centre):
+    """Unit-variance blobs around +centre and -centre, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    centre = np.asarray(centre, dtype=float)
+    return (rng.normal(0.0, 1.0, (n_plus, centre.size)) + centre,
+            rng.normal(0.0, 1.0, (n_minus, centre.size)) - centre)
 
 
 class TestKernelMatrix:
@@ -83,7 +95,7 @@ class TestProjectedGradient:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))
         m = a.T @ a + 0.1 * np.eye(6)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="iteration cap") as err:
             projected_gradient_box_max(m, c=10.0, max_iter=2)
         assert err.value.best is not None
         assert err.value.residual > 0
@@ -91,6 +103,47 @@ class TestProjectedGradient:
     def test_zero_box_returns_origin(self):
         np.testing.assert_array_equal(
             projected_gradient_box_max(np.eye(3), c=0.0), np.zeros(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), rank=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           duplicate=st.booleans(), zero=st.booleans(),
+           scale=st.floats(0.1, 10.0),
+           c=st.floats(0.0, 10.0, exclude_min=True))
+    def test_random_psd_duals_reach_kkt_monotonically(self, n, rank, seed, duplicate,
+                                                       zero, scale, c):
+        # M = F'F: rank-deficient when F has fewer rows than columns, two
+        # equal rows and columns from a copied column, a zero row from a
+        # zero column
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((rank, n)) * scale
+        if duplicate:
+            f[:, -1] = f[:, 0]
+        if zero:
+            f[:, n // 2] = 0.0
+        m = f.T @ f
+        trace = []
+        x = projected_gradient_box_max(m, c, trace=trace)
+        assert np.all(x >= 0.0) and np.all(x <= c)
+        assert box_kkt_residual(m, x, c) <= 1e-8
+        # neither a coordinate step nor the polish can lower the objective;
+        # the slack only absorbs rounding in evaluating it
+        assert all(later >= earlier - 1e-12 * (1.0 + abs(earlier))
+                   for earlier, later in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("n_plus, n_minus, centre, kernel, c1, bound", [
+        (50, 1000, (1.0, 0.0, 0.0, 0.0), KernelSpec(), 1.0, 50),
+        (40, 400, (1.0, 0.0, 0.0, 0.0), KernelSpec(), 1.0, 100),
+        (20, 60, (1.0, 0.0), KernelSpec("rbf", gamma=1.0), 1.0, 200),
+    ])
+    def test_sweep_counts_stay_bounded(self, n_plus, n_minus, centre, kernel, c1, bound):
+        # a work count, not a time: one trace entry per sweep
+        a, b = blob_rows(0, n_plus, n_minus, centre)
+        problem = TwsvmProblem(a, b, c1=c1, c2=1.0, kernel=kernel)
+        for m, c in zip(dual_matrices(problem), (c1, 1.0)):
+            trace = []
+            x = projected_gradient_box_max(m, c, trace=trace)
+            assert box_kkt_residual(m, x, c) <= 1e-8
+            assert len(trace) <= bound
 
 
 class TestSolveDual:
@@ -236,6 +289,20 @@ class TestSolveDual:
         features = np.vstack([inner, outer])
         acc = np.mean(twsvm_predict(model, features) == labels)
         assert acc >= 0.95
+
+
+class TestRbfCrossValidation:
+    # RBF duals under the default ridge are badly conditioned; every fold
+    # must still converge (the first case is the twsvm_dual benchmark's)
+    @pytest.mark.parametrize("n_plus, n_minus, folds", [(20, 60, 2), (40, 120, 5)])
+    def test_rbf_cv_has_no_failed_fold(self, n_plus, n_minus, folds):
+        a, b = blob_rows(0, n_plus, n_minus, (1.0, 0.0))
+        labels = np.concatenate([np.ones(n_plus, dtype=int), -np.ones(n_minus, dtype=int)])
+        spec = ExperimentSpec(data_path="", model="twsvm_rbf", grid={"gamma": [1]},
+                              folds=folds, seed=0)
+        result = run_experiment(spec, Dataset(np.vstack([a, b]), labels))
+        assert result.failures == []
+        assert not any(fold["failed"] for fold in result.folds)
 
 
 class TestPredict:
