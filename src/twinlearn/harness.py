@@ -37,7 +37,7 @@ from .data import (
     make_imbalanced,
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
-from .models import BINARY_MODELS, MODEL_KINDS, MODELS
+from .models import BINARY_MODELS, INT_PARAMS, MODEL_KINDS, MODELS
 from .numcore import NumericalError, Rng, mix_seed
 
 __all__ = [
@@ -154,11 +154,8 @@ def expand_grid(grid: dict) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-_INT_PARAMS = {"hidden", "epochs", "subnet_features", "planes"}
-
-
 def _fit(kind: str, ds: Dataset, params: dict, seed: int):
-    params = {k: int(v) if k in _INT_PARAMS else float(v) for k, v in params.items()}
+    params = {k: int(v) if k in INT_PARAMS else float(v) for k, v in params.items()}
     return MODELS[kind].fit(ds, params, seed)
 
 
@@ -314,15 +311,18 @@ def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
                                  "stage": "selection", "error": "every grid point failed"})
             else:
                 seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
+                stage = "train"
                 try:
                     model = fit(train, grid_points[gi], seed)
+                    stage = "predict"
+                    predicted = predict(model, test.features)
                 except _TRAIN_ERRORS as exc:
                     failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
-                                     "stage": "train", "error": str(exc)})
+                                     "stage": stage, "error": str(exc)})
                 else:
                     record.update(failed=False, grid_index=gi, chosen=dict(grid_points[gi]))
                     record["metrics"], record["confusion"] = report(
-                        class_ids, test.labels, predict(model, test.features))
+                        class_ids, test.labels, predicted)
             timings.append(time.perf_counter() - start)
 
     return RunResult(

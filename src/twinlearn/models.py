@@ -22,7 +22,11 @@ from .multiclass import ClassBank, MCHyper, MulticlassTwinModel
 from .twin_nn import HeadParams, HiddenLayer, RfnnModel, SideNet, TwinHyper, TwinNNModel
 from .twsvm import KernelSpec, TwsvmModel, TwsvmProblem
 
-__all__ = ["ModelKind", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "kind_of"]
+__all__ = ["ModelKind", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS", "kind_of"]
+
+
+# hyperparameters that count something; fits take them as ints
+INT_PARAMS = frozenset({"hidden", "epochs", "subnet_features", "planes"})
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,20 @@ class ModelKind:
     from_dict: Callable
     params: frozenset  # the hyperparameter names fit takes; never "seed"
 
-    def check_params(self, names) -> None:
-        """ValueError unless every name is a hyperparameter of this kind."""
-        unknown = sorted(set(names) - self.params)
+    def check_params(self, params: dict) -> None:
+        """ValueError unless every name in ``params`` (name -> a value or a
+        list of candidate values) is a hyperparameter of this kind and
+        every value of an integer hyperparameter is integral."""
+        unknown = sorted(set(params) - self.params)
         if unknown:
             raise ValueError(f"{self.name} takes no hyperparameter {unknown}; "
                              f"choose from {sorted(self.params)}")
+        for name in sorted(INT_PARAMS & set(params)):
+            values = params[name] if isinstance(params[name], (list, tuple)) else [params[name]]
+            for value in values:
+                if not float(value).is_integer():
+                    raise ValueError(f"{self.name} hyperparameter {name!r} must be "
+                                     f"an integer, got {value!r}")
 
 
 def _names(source, *excluded: str) -> frozenset:

@@ -15,6 +15,10 @@ ties break toward the lowest bank/plane index.  Training rows are
 canonicalized by a stable sort on class id and per-bank seeds are keyed
 to the class id itself, so models do not depend on how class blocks are
 ordered in the input.
+
+Training goes through ``twin_nn.descend``, the loop shared by all three
+networks, with one forward pass per epoch; unlike the binary twin sides
+it never stops early, since it takes no ``tol``.
 """
 
 from __future__ import annotations
@@ -23,19 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import DivergenceError, Rng, ShapeError, mix_seed
+from .numcore import Rng, ShapeError, mix_seed
 from .data import Dataset, DataError
-from .twin_nn import HiddenLayer
+from .twin_nn import HiddenLayer, descend
 
 __all__ = [
     "MCHyper",
     "ClassBank",
-    "BankGradients",
     "MulticlassTwinModel",
     "class_distance",
     "loss_from_mins",
-    "mc_loss",
-    "mc_gradients",
+    "mc_objective",
     "mc_train",
     "mc_predict",
 ]
@@ -95,14 +97,6 @@ class ClassBank:
     def activations(self, x: np.ndarray) -> np.ndarray:
         """tanh plane outputs, in (-1, 1)."""
         return np.tanh(self.preactivations(x))
-
-
-@dataclass(frozen=True, eq=False)
-class BankGradients:
-    subnet_weights: np.ndarray
-    subnet_biases: np.ndarray
-    plane_weights: np.ndarray
-    plane_biases: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,75 +163,66 @@ def _class_index(model: MulticlassTwinModel, labels) -> np.ndarray:
     return idx
 
 
-def _min_abs_activations(model: MulticlassTwinModel, rows: np.ndarray,
-                         class_idx: np.ndarray):
-    """Own and foreign min |tanh activation| per sample, with routing.
+def _bank_params(banks) -> list:
+    """Flat parameter list: [subnet W, subnet c, plane W, plane b] per bank."""
+    return [arr for bank in banks for arr in (bank.subnet.weights, bank.subnet.biases,
+                                              bank.plane_weights, bank.plane_biases)]
 
-    Returns (own_min, own_plane, other_min, other_bank, other_plane,
-    activations) where activations is the (K, N, p) stack; argmins take
-    the first (lowest bank, then plane) index on ties.
-    """
-    acts = np.stack([bank.activations(rows) for bank in model.banks])
+
+def _mc_objective(params, rows: np.ndarray, class_idx: np.ndarray, margin_weight: float):
+    """Unchecked core of mc_objective over a flat ``_bank_params`` list,
+    with ``class_idx`` the bank index of each row's class."""
+    phis, acts = [], []
+    for i in range(0, len(params), 4):
+        sw, sb, pw, pb = params[i:i + 4]
+        phis.append(np.tanh(rows @ sw.T + sb))
+        acts.append(np.tanh(phis[-1] @ pw.T + pb))
+    acts = np.stack(acts)
     abs_acts = np.abs(acts)
-    k, n, p = abs_acts.shape
+    n_banks, n, p = abs_acts.shape
+    # own and foreign min |activation| per sample; argmins take the first
+    # (lowest bank, then plane) index on ties
     own = abs_acts[class_idx, np.arange(n), :]
     own_plane = own.argmin(axis=1)
     own_min = own[np.arange(n), own_plane]
-
-    masked = abs_acts.copy()
-    masked[class_idx, np.arange(n), :] = np.inf
-    flat = masked.transpose(1, 0, 2).reshape(n, k * p)
+    abs_acts[class_idx, np.arange(n), :] = np.inf
+    flat = abs_acts.transpose(1, 0, 2).reshape(n, n_banks * p)
     other_flat = flat.argmin(axis=1)
     other_bank = other_flat // p
     other_plane = other_flat % p
     other_min = flat[np.arange(n), other_flat]
-    return own_min, own_plane, other_min, other_bank, other_plane, acts
-
-
-def mc_loss(model: MulticlassTwinModel, features, labels) -> float:
-    """Mean per-sample loss over a batch (or one sample)."""
-    rows = _check_features(model, features)
-    class_idx = _class_index(model, labels)
-    if class_idx.shape[0] != rows.shape[0]:
-        raise ShapeError("features and labels disagree on sample count")
-    own_min, _, other_min, _, _, _ = _min_abs_activations(model, rows, class_idx)
-    return float(loss_from_mins(own_min, other_min, model.hyper.margin_weight).mean())
-
-
-def mc_gradients(model: MulticlassTwinModel, features, labels) -> list[BankGradients]:
-    """Subgradient of mc_loss for every bank; min routes to argmin only."""
-    rows = _check_features(model, features)
-    class_idx = _class_index(model, labels)
-    if class_idx.shape[0] != rows.shape[0]:
-        raise ShapeError("features and labels disagree on sample count")
-    n = rows.shape[0]
-    own_min, own_plane, other_min, other_bank, other_plane, acts = \
-        _min_abs_activations(model, rows, class_idx)
+    loss = float(loss_from_mins(own_min, other_min, margin_weight).mean())
     deficit = np.maximum(1.0 - other_min, 0.0)
 
     grads = []
-    for k, bank in enumerate(model.banks):
-        a_k = acts[k]
+    for k, (phi, a_k) in enumerate(zip(phis, acts)):
         da = np.zeros_like(a_k)
         own_rows = np.flatnonzero(class_idx == k)
         if own_rows.size:
             cols = own_plane[own_rows]
-            da[own_rows, cols] += (2.0 * model.hyper.margin_weight / n) * a_k[own_rows, cols]
+            da[own_rows, cols] += (2.0 * margin_weight / n) * a_k[own_rows, cols]
         routed = np.flatnonzero(other_bank == k)
         if routed.size:
             cols = other_plane[routed]
             da[routed, cols] += (-2.0 / n) * deficit[routed] * np.sign(a_k[routed, cols])
-
-        phi = bank.subnet.map(rows)
         dz = da * (1.0 - a_k * a_k)
-        dpw = dz.T @ phi
-        dpb = dz.sum(axis=0)
-        dphi = dz @ bank.plane_weights
-        dpre = dphi * (1.0 - phi * phi)
-        dsw = dpre.T @ rows
-        dsb = dpre.sum(axis=0)
-        grads.append(BankGradients(dsw, dsb, dpw, dpb))
-    return grads
+        dpre = (dz @ params[4 * k + 2]) * (1.0 - phi * phi)
+        grads += [dpre.T @ rows, dpre.sum(axis=0), dz.T @ phi, dz.sum(axis=0)]
+    return loss, grads
+
+
+def mc_objective(model: MulticlassTwinModel, features, labels):
+    """Mean per-sample loss over a batch (or one sample) and its
+    subgradients, from one forward pass.
+
+    Gradients come as [subnet W, subnet c, plane W, plane b] for each bank
+    in order; the min routes gradient to the argmin plane only.
+    """
+    rows = _check_features(model, features)
+    class_idx = _class_index(model, labels)
+    if class_idx.shape[0] != rows.shape[0]:
+        raise ShapeError("features and labels disagree on sample count")
+    return _mc_objective(_bank_params(model.banks), rows, class_idx, model.hyper.margin_weight)
 
 
 def _init_bank(class_id: int, n_features: int, hyper: MCHyper) -> ClassBank:
@@ -271,30 +256,15 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
     labels = data.labels[order]
 
     banks = tuple(_init_bank(c, data.n_features, hyper) for c in class_ids)
-    model = MulticlassTwinModel(banks, hyper, data.n_features)
-    for epoch in range(hyper.epochs):
-        loss = mc_loss(model, rows, labels)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"multiclass training diverged at epoch {epoch}", epoch=epoch
-            )
-        grads = mc_gradients(model, rows, labels)
-        banks = tuple(
-            ClassBank(
-                bank.class_id,
-                HiddenLayer(bank.subnet.weights - hyper.lr * g.subnet_weights,
-                            bank.subnet.biases - hyper.lr * g.subnet_biases),
-                bank.plane_weights - hyper.lr * g.plane_weights,
-                bank.plane_biases - hyper.lr * g.plane_biases,
-            )
-            for bank, g in zip(model.banks, grads)
-        )
-        model = MulticlassTwinModel(banks, hyper, data.n_features)
-    if not np.isfinite(mc_loss(model, rows, labels)):
-        raise DivergenceError(
-            f"multiclass training diverged at epoch {hyper.epochs}", epoch=hyper.epochs
-        )
-    return model
+    class_idx = np.searchsorted(class_ids, labels)
+    params, _ = descend(
+        _bank_params(banks),
+        lambda params: _mc_objective(params, rows, class_idx, hyper.margin_weight),
+        hyper.lr, hyper.epochs, 0.0, "multiclass training", None)
+    banks = tuple(ClassBank(bank.class_id, HiddenLayer(*params[4 * k:4 * k + 2]),
+                            *params[4 * k + 2:4 * k + 4])
+                  for k, bank in enumerate(banks))
+    return MulticlassTwinModel(banks, hyper, data.n_features)
 
 
 def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:

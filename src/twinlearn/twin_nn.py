@@ -12,6 +12,10 @@ Both networks draw the same initial parameters from the model seed; the
 output head is oriented by the side's margin target, which makes the two
 side losses exact mirror images.  Swapping class labels together with
 (c_plus, c_minus) therefore flips every prediction bit for bit.
+
+All three networks (both twin sides, the rfnn baseline and the multiclass
+banks) train through ``descend``, one full-batch gradient step and one
+forward pass per epoch; only the twin sides stop early, on ``tol``.
 """
 
 from __future__ import annotations
@@ -28,25 +32,17 @@ __all__ = [
     "HiddenLayer",
     "HeadParams",
     "SideNet",
-    "SideGradients",
     "TwinNNModel",
-    "loss_plus",
-    "loss_minus",
-    "gradients_plus",
-    "gradients_minus",
-    "margin_loss",
-    "proximal_loss",
-    "margin_gradients",
-    "proximal_gradients",
+    "descend",
+    "side_objective",
     "train",
     "predict",
     "decision_values",
     "RfnnModel",
+    "rfnn_objective",
     "train_rfnn_baseline",
     "rfnn_decision",
     "rfnn_predict",
-    "rfnn_loss",
-    "rfnn_gradients",
 ]
 
 
@@ -140,32 +136,6 @@ class SideNet:
 
 
 @dataclass(frozen=True, eq=False)
-class SideGradients:
-    """Gradient of a side loss w.r.t. every parameter of that side."""
-
-    hidden_weights: np.ndarray
-    hidden_biases: np.ndarray
-    w: np.ndarray
-    b: float
-
-    def __add__(self, other: "SideGradients") -> "SideGradients":
-        return SideGradients(
-            self.hidden_weights + other.hidden_weights,
-            self.hidden_biases + other.hidden_biases,
-            self.w + other.w,
-            self.b + other.b,
-        )
-
-    def max_abs(self) -> float:
-        return max(
-            float(np.max(np.abs(self.hidden_weights))),
-            float(np.max(np.abs(self.hidden_biases))),
-            float(np.max(np.abs(self.w))),
-            abs(self.b),
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class TwinNNModel:
     """Trained pair of class networks; immutable and safe to share."""
 
@@ -182,70 +152,36 @@ def _check_rows(rows: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
-def margin_loss(side: SideNet, other_rows: np.ndarray, target: float) -> float:
-    """Mean squared gap between tanh outputs on other-class rows and target."""
-    other_rows = _check_rows(other_rows, "other_rows")
-    y = np.tanh(side.preactivation(other_rows))
+def _backprop(w: np.ndarray, rows: np.ndarray, phi: np.ndarray, delta: np.ndarray):
+    """Gradients [hidden W, hidden c, head w, head b] of per-sample output
+    gradients ``delta`` pushed back through one tanh layer and a head ``w``."""
+    dpre = delta[:, None] * w[None, :] * (1.0 - phi * phi)
+    return [dpre.T @ rows, dpre.sum(axis=0), phi.T @ delta, float(delta.sum())]
+
+
+def side_objective(params, own: np.ndarray, other: np.ndarray, c: float,
+                   target: float):
+    """Loss and gradients of one side, from one forward pass per row block.
+
+    ``params`` is [hidden W (h, M), hidden c (h,), head w (h,), head b].
+    The loss is the margin term, the mean squared gap between tanh
+    outputs on ``other`` rows and ``target`` (-1 for the positive side,
+    +1 for the negative side), plus the proximal term, ``c`` times the
+    mean squared pre-activation on ``own`` rows, each halved.  Gradients
+    come in parameter order.
+    """
+    own = _check_rows(own, "own_rows")
+    other = _check_rows(other, "other_rows")
+    hw, hb, w, b = params
+    phi_o = np.tanh(other @ hw.T + hb)
+    y = np.tanh(phi_o @ w + b)
     r = y - target
-    return float(r @ r) / (2.0 * other_rows.shape[0])
-
-
-def proximal_loss(side: SideNet, own_rows: np.ndarray, c: float) -> float:
-    """Weighted mean squared pre-activation on the side's own rows."""
-    own_rows = _check_rows(own_rows, "own_rows")
-    z = side.preactivation(own_rows)
-    return c * float(z @ z) / (2.0 * own_rows.shape[0])
-
-
-def margin_gradients(side: SideNet, other_rows: np.ndarray, target: float) -> SideGradients:
-    """Analytic gradient of the margin term, including the tanh factor."""
-    other_rows = _check_rows(other_rows, "other_rows")
-    n = other_rows.shape[0]
-    phi = side.hidden.map(other_rows)
-    z = phi @ side.head.w + side.head.b
-    y = np.tanh(z)
-    delta = (y - target) * (1.0 - y * y) / n
-    return _backprop(side, other_rows, phi, delta)
-
-
-def proximal_gradients(side: SideNet, own_rows: np.ndarray, c: float) -> SideGradients:
-    """Analytic gradient of the proximal term; exactly linear in ``c``."""
-    own_rows = _check_rows(own_rows, "own_rows")
-    n = own_rows.shape[0]
-    phi = side.hidden.map(own_rows)
-    z = phi @ side.head.w + side.head.b
-    delta = (c / n) * z
-    return _backprop(side, own_rows, phi, delta)
-
-
-def _backprop(side: SideNet, rows: np.ndarray, phi: np.ndarray,
-              delta: np.ndarray) -> SideGradients:
-    """Push per-sample output gradients ``delta`` back through the side."""
-    dw = phi.T @ delta
-    db = float(delta.sum())
-    dphi = delta[:, None] * side.head.w[None, :]
-    dpre = dphi * (1.0 - phi * phi)
-    dhw = dpre.T @ rows
-    dhb = dpre.sum(axis=0)
-    return SideGradients(dhw, dhb, dw, db)
-
-
-def loss_plus(side: SideNet, a_rows, b_rows, c_plus: float) -> float:
-    """Positive-class loss: margin over B rows (target -1) + proximal over A."""
-    return margin_loss(side, b_rows, -1.0) + proximal_loss(side, a_rows, c_plus)
-
-
-def loss_minus(side: SideNet, a_rows, b_rows, c_minus: float) -> float:
-    """Negative-class loss: margin over A rows (target +1) + proximal over B."""
-    return margin_loss(side, a_rows, 1.0) + proximal_loss(side, b_rows, c_minus)
-
-
-def gradients_plus(side: SideNet, a_rows, b_rows, c_plus: float) -> SideGradients:
-    return margin_gradients(side, b_rows, -1.0) + proximal_gradients(side, a_rows, c_plus)
-
-
-def gradients_minus(side: SideNet, a_rows, b_rows, c_minus: float) -> SideGradients:
-    return margin_gradients(side, a_rows, 1.0) + proximal_gradients(side, b_rows, c_minus)
+    phi_a = np.tanh(own @ hw.T + hb)
+    z = phi_a @ w + b
+    loss = float(r @ r) / (2.0 * other.shape[0]) + c * float(z @ z) / (2.0 * own.shape[0])
+    margin = _backprop(w, other, phi_o, r * (1.0 - y * y) / other.shape[0])
+    proximal = _backprop(w, own, phi_a, (c / own.shape[0]) * z)
+    return loss, [m + p for m, p in zip(margin, proximal)]
 
 
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -266,34 +202,34 @@ def _draw_initial_params(rng: Rng, hidden: int, n_features: int):
     return hw, hb, w, b
 
 
-def _train_side(own: np.ndarray, other: np.ndarray, c: float, target: float,
-                init, lr: float, epochs: int, tol: float, side_name: str) -> SideNet:
-    hw, hb, w, b = (arr.copy() if isinstance(arr, np.ndarray) else arr for arr in init)
-    side = SideNet(HiddenLayer(hw, hb), HeadParams(w, b))
-    # overflow past float range is caught by the finiteness checks below
+def descend(params, objective, lr: float, epochs: int, tol: float, who: str,
+            side: str | None):
+    """Full-batch gradient descent: ``epochs`` steps ``p - lr * g`` over the
+    list of arrays ``params``.
+
+    ``objective(params)`` returns ``(loss, grads)`` from one forward pass,
+    grads in parameter order; it runs once per epoch plus once for the
+    final loss.  With ``tol > 0`` descent stops after the first step whose
+    largest absolute change falls below ``tol``.  A non-finite loss raises
+    DivergenceError naming ``side`` and the epoch (``who`` opens its
+    message).  Returns (params, final loss).
+    """
+    # overflow past float range shows up as a non-finite loss
     with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = objective(params)
         for epoch in range(epochs):
-            loss = margin_loss(side, other, target) + proximal_loss(side, own, c)
             if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"{side_name} side diverged at epoch {epoch}: loss is non-finite",
-                    side=side_name, epoch=epoch,
-                )
-            grads = margin_gradients(side, other, target) + proximal_gradients(side, own, c)
-            side = SideNet(
-                HiddenLayer(side.hidden.weights - lr * grads.hidden_weights,
-                            side.hidden.biases - lr * grads.hidden_biases),
-                HeadParams(side.head.w - lr * grads.w, side.head.b - lr * grads.b),
-            )
-            if lr * grads.max_abs() < tol:
+                raise DivergenceError(f"{who} diverged at epoch {epoch}: loss is non-finite",
+                                      side=side, epoch=epoch)
+            params = [p - lr * g for p, g in zip(params, grads)]
+            small = tol > 0 and lr * max(float(np.max(np.abs(g))) for g in grads) < tol
+            loss, grads = objective(params)
+            if small:
                 break
-        final = margin_loss(side, other, target) + proximal_loss(side, own, c)
-    if not np.isfinite(final):
-        raise DivergenceError(
-            f"{side_name} side diverged at epoch {epochs}: loss is non-finite",
-            side=side_name, epoch=epochs,
-        )
-    return SideNet(side.hidden, side.head, final_loss=final)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"{who} diverged at epoch {epochs}: loss is non-finite",
+                              side=side, epoch=epochs)
+    return params, loss
 
 
 def class_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -324,38 +260,37 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     a, b = class_rows(data)
     rng = Rng(hyper.seed)
     hw, hb, w, head_b = _draw_initial_params(rng, hyper.hidden, data.n_features)
-    plus = _train_side(a, b, hyper.c_plus, -1.0, (hw, hb, w, head_b),
-                       hyper.lr, hyper.epochs, hyper.tol, "plus")
-    minus = _train_side(b, a, hyper.c_minus, 1.0, (hw, hb, -w, -head_b),
-                        hyper.lr, hyper.epochs, hyper.tol, "minus")
-    return TwinNNModel(plus, minus, hyper, data.n_features)
+    sides = []
+    for name, own, other, c, target, sign in (("plus", a, b, hyper.c_plus, -1.0, 1.0),
+                                              ("minus", b, a, hyper.c_minus, 1.0, -1.0)):
+        params, final = descend(
+            [hw, hb, sign * w, sign * head_b],
+            lambda params: side_objective(params, own, other, c, target),
+            hyper.lr, hyper.epochs, hyper.tol, f"{name} side", name)
+        sides.append(SideNet(HiddenLayer(*params[:2]), HeadParams(*params[2:]),
+                             final_loss=final))
+    return TwinNNModel(*sides, hyper, data.n_features)
 
 
-def _side_distance(side: SideNet, x: np.ndarray, signed: bool):
+def _side_distance(side: SideNet, x: np.ndarray):
     norm = side.head.norm
     if norm == 0.0:
         raise ValueError("head weight vector has zero norm; distance undefined")
-    z = side.preactivation(x)
-    return z / norm if signed else np.abs(z) / norm
+    return np.abs(side.preactivation(x)) / norm
 
 
-def decision_values(model: TwinNNModel, x, signed: bool = False):
-    """Per-side plane distances for one sample (M,) or a batch (N, M).
-
-    Default is the absolute normalized distance |w.phi(x)+b| / ||w||;
-    ``signed=True`` keeps the raw sign for callers that want the
-    literal signed comparison instead of geometric distances.
-    """
+def decision_values(model: TwinNNModel, x):
+    """Per-side absolute normalized plane distances |w.phi(x)+b| / ||w||
+    for one sample (M,) or a batch (N, M)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.n_features:
         raise ShapeError(f"expected {model.n_features} features, got {x.shape[-1]}")
-    return (_side_distance(model.plus, x, signed),
-            _side_distance(model.minus, x, signed))
+    return _side_distance(model.plus, x), _side_distance(model.minus, x)
 
 
-def predict(model: TwinNNModel, x, signed: bool = False):
+def predict(model: TwinNNModel, x):
     """Label +1 where the positive plane is at least as close, else -1."""
-    d_plus, d_minus = decision_values(model, x, signed=signed)
+    d_plus, d_minus = decision_values(model, x)
     labels = np.where(d_plus <= d_minus, 1, -1)
     return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
 
@@ -394,32 +329,21 @@ def rfnn_predict(model: RfnnModel, x):
     return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
 
 
-def rfnn_loss(hidden: HiddenLayer, w: np.ndarray, b: float,
-              rows: np.ndarray, targets: np.ndarray, l2: float) -> float:
-    """Mean squared error to targets plus l2/2 times squared weight norms.
+def rfnn_objective(params, rows: np.ndarray, targets: np.ndarray, l2: float):
+    """Loss and gradients of the baseline from one forward pass.
 
-    Biases are not penalized, so under extreme l2 the output collapses to
-    the target mean.
+    ``params`` is [hidden W, hidden c, output w, output b].  The loss is
+    half the mean squared error to ``targets`` plus l2/2 times the squared
+    weight norms.  Biases are not penalized, so under extreme l2 the
+    output collapses to the target mean.
     """
-    phi = hidden.map(rows)
-    y = phi @ w + b
-    r = y - targets
-    penalty = 0.5 * l2 * (float(np.sum(hidden.weights**2)) + float(w @ w))
-    return float(r @ r) / (2.0 * rows.shape[0]) + penalty
-
-
-def rfnn_gradients(hidden: HiddenLayer, w: np.ndarray, b: float,
-                   rows: np.ndarray, targets: np.ndarray, l2: float) -> SideGradients:
-    phi = hidden.map(rows)
-    y = phi @ w + b
-    delta = (y - targets) / rows.shape[0]
-    dw = phi.T @ delta + l2 * w
-    db = float(delta.sum())
-    dphi = delta[:, None] * w[None, :]
-    dpre = dphi * (1.0 - phi * phi)
-    dhw = dpre.T @ rows + l2 * hidden.weights
-    dhb = dpre.sum(axis=0)
-    return SideGradients(dhw, dhb, dw, db)
+    hw, hb, w, b = params
+    phi = np.tanh(rows @ hw.T + hb)
+    r = phi @ w + b - targets
+    penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(w @ w))
+    loss = float(r @ r) / (2.0 * rows.shape[0]) + penalty
+    dhw, dhb, dw, db = _backprop(w, rows, phi, r / rows.shape[0])
+    return loss, [dhw + l2 * hw, dhb, dw + l2 * w, db]
 
 
 def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
@@ -436,25 +360,8 @@ def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
     rows = data.features
     targets = data.labels.astype(np.float64)
     rng = Rng(seed)
-    hw, hb, w, b = _draw_initial_params(rng, hidden, data.n_features)
-    layer = HiddenLayer(hw, hb)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            loss = rfnn_loss(layer, w, b, rows, targets, l2)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"rfnn diverged at epoch {epoch}: loss is non-finite",
-                    side="rfnn", epoch=epoch,
-                )
-            grads = rfnn_gradients(layer, w, b, rows, targets, l2)
-            layer = HiddenLayer(layer.weights - lr * grads.hidden_weights,
-                                layer.biases - lr * grads.hidden_biases)
-            w = w - lr * grads.w
-            b = b - lr * grads.b
-        final = rfnn_loss(layer, w, b, rows, targets, l2)
-    if not np.isfinite(final):
-        raise DivergenceError(
-            f"rfnn diverged at epoch {epochs}: loss is non-finite",
-            side="rfnn", epoch=epochs,
-        )
-    return RfnnModel(layer, w, b, l2, lr, epochs, seed, final_loss=final)
+    (hw, hb, w, b), final = descend(
+        list(_draw_initial_params(rng, hidden, data.n_features)),
+        lambda params: rfnn_objective(params, rows, targets, l2),
+        lr, epochs, 0.0, "rfnn", "rfnn")
+    return RfnnModel(HiddenLayer(hw, hb), w, b, l2, lr, epochs, seed, final_loss=final)

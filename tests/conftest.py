@@ -2,7 +2,6 @@ import numpy as np
 
 from twinlearn.data import Dataset
 from twinlearn.numcore import Rng
-from twinlearn.twin_nn import HeadParams, HiddenLayer, SideNet
 
 
 def gaussian_blobs(centers, counts, std=1.0, seed=0, labels=None):
@@ -19,22 +18,18 @@ def gaussian_blobs(centers, counts, std=1.0, seed=0, labels=None):
     return Dataset(np.vstack(blocks), np.array(block_labels))
 
 
-def flatten_side(side):
-    return np.concatenate([
-        side.hidden.weights.ravel(),
-        side.hidden.biases,
-        side.head.w,
-        [side.head.b],
-    ])
+def flatten(arrays):
+    """One flat vector of a parameter or gradient list, in list order."""
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
-def side_from_flat(vec, hidden_width, n_features):
+def params_from_flat(vec, hidden_width, n_features):
+    """[hidden W, hidden c, head w, head b] of one side from a flat vector."""
     h, m = hidden_width, n_features
     hw = vec[: h * m].reshape(h, m)
     hb = vec[h * m : h * m + h]
     w = vec[h * m + h : h * m + 2 * h]
-    b = vec[-1]
-    return SideNet(HiddenLayer(hw, hb), HeadParams(w, b))
+    return [hw, hb, w, float(vec[-1])]
 
 
 def central_difference(f, x0, eps=1e-5):

@@ -13,10 +13,10 @@ import pytest
 
 from conftest import (
     central_difference,
-    flatten_side,
+    flatten,
     gaussian_blobs,
     max_relative_error,
-    side_from_flat,
+    params_from_flat,
 )
 from twinlearn.cli import main
 from twinlearn.data import load_csv, save_csv
@@ -30,12 +30,11 @@ from twinlearn.harness import ExperimentSpec, run_experiment
 from twinlearn.multiclass import (
     MCHyper,
     mc_distances,
-    mc_gradients,
-    mc_loss,
+    mc_objective,
     mc_predict,
     mc_train,
 )
-from twinlearn.twin_nn import gradients_minus, gradients_plus, loss_minus, loss_plus
+from twinlearn.twin_nn import side_objective
 from twinlearn.twsvm import (
     TwsvmProblem,
     box_kkt_residual,
@@ -70,18 +69,14 @@ def test_criterion_1_gradient_fidelity():
             a = rng.standard_normal((n_a, m))
             b = rng.standard_normal((n_b, m))
             c = float(rng.uniform(0.0, 2.0))
-            side = side_from_flat(
-                rng.standard_normal(h * m + 2 * h + 1) * 0.8, h, m)
-            grad_fn, loss_fn = (
-                (gradients_plus, loss_plus) if rng.random() < 0.5
-                else (gradients_minus, loss_minus))
-            g = grad_fn(side, a, b, c)
-            flat = np.concatenate(
-                [g.hidden_weights.ravel(), g.hidden_biases, g.w, [g.b]])
+            vec = rng.standard_normal(h * m + 2 * h + 1) * 0.8
+            # the positive side (margin over B, target -1) or the negative one
+            own, other, target = (a, b, -1.0) if rng.random() < 0.5 else (b, a, 1.0)
+            g = side_objective(params_from_flat(vec, h, m), own, other, c, target)[1]
             fd = central_difference(
-                lambda vec: loss_fn(side_from_flat(vec, h, m), a, b, c),
-                flatten_side(side))
-            worst_binary = max(worst_binary, max_relative_error(flat, fd))
+                lambda v: side_objective(params_from_flat(v, h, m), own, other, c, target)[0],
+                vec)
+            worst_binary = max(worst_binary, max_relative_error(flatten(g), fd))
         assert worst_binary <= 1e-5
 
         from test_multiclass import (
@@ -94,15 +89,11 @@ def test_criterion_1_gradient_fidelity():
         for trial in range(50):
             sub_rng = np.random.default_rng(2000 + trial)
             model, x, y = resample_until_clear_of_ties(sub_rng, [0, 1, 2])
-            grads = mc_gradients(model, x, y)
-            flat = np.concatenate([
-                np.concatenate([g.subnet_weights.ravel(), g.subnet_biases,
-                                g.plane_weights.ravel(), g.plane_biases])
-                for g in grads])
+            grads = mc_objective(model, x, y)[1]
             fd = central_difference(
-                lambda vec: mc_loss(model_from_flat(model, vec), x, y),
+                lambda vec: mc_objective(model_from_flat(model, vec), x, y)[0],
                 flatten_model(model), eps=1e-6)
-            worst_mc = max(worst_mc, max_relative_error(flat, fd, floor=1e-6))
+            worst_mc = max(worst_mc, max_relative_error(flatten(grads), fd, floor=1e-6))
         assert worst_mc <= 1e-5
     assert timer.seconds < 10.0
     report(1, f"binary max rel err {worst_binary:.2e}, multiclass "

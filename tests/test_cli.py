@@ -127,6 +127,20 @@ class TestCv:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 4
 
+    def test_model_that_cannot_predict_fails_its_folds(self, tmp_path):
+        # c1 = 0 pins the positive plane at u = 0: the fit succeeds, but
+        # its test-fold distances are undefined
+        ds = gaussian_blobs([(2, 2, 2), (0, 0, 0)], [3, 27], seed=4, labels=[1, -1])
+        path, out = tmp_path / "small.csv", tmp_path / "r.json"
+        save_csv(ds, path)
+        rc = main(["cv", "--data", str(path), "--model", "twsvm_linear", "--grid", "c1=0",
+                   "--folds", "2", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert all(fold["failed"] for fold in payload["folds"])
+        assert [f["stage"] for f in payload["failures"]] == ["predict", "predict"]
+        assert "zero norm" in payload["failures"][0]["error"]
+
 
 class TestBench:
     def test_bench_two_models(self, tmp_path, blob_csv, capsys):
@@ -209,6 +223,25 @@ class TestGridValidation:
         prefix = "twin_nn:" if command[0] == "bench" else ""
         argv = command + ["--data", "/does/not/exist.csv", "--grid", f"{prefix}{key}=1"]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("model, key", [
+        ("twin_nn", "hidden"), ("rfnn", "epochs"),
+        ("twin_nn_mc", "subnet_features"), ("twin_nn_mc", "planes"),
+    ])
+    @pytest.mark.parametrize("command", [["train", "--out", "never-written.json"], ["cv"],
+                                         ["bench"]])
+    def test_fractional_integer_value_exits_2_before_loading(self, command, model, key):
+        # the data file does not exist: loading it first would exit 3
+        grid = f"{model}:{key}=2,2.5" if command[0] == "bench" else f"{key}=2.5"
+        argv = command + ["--model", model, "--data", "/does/not/exist.csv", "--grid", grid]
+        assert main(argv) == 2
+
+    def test_integral_float_value_is_accepted(self, tmp_path, blob_csv):
+        path, _ = blob_csv
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", path, "--grid", "hidden=3.0", "--grid", "epochs=5",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["hyper"]["hidden"] == 3
 
     def test_every_hyperparameter_of_a_kind_is_accepted(self, tmp_path, blob_csv):
         path, _ = blob_csv

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference, gaussian_blobs, max_relative_error
+import twinlearn.multiclass as multiclass
+from conftest import central_difference, flatten, gaussian_blobs, max_relative_error
 from twinlearn.data import DataError, Dataset, make_imbalanced
 from twinlearn.multiclass import (
     ClassBank,
@@ -10,8 +11,7 @@ from twinlearn.multiclass import (
     class_distance,
     loss_from_mins,
     mc_distances,
-    mc_gradients,
-    mc_loss,
+    mc_objective,
     mc_predict,
     mc_train,
 )
@@ -124,13 +124,13 @@ class TestLoss:
                 for a in bank.activations(xi)
             )
             total += loss_from_mins(own, other, 0.8)
-        assert mc_loss(model, x, y) == pytest.approx(total / 6.0, rel=1e-12)
+        assert mc_objective(model, x, y)[0] == pytest.approx(total / 6.0, rel=1e-12)
 
     def test_unknown_class_rejected(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, [0, 1])
         with pytest.raises(DataError, match="unknown"):
-            mc_loss(model, np.zeros((1, 2)), [5])
+            mc_objective(model, np.zeros((1, 2)), [5])
 
 
 def resample_until_clear_of_ties(rng, class_ids, gap=1e-3):
@@ -163,23 +163,19 @@ class TestGradients:
     def test_finite_difference_agreement_away_from_ties(self, seed):
         rng = np.random.default_rng(seed + 10)
         model, x, y = resample_until_clear_of_ties(rng, [0, 1, 2])
-        grads = mc_gradients(model, x, y)
-        flat = np.concatenate([
-            np.concatenate([g.subnet_weights.ravel(), g.subnet_biases,
-                            g.plane_weights.ravel(), g.plane_biases])
-            for g in grads
-        ])
+        grads = mc_objective(model, x, y)[1]
         fd = central_difference(
-            lambda vec: mc_loss(model_from_flat(model, vec), x, y),
+            lambda vec: mc_objective(model_from_flat(model, vec), x, y)[0],
             flatten_model(model), eps=1e-6)
-        assert max_relative_error(flat, fd, floor=1e-6) <= 1e-5
+        assert max_relative_error(flatten(grads), fd, floor=1e-6) <= 1e-5
 
     def test_min_routes_to_single_plane(self):
         rng = np.random.default_rng(20)
         model, x, y = resample_until_clear_of_ties(rng, [0, 1])
-        grads = mc_gradients(model, x[:1], y[:1])
+        grads = mc_objective(model, x[:1], y[:1])[1]
         # exactly one plane per group receives gradient in plane space
-        touched = [int(np.count_nonzero(np.abs(g.plane_biases) > 0)) for g in grads]
+        plane_biases = grads[3::4]
+        touched = [int(np.count_nonzero(np.abs(g) > 0)) for g in plane_biases]
         assert sum(touched) <= 2
 
 
@@ -212,6 +208,15 @@ class TestTrain:
         model = mc_train(ds, MCHyper(subnet_features=3, planes=2, epochs=0, seed=10))
         labels = mc_predict(model, ds.features)
         assert set(labels.tolist()) <= {0, 1, 2}
+
+    def test_one_objective_call_per_epoch(self, monkeypatch):
+        calls = []
+        core = multiclass._mc_objective
+        monkeypatch.setattr(multiclass, "_mc_objective",
+                            lambda *args: calls.append(1) or core(*args))
+        ds = gaussian_blobs([(1, 0), (-1, 0), (0, 1)], [5, 5, 5], seed=9)
+        mc_train(ds, MCHyper(subnet_features=3, planes=2, epochs=6, seed=10))
+        assert len(calls) == 7
 
     def test_single_class_rejected(self):
         ds = Dataset(np.ones((4, 2)), [3, 3, 3, 3])

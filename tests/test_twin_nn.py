@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import twinlearn.twin_nn as twin_nn
 from conftest import (
     central_difference,
-    flatten_side,
+    flatten,
     gaussian_blobs,
     max_relative_error,
-    side_from_flat,
+    params_from_flat,
 )
 from twinlearn.data import DataError, Dataset
 from twinlearn.evalstats import confusion, metrics
@@ -17,31 +18,38 @@ from twinlearn.twin_nn import (
     SideNet,
     TwinHyper,
     decision_values,
-    gradients_minus,
-    gradients_plus,
-    loss_minus,
-    loss_plus,
     predict,
-    proximal_gradients,
     rfnn_decision,
-    rfnn_gradients,
-    rfnn_loss,
+    rfnn_objective,
     rfnn_predict,
+    side_objective,
     train,
     train_rfnn_baseline,
 )
 
 
-def zero_side(hidden, n_features):
-    return SideNet(
-        HiddenLayer(np.zeros((hidden, n_features)), np.zeros(hidden)),
-        HeadParams(np.zeros(hidden), 0.0),
-    )
+def zero_params(hidden, n_features):
+    return [np.zeros((hidden, n_features)), np.zeros(hidden), np.zeros(hidden), 0.0]
 
 
-def random_side(rng, hidden, n_features, scale=0.7):
+def random_params(rng, hidden, n_features, scale=0.7):
     vec = rng.standard_normal(hidden * n_features + 2 * hidden + 1) * scale
-    return side_from_flat(vec, hidden, n_features)
+    return params_from_flat(vec, hidden, n_features)
+
+
+def random_side(rng, hidden, n_features):
+    hw, hb, w, b = random_params(rng, hidden, n_features)
+    return SideNet(HiddenLayer(hw, hb), HeadParams(w, b))
+
+
+def plus_objective(params, a, b, c):
+    """Positive side: margin over B rows (target -1) + proximal over A."""
+    return side_objective(params, a, b, c, -1.0)
+
+
+def minus_objective(params, a, b, c):
+    """Negative side: margin over A rows (target +1) + proximal over B."""
+    return side_objective(params, b, a, c, 1.0)
 
 
 class TestLosses:
@@ -50,45 +58,50 @@ class TestLosses:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 2))
         b = rng.standard_normal((6, 2))
-        side = zero_side(3, 2)
-        assert loss_plus(side, a, b, c_plus=1.0) == pytest.approx(0.5, abs=1e-15)
-        assert loss_minus(side, a, b, c_minus=1.0) == pytest.approx(0.5, abs=1e-15)
+        params = zero_params(3, 2)
+        assert plus_objective(params, a, b, 1.0)[0] == pytest.approx(0.5, abs=1e-15)
+        assert minus_objective(params, a, b, 1.0)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_c_drops_proximal_term(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 2))
         b = rng.standard_normal((5, 2))
-        side = random_side(rng, 3, 2)
-        from twinlearn.twin_nn import margin_loss
-
-        assert loss_plus(side, a, b, c_plus=0.0) == margin_loss(side, b, -1.0)
+        params = random_params(rng, 3, 2)
+        hw, hb, w, head_b = params
+        r = np.tanh(np.tanh(b @ hw.T + hb) @ w + head_b) + 1.0
+        loss, grads = plus_objective(params, a, b, 0.0)
+        assert loss == float(r @ r) / (2.0 * len(b))
+        # with c = 0 the own rows leave no trace in the gradient either
+        for g, g_other in zip(grads, plus_objective(params, 3.0 * a, b, 0.0)[1]):
+            np.testing.assert_array_equal(g, g_other)
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(2)
         m, h = 2, 3
         a = rng.standard_normal((4, m))
         b = rng.standard_normal((4, m))
-        side = random_side(rng, h, m)
+        params = random_params(rng, h, m)
+        hw, hb, w, head_b = params
         c = 0.7
 
         def phi(x):
-            return np.tanh(side.hidden.weights @ x + side.hidden.biases)
+            return np.tanh(hw @ x + hb)
 
         margin = 0.0
         for x in b:
-            y = np.tanh(side.head.w @ phi(x) + side.head.b)
+            y = np.tanh(w @ phi(x) + head_b)
             margin += (-1.0 - y) ** 2
         margin /= 2 * len(b)
         prox = 0.0
         for x in a:
-            prox += (side.head.w @ phi(x) + side.head.b) ** 2
+            prox += (w @ phi(x) + head_b) ** 2
         prox *= c / (2 * len(a))
-        assert loss_plus(side, a, b, c) == pytest.approx(margin + prox, rel=1e-12)
+        assert plus_objective(params, a, b, c)[0] == pytest.approx(margin + prox, rel=1e-12)
 
     def test_empty_class_rejected(self):
-        side = zero_side(2, 2)
+        params = zero_params(2, 2)
         with pytest.raises(Exception):
-            loss_plus(side, np.empty((0, 2)), np.ones((2, 2)), 1.0)
+            plus_objective(params, np.empty((0, 2)), np.ones((2, 2)), 1.0)
 
 
 class TestGradients:
@@ -96,14 +109,14 @@ class TestGradients:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 2))
         b = rng.standard_normal((5, 2))
-        side = zero_side(3, 2)
-        g = gradients_plus(side, a, b, c_plus=1.0)
+        params = zero_params(3, 2)
+        g = plus_objective(params, a, b, 1.0)[1]
         # hidden map is zero at zero parameters, so dw vanishes; the
-        # proximal b-gradient is zero and the margin residual is +1
-        np.testing.assert_array_equal(g.w, np.zeros(3))
-        assert g.b == pytest.approx(1.0, abs=1e-15)
-        p = proximal_gradients(side, a, 1.0)
-        assert p.b == 0.0 and not p.w.any()
+        # proximal gradient is zero and the margin residual is +1
+        np.testing.assert_array_equal(g[2], np.zeros(3))
+        assert g[3] == pytest.approx(1.0, abs=1e-15)
+        for with_c, without_c in zip(g, plus_objective(params, a, b, 0.0)[1]):
+            np.testing.assert_array_equal(with_c, without_c)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_agreement(self, seed):
@@ -115,26 +128,27 @@ class TestGradients:
         a = rng.standard_normal((n_a, m))
         b = rng.standard_normal((n_b, m))
         c = float(rng.uniform(0.0, 2.0))
-        side = random_side(rng, h, m)
-        for grad_fn, loss_fn in ((gradients_plus, loss_plus), (gradients_minus, loss_minus)):
-            g = grad_fn(side, a, b, c)
-            flat = np.concatenate([g.hidden_weights.ravel(), g.hidden_biases, g.w, [g.b]])
+        params = random_params(rng, h, m)
+        for objective in (plus_objective, minus_objective):
             fd = central_difference(
-                lambda vec: loss_fn(side_from_flat(vec, h, m), a, b, c),
-                flatten_side(side),
+                lambda vec: objective(params_from_flat(vec, h, m), a, b, c)[0],
+                flatten(params),
             )
-            assert max_relative_error(flat, fd) <= 1e-5
+            assert max_relative_error(flatten(objective(params, a, b, c)[1]), fd) <= 1e-5
 
     def test_proximal_component_exactly_linear_in_c(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 3))
-        side = random_side(rng, 4, 3)
-        g1 = proximal_gradients(side, a, 0.65)
-        g2 = proximal_gradients(side, a, 1.3)
-        np.testing.assert_array_equal(g2.w, 2.0 * g1.w)
-        np.testing.assert_array_equal(g2.hidden_weights, 2.0 * g1.hidden_weights)
-        np.testing.assert_array_equal(g2.hidden_biases, 2.0 * g1.hidden_biases)
-        assert g2.b == 2.0 * g1.b
+        params = random_params(rng, 4, 3)
+        # a head bias of 30 saturates tanh on every row, so the margin
+        # term's gradient is exactly zero and only the proximal one is left
+        params[3] = 30.0
+        b = rng.standard_normal((3, 3))
+        g1 = plus_objective(params, a, b, 0.65)[1]
+        g2 = plus_objective(params, a, b, 1.3)[1]
+        assert g1[3] != 0.0
+        for x1, x2 in zip(g1, g2):
+            np.testing.assert_array_equal(x2, 2.0 * x1)
 
 
 def separable_blobs(seed=0, n=20):
@@ -214,24 +228,43 @@ class TestTrain:
         b = ds.features[ds.labels == -1]
         hyper = TwinHyper(hidden=3, lr=0.01, epochs=200, seed=15, tol=0.0)
         model = train(ds, hyper)
-        # walk the plus-side trajectory and count loss increases
+        # walk the plus-side trajectory by hand and count loss increases
         from twinlearn.twin_nn import _draw_initial_params
         from twinlearn.numcore import Rng
 
-        hw, hb, w, head_b = _draw_initial_params(Rng(hyper.seed), 3, 2)
-        side = SideNet(HiddenLayer(hw, hb), HeadParams(w, head_b))
+        params = list(_draw_initial_params(Rng(hyper.seed), 3, 2))
         losses = []
         for _ in range(200):
-            losses.append(loss_plus(side, a, b, hyper.c_plus))
-            g = gradients_plus(side, a, b, hyper.c_plus)
-            side = SideNet(
-                HiddenLayer(side.hidden.weights - hyper.lr * g.hidden_weights,
-                            side.hidden.biases - hyper.lr * g.hidden_biases),
-                HeadParams(side.head.w - hyper.lr * g.w, side.head.b - hyper.lr * g.b),
-            )
+            loss, grads = plus_objective(params, a, b, hyper.c_plus)
+            losses.append(loss)
+            params = [p - hyper.lr * g for p, g in zip(params, grads)]
         increases = sum(1 for x, y in zip(losses, losses[1:]) if y > x)
         assert increases <= 0.05 * len(losses)
         assert model.plus.final_loss <= losses[0]
+        # with tol = 0 training takes exactly these steps
+        np.testing.assert_array_equal(model.plus.hidden.weights, params[0])
+        assert model.plus.head.b == params[3]
+
+    @pytest.mark.parametrize("epochs", [0, 1, 7])
+    def test_one_objective_call_per_epoch(self, epochs, monkeypatch):
+        calls = {-1.0: 0, 1.0: 0}
+
+        def counted(params, own, other, c, target):
+            calls[target] += 1
+            return side_objective(params, own, other, c, target)
+
+        monkeypatch.setattr(twin_nn, "side_objective", counted)
+        train(separable_blobs(seed=26, n=6), TwinHyper(hidden=3, epochs=epochs, tol=0.0))
+        # one forward pass per epoch plus one for the final loss, per side
+        assert calls == {-1.0: epochs + 1, 1.0: epochs + 1}
+
+    def test_tol_stops_early(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(twin_nn, "side_objective",
+                            lambda *args: calls.append(1) or side_objective(*args))
+        hyper = TwinHyper(hidden=3, lr=0.2, epochs=5000, tol=1e-4, seed=27)
+        train(separable_blobs(seed=26, n=6), hyper)
+        assert 2 < len(calls) < 2 * (hyper.epochs + 1)
 
 
 class TestPredict:
@@ -283,13 +316,6 @@ class TestPredict:
         with pytest.raises(ValueError, match="zero norm"):
             predict(model, np.zeros(2))
 
-    def test_signed_mode_available(self):
-        ds = separable_blobs(seed=18, n=10)
-        model = train(ds, TwinHyper(hidden=3, epochs=50, seed=19))
-        d_abs = decision_values(model, ds.features)
-        d_signed = decision_values(model, ds.features, signed=True)
-        np.testing.assert_array_equal(np.abs(d_signed[0]), d_abs[0])
-
 
 class TestRfnn:
     def test_separable_blobs_full_accuracy(self):
@@ -306,16 +332,24 @@ class TestRfnn:
         l2 = float(rng.uniform(0.0, 0.5))
         vec = rng.standard_normal(h * m + 2 * h + 1) * 0.6
 
-        def unpack(v):
-            layer = HiddenLayer(v[: h * m].reshape(h, m), v[h * m : h * m + h])
-            return layer, v[h * m + h : h * m + 2 * h], v[-1]
-
-        layer, w, b = unpack(vec)
-        g = rfnn_gradients(layer, w, b, rows, targets, l2)
-        flat = np.concatenate([g.hidden_weights.ravel(), g.hidden_biases, g.w, [g.b]])
+        g = rfnn_objective(params_from_flat(vec, h, m), rows, targets, l2)[1]
         fd = central_difference(
-            lambda v: rfnn_loss(*unpack(v), rows, targets, l2), vec)
-        assert max_relative_error(flat, fd) <= 1e-5
+            lambda v: rfnn_objective(params_from_flat(v, h, m), rows, targets, l2)[0], vec)
+        assert max_relative_error(flatten(g), fd) <= 1e-5
+
+    def test_divergence_names_side_and_epoch(self):
+        ds = separable_blobs(seed=7)
+        with pytest.raises(DivergenceError) as err:
+            train_rfnn_baseline(ds, hidden=4, lr=1e9, epochs=50, seed=8)
+        assert err.value.side == "rfnn"
+        assert err.value.epoch is not None
+
+    def test_one_objective_call_per_epoch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(twin_nn, "rfnn_objective",
+                            lambda *args: calls.append(1) or rfnn_objective(*args))
+        train_rfnn_baseline(separable_blobs(seed=26, n=6), hidden=3, epochs=9)
+        assert len(calls) == 10
 
     def test_extreme_l2_drives_weights_and_outputs_down(self):
         # lr * l2 = 1 keeps the penalty step stable and collapses the
