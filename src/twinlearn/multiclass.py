@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Rng, ShapeError, mix_seed
+from .numcore import DivergenceError, Rng, ShapeError, mix_seed
 from .data import Dataset, DataError
 from .twin_nn import HiddenLayer, descend
 
@@ -261,6 +261,15 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
         _bank_params(banks),
         lambda params: _mc_objective(params, rows, class_idx, hyper.margin_weight),
         hyper.lr, hyper.epochs, 0.0, "multiclass training", None)
+    # the loss is built from tanh outputs and stays finite while the
+    # weights run away, so check the weights and plane norms themselves
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = (all(np.all(np.isfinite(p)) for p in params)
+                  and all(np.all(np.isfinite(np.linalg.norm(pw, axis=1)))
+                          for pw in params[2::4]))
+    if not finite:
+        raise DivergenceError(f"multiclass training diverged by epoch {hyper.epochs}: "
+                              "a weight or plane norm is non-finite", epoch=hyper.epochs)
     banks = tuple(ClassBank(bank.class_id, HiddenLayer(*params[4 * k:4 * k + 2]),
                             *params[4 * k + 2:4 * k + 4])
                   for k, bank in enumerate(banks))

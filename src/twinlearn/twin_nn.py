@@ -16,6 +16,15 @@ side losses exact mirror images.  Swapping class labels together with
 All three networks (both twin sides, the rfnn baseline and the multiclass
 banks) train through ``descend``, one full-batch gradient step and one
 forward pass per epoch; only the twin sides stop early, on ``tol``.
+
+Each twin side and the rfnn baseline build their design matrix once per
+fit: the side's rows stacked as ``[other; own]`` (rfnn: all rows) with a
+column of ones appended, so the hidden biases fold into the weights as
+``[W | c]``.  An epoch is then one pass over the design:
+``phi = tanh(design @ [W | c].T)``, one backprop term
+``t = (1 - phi**2) * outer(delta, w)`` and one product ``t.T @ design``
+that gives the hidden weight and bias gradients together.  The two sides
+are never stacked into one matrix, so each keeps its own row order.
 """
 
 from __future__ import annotations
@@ -152,16 +161,51 @@ def _check_rows(rows: np.ndarray, name: str) -> np.ndarray:
     return rows
 
 
-def _backprop(w: np.ndarray, rows: np.ndarray, phi: np.ndarray, delta: np.ndarray):
-    """Gradients [hidden W, hidden c, head w, head b] of per-sample output
-    gradients ``delta`` pushed back through one tanh layer and a head ``w``."""
-    dpre = delta[:, None] * w[None, :] * (1.0 - phi * phi)
-    return [dpre.T @ rows, dpre.sum(axis=0), phi.T @ delta, float(delta.sum())]
+def _design(*blocks: np.ndarray) -> np.ndarray:
+    """Row blocks stacked in order, with a column of ones appended so that
+    one product with ``[W | c]`` applies the hidden weights and biases."""
+    rows = np.vstack(blocks)
+    return np.column_stack((rows, np.ones(rows.shape[0])))
+
+
+def _fold(hw: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Hidden weights (h, M) and biases (h,) as one (h, M + 1) matrix."""
+    return np.column_stack((hw, hb))
+
+
+def _unfold(hidden: np.ndarray) -> HiddenLayer:
+    """The hidden layer of a trained (h, M + 1) ``[W | c]`` matrix."""
+    return HiddenLayer(np.ascontiguousarray(hidden[:, :-1]), hidden[:, -1].copy())
+
+
+def _backprop(w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: np.ndarray):
+    """Gradients [hidden [W | c], head w, head b] of per-sample output
+    gradients ``delta`` pushed back through ``phi = tanh(design @ [W | c].T)``
+    and a head ``w``."""
+    t = (1.0 - phi * phi) * np.outer(delta, w)
+    return [t.T @ design, phi.T @ delta, float(delta.sum())]
+
+
+def _side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
+    """Unchecked core of side_objective over params [[W | c], w, b] and a
+    ``_design(other, own)`` whose first ``n_other`` rows are the other
+    class's."""
+    hidden, w, b = params
+    phi = np.tanh(design @ hidden.T)
+    out = phi @ w + b
+    y = np.tanh(out[:n_other])
+    r = y - target
+    z = out[n_other:]
+    n_own = design.shape[0] - n_other
+    loss = float(r @ r) / (2.0 * n_other) + c * float(z @ z) / (2.0 * n_own)
+    delta = np.concatenate((r * (1.0 - y * y) / n_other, (c / n_own) * z))
+    return loss, _backprop(w, design, phi, delta)
 
 
 def side_objective(params, own: np.ndarray, other: np.ndarray, c: float,
                    target: float):
-    """Loss and gradients of one side, from one forward pass per row block.
+    """Loss and gradients of one side, from one forward pass over the
+    stacked ``other`` and ``own`` rows.
 
     ``params`` is [hidden W (h, M), hidden c (h,), head w (h,), head b].
     The loss is the margin term, the mean squared gap between tanh
@@ -173,15 +217,9 @@ def side_objective(params, own: np.ndarray, other: np.ndarray, c: float,
     own = _check_rows(own, "own_rows")
     other = _check_rows(other, "other_rows")
     hw, hb, w, b = params
-    phi_o = np.tanh(other @ hw.T + hb)
-    y = np.tanh(phi_o @ w + b)
-    r = y - target
-    phi_a = np.tanh(own @ hw.T + hb)
-    z = phi_a @ w + b
-    loss = float(r @ r) / (2.0 * other.shape[0]) + c * float(z @ z) / (2.0 * own.shape[0])
-    margin = _backprop(w, other, phi_o, r * (1.0 - y * y) / other.shape[0])
-    proximal = _backprop(w, own, phi_a, (c / own.shape[0]) * z)
-    return loss, [m + p for m, p in zip(margin, proximal)]
+    loss, (dhidden, dw, db) = _side_objective([_fold(hw, hb), w, b], _design(other, own),
+                                              other.shape[0], c, target)
+    return loss, [dhidden[:, :-1], dhidden[:, -1], dw, db]
 
 
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -263,12 +301,12 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     sides = []
     for name, own, other, c, target, sign in (("plus", a, b, hyper.c_plus, -1.0, 1.0),
                                               ("minus", b, a, hyper.c_minus, 1.0, -1.0)):
-        params, final = descend(
-            [hw, hb, sign * w, sign * head_b],
-            lambda params: side_objective(params, own, other, c, target),
+        design = _design(other, own)
+        (hidden, head_w, bias), final = descend(
+            [_fold(hw, hb), sign * w, sign * head_b],
+            lambda params: _side_objective(params, design, other.shape[0], c, target),
             hyper.lr, hyper.epochs, hyper.tol, f"{name} side", name)
-        sides.append(SideNet(HiddenLayer(*params[:2]), HeadParams(*params[2:]),
-                             final_loss=final))
+        sides.append(SideNet(_unfold(hidden), HeadParams(head_w, bias), final_loss=final))
     return TwinNNModel(*sides, hyper, data.n_features)
 
 
@@ -329,6 +367,20 @@ def rfnn_predict(model: RfnnModel, x):
     return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
 
 
+def _rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
+    """Unchecked core of rfnn_objective over params [[W | c], w, b] and a
+    ``_design(rows)``."""
+    hidden, w, b = params
+    phi = np.tanh(design @ hidden.T)
+    r = phi @ w + b - targets
+    hw = hidden[:, :-1]
+    penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(w @ w))
+    loss = float(r @ r) / (2.0 * design.shape[0]) + penalty
+    dhidden, dw, db = _backprop(w, design, phi, r / design.shape[0])
+    dhidden[:, :-1] += l2 * hw
+    return loss, [dhidden, dw + l2 * w, db]
+
+
 def rfnn_objective(params, rows: np.ndarray, targets: np.ndarray, l2: float):
     """Loss and gradients of the baseline from one forward pass.
 
@@ -338,12 +390,9 @@ def rfnn_objective(params, rows: np.ndarray, targets: np.ndarray, l2: float):
     output collapses to the target mean.
     """
     hw, hb, w, b = params
-    phi = np.tanh(rows @ hw.T + hb)
-    r = phi @ w + b - targets
-    penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(w @ w))
-    loss = float(r @ r) / (2.0 * rows.shape[0]) + penalty
-    dhw, dhb, dw, db = _backprop(w, rows, phi, r / rows.shape[0])
-    return loss, [dhw + l2 * hw, dhb, dw + l2 * w, db]
+    loss, (dhidden, dw, db) = _rfnn_objective([_fold(hw, hb), w, b], _design(rows),
+                                              targets, l2)
+    return loss, [dhidden[:, :-1], dhidden[:, -1], dw, db]
 
 
 def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
@@ -357,11 +406,11 @@ def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
         raise ValueError(f"learning rate must be positive, got {lr}")
     if l2 < 0:
         raise ValueError(f"l2 must be non-negative, got {l2}")
-    rows = data.features
+    design = _design(data.features)
     targets = data.labels.astype(np.float64)
-    rng = Rng(seed)
-    (hw, hb, w, b), final = descend(
-        list(_draw_initial_params(rng, hidden, data.n_features)),
-        lambda params: rfnn_objective(params, rows, targets, l2),
+    hw, hb, w, b = _draw_initial_params(Rng(seed), hidden, data.n_features)
+    (weights, w, b), final = descend(
+        [_fold(hw, hb), w, b],
+        lambda params: _rfnn_objective(params, design, targets, l2),
         lr, epochs, 0.0, "rfnn", "rfnn")
-    return RfnnModel(HiddenLayer(hw, hb), w, b, l2, lr, epochs, seed, final_loss=final)
+    return RfnnModel(_unfold(weights), w, b, l2, lr, epochs, seed, final_loss=final)

@@ -1,7 +1,13 @@
 import numpy as np
+from hypothesis import settings
 
 from twinlearn.data import Dataset
 from twinlearn.numcore import Rng
+
+# every run draws the same hypothesis examples, so two commits compare
+# on the same inputs
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def gaussian_blobs(centers, counts, std=1.0, seed=0, labels=None):
@@ -46,3 +52,35 @@ def central_difference(f, x0, eps=1e-5):
 def max_relative_error(analytic, numeric, floor=1e-8):
     scale = np.maximum(floor, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def _two_block_backprop(w, rows, phi, delta):
+    dpre = delta[:, None] * w[None, :] * (1.0 - phi * phi)
+    return [dpre.T @ rows, dpre.sum(axis=0), phi.T @ delta, float(delta.sum())]
+
+
+def two_block_side_objective(params, own, other, c, target):
+    """Reference side objective: separate forward passes and backprops over
+    the ``other`` (margin) and ``own`` (proximal) rows, summed per gradient."""
+    hw, hb, w, b = params
+    phi_o = np.tanh(other @ hw.T + hb)
+    y = np.tanh(phi_o @ w + b)
+    r = y - target
+    phi_a = np.tanh(own @ hw.T + hb)
+    z = phi_a @ w + b
+    loss = float(r @ r) / (2.0 * other.shape[0]) + c * float(z @ z) / (2.0 * own.shape[0])
+    margin = _two_block_backprop(w, other, phi_o, r * (1.0 - y * y) / other.shape[0])
+    proximal = _two_block_backprop(w, own, phi_a, (c / own.shape[0]) * z)
+    return loss, [m + p for m, p in zip(margin, proximal)]
+
+
+def two_block_rfnn_objective(params, rows, targets, l2):
+    """Reference rfnn objective with the hidden bias added apart from the
+    weights' product."""
+    hw, hb, w, b = params
+    phi = np.tanh(rows @ hw.T + hb)
+    r = phi @ w + b - targets
+    penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(w @ w))
+    loss = float(r @ r) / (2.0 * rows.shape[0]) + penalty
+    dhw, dhb, dw, db = _two_block_backprop(w, rows, phi, r / rows.shape[0])
+    return loss, [dhw + l2 * hw, dhb, dw + l2 * w, db]

@@ -127,6 +127,27 @@ class TestCv:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 4
 
+    def test_multiclass_runaway_weights_exit_4(self, tmp_path, three_csv):
+        # the tanh-bounded loss stays finite while lr = 1e300 drives the
+        # weights towards 1e299 and the plane norms past float range
+        path, _ = three_csv
+        model_path = tmp_path / "mc.json"
+        rc = main(["train", "--data", path, "--model", "twin_nn_mc",
+                   "--grid", "lr=1e300", "--grid", "epochs=5", "--out", str(model_path)])
+        assert rc == 4
+        assert not model_path.exists()
+
+    def test_multiclass_runaway_weights_fail_their_folds(self, tmp_path, three_csv):
+        path, _ = three_csv
+        out = tmp_path / "r.json"
+        rc = main(["cv", "--data", path, "--model", "twin_nn_mc", "--grid", "lr=1e300",
+                   "--grid", "epochs=20", "--folds", "2", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert all(fold["failed"] for fold in payload["folds"])
+        assert [f["stage"] for f in payload["failures"]] == ["train", "train"]
+        assert "diverged" in payload["failures"][0]["error"]
+
     def test_model_that_cannot_predict_fails_its_folds(self, tmp_path):
         # c1 = 0 pins the positive plane at u = 0: the fit succeeds, but
         # its test-fold distances are undefined

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twinlearn.twin_nn as twin_nn
 from conftest import (
@@ -8,6 +10,8 @@ from conftest import (
     gaussian_blobs,
     max_relative_error,
     params_from_flat,
+    two_block_rfnn_objective,
+    two_block_side_objective,
 )
 from twinlearn.data import DataError, Dataset
 from twinlearn.evalstats import confusion, metrics
@@ -151,6 +155,61 @@ class TestGradients:
             np.testing.assert_array_equal(x2, 2.0 * x1)
 
 
+def assert_matches_reference(result, reference):
+    """Loss within 1e-12 relative error of the reference loss, and every
+    gradient within 1e-12 of the largest reference gradient entry: a single
+    entry that sums to nearly zero has no relative precision to keep once
+    its terms are added in another order."""
+    (loss, grads), (ref_loss, ref_grads) = result, reference
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    scale = np.max(np.abs(flatten(ref_grads)))
+    for g, ref in zip(grads, ref_grads, strict=True):
+        assert np.shape(g) == np.shape(ref)
+        assert np.max(np.abs(np.asarray(g) - ref)) <= 1e-12 * scale
+
+
+# a head bias of +-40 saturates tanh on every row
+HEAD_BIAS = st.floats(-2.0, 2.0) | st.sampled_from([-40.0, 40.0])
+
+
+class TestFusedObjectives:
+    """One pass over the stacked design with folded biases against the
+    two-block reference objectives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_own=st.integers(1, 12), n_other=st.integers(1, 12), m=st.integers(1, 4),
+           h=st.integers(1, 6), c=st.just(0.0) | st.floats(0.0, 3.0), head_bias=HEAD_BIAS,
+           target=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @example(n_own=1, n_other=1, m=2, h=3, c=0.7, head_bias=0.1, target=-1.0, seed=0)
+    @example(n_own=1, n_other=5, m=2, h=3, c=0.0, head_bias=0.1, target=1.0, seed=1)
+    @example(n_own=4, n_other=6, m=3, h=4, c=1.3, head_bias=40.0, target=-1.0, seed=2)
+    @example(n_own=4, n_other=6, m=3, h=4, c=1.3, head_bias=-40.0, target=1.0, seed=3)
+    def test_side_objective_matches_two_block_reference(self, n_own, n_other, m, h, c,
+                                                        head_bias, target, seed):
+        rng = np.random.default_rng(seed)
+        own = rng.standard_normal((n_own, m))
+        other = rng.standard_normal((n_other, m))
+        params = random_params(rng, h, m)
+        params[3] = head_bias
+        assert_matches_reference(side_objective(params, own, other, c, target),
+                                 two_block_side_objective(params, own, other, c, target))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 4), h=st.integers(1, 6),
+           l2=st.just(0.0) | st.floats(0.0, 1.0), head_bias=HEAD_BIAS,
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=2, h=3, l2=0.0, head_bias=0.1, seed=0)
+    @example(n=5, m=3, h=4, l2=0.25, head_bias=40.0, seed=1)
+    def test_rfnn_objective_matches_two_block_reference(self, n, m, h, l2, head_bias, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, m))
+        targets = rng.choice([-1.0, 1.0], size=n)
+        params = random_params(rng, h, m)
+        params[3] = head_bias
+        assert_matches_reference(rfnn_objective(params, rows, targets, l2),
+                                 two_block_rfnn_objective(params, rows, targets, l2))
+
+
 def separable_blobs(seed=0, n=20):
     return gaussian_blobs([(2.5, 0.0), (-2.5, 0.0)], [n, n], std=0.8,
                           seed=seed, labels=[1, -1])
@@ -249,22 +308,33 @@ class TestTrain:
     def test_one_objective_call_per_epoch(self, epochs, monkeypatch):
         calls = {-1.0: 0, 1.0: 0}
 
-        def counted(params, own, other, c, target):
+        def counted(params, design, n_other, c, target):
             calls[target] += 1
-            return side_objective(params, own, other, c, target)
+            return core(params, design, n_other, c, target)
 
-        monkeypatch.setattr(twin_nn, "side_objective", counted)
+        core = twin_nn._side_objective
+        monkeypatch.setattr(twin_nn, "_side_objective", counted)
         train(separable_blobs(seed=26, n=6), TwinHyper(hidden=3, epochs=epochs, tol=0.0))
         # one forward pass per epoch plus one for the final loss, per side
         assert calls == {-1.0: epochs + 1, 1.0: epochs + 1}
 
     def test_tol_stops_early(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(twin_nn, "side_objective",
-                            lambda *args: calls.append(1) or side_objective(*args))
+        core = twin_nn._side_objective
+        monkeypatch.setattr(twin_nn, "_side_objective",
+                            lambda *args: calls.append(1) or core(*args))
         hyper = TwinHyper(hidden=3, lr=0.2, epochs=5000, tol=1e-4, seed=27)
         train(separable_blobs(seed=26, n=6), hyper)
         assert 2 < len(calls) < 2 * (hyper.epochs + 1)
+
+    def test_design_built_once_per_side(self, monkeypatch):
+        calls = []
+        build = twin_nn._design
+        monkeypatch.setattr(twin_nn, "_design",
+                            lambda *blocks: calls.append(len(blocks)) or build(*blocks))
+        train(separable_blobs(seed=26, n=6), TwinHyper(hidden=3, epochs=7, tol=0.0))
+        # one stacked [other; own | 1] design per side, none per epoch
+        assert calls == [2, 2]
 
 
 class TestPredict:
@@ -346,10 +416,19 @@ class TestRfnn:
 
     def test_one_objective_call_per_epoch(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(twin_nn, "rfnn_objective",
-                            lambda *args: calls.append(1) or rfnn_objective(*args))
+        core = twin_nn._rfnn_objective
+        monkeypatch.setattr(twin_nn, "_rfnn_objective",
+                            lambda *args: calls.append(1) or core(*args))
         train_rfnn_baseline(separable_blobs(seed=26, n=6), hidden=3, epochs=9)
         assert len(calls) == 10
+
+    def test_design_built_once(self, monkeypatch):
+        calls = []
+        build = twin_nn._design
+        monkeypatch.setattr(twin_nn, "_design",
+                            lambda *blocks: calls.append(len(blocks)) or build(*blocks))
+        train_rfnn_baseline(separable_blobs(seed=26, n=6), hidden=3, epochs=9)
+        assert calls == [1]
 
     def test_extreme_l2_drives_weights_and_outputs_down(self):
         # lr * l2 = 1 keeps the penalty step stable and collapses the
