@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import multiclass, twin_nn, twsvm
-from .multiclass import ClassBank, MCHyper, MulticlassTwinModel
-from .twin_nn import HeadParams, HiddenLayer, RfnnModel, SideNet, TwinHyper, TwinNNModel
+from .multiclass import MCHyper, MulticlassTwinModel
+from .twin_nn import RfnnModel, TanhNet, TwinHyper, TwinNNModel
 from .twsvm import KernelSpec, TwsvmModel, TwsvmProblem
 
 __all__ = ["ModelKind", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS", "kind_of"]
@@ -70,20 +70,25 @@ def _names(source, *excluded: str) -> frozenset:
     return frozenset(names) - {"seed", *excluded}
 
 
-def _side_to_dict(side: SideNet) -> dict:
+def _net_to_dict(net: TanhNet) -> dict:
+    """A one-plane net (a twin side, rfnn) under its file keys."""
     return {
-        "hidden_w": side.hidden.weights.tolist(),
-        "hidden_b": side.hidden.biases.tolist(),
-        "w": side.head.w.tolist(),
-        "b": side.head.b,
+        "hidden_w": net.weights.tolist(),
+        "hidden_b": net.biases.tolist(),
+        "w": net.plane_weights[0].tolist(),
+        "b": float(net.plane_biases[0]),
     }
 
 
-def _side_from_dict(d: dict) -> SideNet:
-    return SideNet(
-        HiddenLayer(np.asarray(d["hidden_w"]), np.asarray(d["hidden_b"])),
-        HeadParams(np.asarray(d["w"]), d["b"]),
-    )
+def _net_from_dict(d: dict) -> TanhNet:
+    return TanhNet(d["hidden_w"], d["hidden_b"], [d["w"]], [d["b"]])
+
+
+def _check_width(n_features, nets) -> None:
+    """ValueError unless every net takes the file's ``M`` features."""
+    widths = sorted({net.n_features for net in nets})
+    if widths != [n_features]:
+        raise ValueError(f"M is {n_features!r} but the weights take {widths} features")
 
 
 def _twin_to_dict(model: TwinNNModel) -> dict:
@@ -91,38 +96,31 @@ def _twin_to_dict(model: TwinNNModel) -> dict:
         "M": model.n_features,
         "h": model.hyper.hidden,
         "hyper": asdict(model.hyper),
-        "plus": _side_to_dict(model.plus),
-        "minus": _side_to_dict(model.minus),
+        "plus": _net_to_dict(model.plus),
+        "minus": _net_to_dict(model.minus),
     }
 
 
 def _twin_from_dict(d: dict) -> TwinNNModel:
-    return TwinNNModel(
-        plus=_side_from_dict(d["plus"]),
-        minus=_side_from_dict(d["minus"]),
-        hyper=TwinHyper(**d["hyper"]),
-        n_features=d["M"],
-    )
+    plus, minus = _net_from_dict(d["plus"]), _net_from_dict(d["minus"])
+    _check_width(d["M"], (plus, minus))
+    return TwinNNModel(plus, minus, TwinHyper(**d["hyper"]), d["M"])
 
 
 def _rfnn_to_dict(model: RfnnModel) -> dict:
     return {
         "M": model.n_features,
-        "h": model.hidden.width,
+        "h": model.net.weights.shape[0],
         "hyper": {"l2": model.l2, "lr": model.lr,
                   "epochs": model.epochs, "seed": model.seed},
-        "hidden_w": model.hidden.weights.tolist(),
-        "hidden_b": model.hidden.biases.tolist(),
-        "w": model.w.tolist(),
-        "b": model.b,
+        **_net_to_dict(model.net),
     }
 
 
 def _rfnn_from_dict(d: dict) -> RfnnModel:
-    return RfnnModel(
-        HiddenLayer(np.asarray(d["hidden_w"]), np.asarray(d["hidden_b"])),
-        np.asarray(d["w"]), d["b"], **d["hyper"],
-    )
+    net = _net_from_dict(d)
+    _check_width(d["M"], (net,))
+    return RfnnModel(net, **d["hyper"])
 
 
 def _mc_to_dict(model: MulticlassTwinModel) -> dict:
@@ -134,28 +132,27 @@ def _mc_to_dict(model: MulticlassTwinModel) -> dict:
         "hyper": asdict(model.hyper),
         "banks": [
             {
-                "class_id": bank.class_id,
-                "subnet_w": bank.subnet.weights.tolist(),
-                "subnet_b": bank.subnet.biases.tolist(),
+                "class_id": int(class_id),
+                "subnet_w": bank.weights.tolist(),
+                "subnet_b": bank.biases.tolist(),
                 "planes": [{"w": w.tolist(), "b": float(b)}
                            for w, b in zip(bank.plane_weights, bank.plane_biases)],
             }
-            for bank in model.banks
+            for class_id, bank in zip(model.class_ids, model.banks)
         ],
     }
 
 
 def _mc_from_dict(d: dict) -> MulticlassTwinModel:
     banks = tuple(
-        ClassBank(
-            bank["class_id"],
-            HiddenLayer(np.asarray(bank["subnet_w"]), np.asarray(bank["subnet_b"])),
-            np.asarray([plane["w"] for plane in bank["planes"]]),
-            np.asarray([plane["b"] for plane in bank["planes"]]),
-        )
+        TanhNet(bank["subnet_w"], bank["subnet_b"],
+                [plane["w"] for plane in bank["planes"]],
+                [plane["b"] for plane in bank["planes"]])
         for bank in d["banks"]
     )
-    return MulticlassTwinModel(banks, MCHyper(**d["hyper"]), d["M"])
+    _check_width(d["M"], banks)
+    return MulticlassTwinModel([bank["class_id"] for bank in d["banks"]], banks,
+                               MCHyper(**d["hyper"]), d["M"])
 
 
 def _twsvm_to_dict(model: TwsvmModel) -> dict:

@@ -1,14 +1,15 @@
-"""Multiclass twin network: one sub-network and plane bank per class.
+"""Multiclass twin network: one p-plane ``twin_nn.TanhNet`` bank per class.
 
-Each class owns a tanh sub-network producing its own feature space and a
-bank of tanh classifier neurons: hyperplanes w.phi(x) + b, each with its
-own trained weights w and bias b.  Training drives the smallest absolute
-plane activation toward 0 for the sample's own class and toward 1 for
-the nearest foreign plane, with no penalty once a foreign plane is
-further than the unit target.  Prediction picks the class whose nearest
-plane has the smallest normalized distance |w.phi(x)+b| / ||w||,
-computed on raw pre-activations so that labels are invariant to positive
-rescaling of any plane.
+Each class owns a bank: a tanh sub-network producing its own feature
+space and p classifier planes w.phi(x) + b, each with its own trained
+weights w and bias b.  Training drives the smallest absolute tanh plane
+activation toward 0 for the sample's own class and toward 1 for the
+nearest foreign plane, with no penalty once a foreign plane is further
+than the unit target.  Prediction picks the class whose bank is nearest,
+by ``TanhNet.distance``: the smallest normalized distance
+|w.phi(x)+b| / ||w|| over the bank's planes, computed on raw
+pre-activations so that labels are invariant to positive rescaling of
+any plane.
 
 The min operator routes gradient only to the argmin plane of each group;
 ties break toward the lowest bank/plane index.  Training rows are
@@ -17,8 +18,10 @@ to the class id itself, so models do not depend on how class blocks are
 ordered in the input.
 
 Training goes through ``twin_nn.descend``, the loop shared by all three
-networks, with one forward pass per epoch; unlike the binary twin sides
-it never stops early, since it takes no ``tol``.
+networks, with one forward pass per epoch over a design matrix built
+once per fit, and the banks' gradients come from the shared
+``twin_nn._backprop``; unlike the binary twin sides it never stops
+early, since it takes no ``tol``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,11 @@ import numpy as np
 
 from .numcore import DivergenceError, Rng, ShapeError, mix_seed
 from .data import Dataset, DataError
-from .twin_nn import HiddenLayer, descend
+from .twin_nn import TanhNet, _backprop, _design, _fold, _forward, _net, descend
 
 __all__ = [
     "MCHyper",
-    "ClassBank",
     "MulticlassTwinModel",
-    "class_distance",
     "loss_from_mins",
     "mc_objective",
     "mc_train",
@@ -68,69 +69,21 @@ class MCHyper:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassBank:
-    """One class's sub-network plus its bank of p classifier planes."""
-
-    class_id: int
-    subnet: HiddenLayer
-    plane_weights: np.ndarray
-    plane_biases: np.ndarray
-
-    def __post_init__(self):
-        pw = np.asarray(self.plane_weights, dtype=np.float64)
-        pb = np.asarray(self.plane_biases, dtype=np.float64)
-        if pw.ndim != 2 or pb.ndim != 1 or pb.shape[0] != pw.shape[0]:
-            raise ShapeError("plane bank needs (p, n) weights and (p,) biases")
-        if pw.shape[1] != self.subnet.width:
-            raise ShapeError("plane weights do not match subnet width")
-        object.__setattr__(self, "plane_weights", pw)
-        object.__setattr__(self, "plane_biases", pb)
-
-    @property
-    def n_planes(self) -> int:
-        return self.plane_weights.shape[0]
-
-    def preactivations(self, x: np.ndarray) -> np.ndarray:
-        """Plane pre-activations for one sample (p,) or a batch (N, p)."""
-        return self.subnet.map(x) @ self.plane_weights.T + self.plane_biases
-
-    def activations(self, x: np.ndarray) -> np.ndarray:
-        """tanh plane outputs, in (-1, 1)."""
-        return np.tanh(self.preactivations(x))
-
-
-@dataclass(frozen=True, eq=False)
 class MulticlassTwinModel:
-    """Banks are stored sorted by class id."""
+    """One p-plane bank per class, stored in increasing class id order."""
 
-    banks: tuple[ClassBank, ...]
+    class_ids: np.ndarray
+    banks: tuple[TanhNet, ...]
     hyper: MCHyper
     n_features: int
 
-    @property
-    def class_ids(self) -> np.ndarray:
-        return np.array([bank.class_id for bank in self.banks], dtype=np.int64)
-
-
-def _plane_norms(bank: ClassBank) -> np.ndarray:
-    norms = np.linalg.norm(bank.plane_weights, axis=1)
-    if (norms == 0).any():
-        bad = np.flatnonzero(norms == 0).tolist()
-        raise ValueError(f"planes {bad} of class {bank.class_id} have zero-norm weights")
-    return norms
-
-
-def class_distance(bank: ClassBank, x: np.ndarray):
-    """Distance from x to the bank's closest hyperplane.
-
-    min over planes of |w_j.phi(x) + b_j| / ||w_j||, on raw
-    pre-activations so the value is invariant to positive rescaling of
-    any (w_j, b_j).
-    """
-    norms = _plane_norms(bank)
-    z = bank.preactivations(np.asarray(x, dtype=np.float64))
-    d = np.abs(z) / norms
-    return float(d.min()) if d.ndim == 1 else d.min(axis=1)
+    def __post_init__(self):
+        ids = np.asarray(self.class_ids)
+        if (ids.dtype.kind != "i" or ids.shape != (len(self.banks),) or ids.size < 2
+                or (np.diff(ids) <= 0).any()):
+            raise ShapeError("a multiclass model needs >= 2 banks, one per class id, "
+                             "with integer class ids in increasing order")
+        object.__setattr__(self, "class_ids", ids.astype(np.int64))
 
 
 def loss_from_mins(own_min, other_min, margin_weight: float):
@@ -163,20 +116,16 @@ def _class_index(model: MulticlassTwinModel, labels) -> np.ndarray:
     return idx
 
 
-def _bank_params(banks) -> list:
-    """Flat parameter list: [subnet W, subnet c, plane W, plane b] per bank."""
-    return [arr for bank in banks for arr in (bank.subnet.weights, bank.subnet.biases,
-                                              bank.plane_weights, bank.plane_biases)]
-
-
-def _mc_objective(params, rows: np.ndarray, class_idx: np.ndarray, margin_weight: float):
-    """Unchecked core of mc_objective over a flat ``_bank_params`` list,
-    with ``class_idx`` the bank index of each row's class."""
+def _mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weight: float):
+    """Unchecked core of mc_objective over ``[[W | c], plane W, plane b]``
+    per bank and a ``_design(rows)``, with ``class_idx`` the bank index of
+    each row's class."""
+    nets = [params[i:i + 3] for i in range(0, len(params), 3)]
     phis, acts = [], []
-    for i in range(0, len(params), 4):
-        sw, sb, pw, pb = params[i:i + 4]
-        phis.append(np.tanh(rows @ sw.T + sb))
-        acts.append(np.tanh(phis[-1] @ pw.T + pb))
+    for net in nets:
+        phi, z = _forward(net, design)
+        phis.append(phi)
+        acts.append(np.tanh(z))
     acts = np.stack(acts)
     abs_acts = np.abs(acts)
     n_banks, n, p = abs_acts.shape
@@ -195,7 +144,7 @@ def _mc_objective(params, rows: np.ndarray, class_idx: np.ndarray, margin_weight
     deficit = np.maximum(1.0 - other_min, 0.0)
 
     grads = []
-    for k, (phi, a_k) in enumerate(zip(phis, acts)):
+    for k, (net, phi, a_k) in enumerate(zip(nets, phis, acts)):
         da = np.zeros_like(a_k)
         own_rows = np.flatnonzero(class_idx == k)
         if own_rows.size:
@@ -205,9 +154,7 @@ def _mc_objective(params, rows: np.ndarray, class_idx: np.ndarray, margin_weight
         if routed.size:
             cols = other_plane[routed]
             da[routed, cols] += (-2.0 / n) * deficit[routed] * np.sign(a_k[routed, cols])
-        dz = da * (1.0 - a_k * a_k)
-        dpre = (dz @ params[4 * k + 2]) * (1.0 - phi * phi)
-        grads += [dpre.T @ rows, dpre.sum(axis=0), dz.T @ phi, dz.sum(axis=0)]
+        grads += _backprop(net[1], design, phi, da * (1.0 - a_k * a_k))
     return loss, grads
 
 
@@ -222,10 +169,15 @@ def mc_objective(model: MulticlassTwinModel, features, labels):
     class_idx = _class_index(model, labels)
     if class_idx.shape[0] != rows.shape[0]:
         raise ShapeError("features and labels disagree on sample count")
-    return _mc_objective(_bank_params(model.banks), rows, class_idx, model.hyper.margin_weight)
+    params = [arr for net in model.banks
+              for arr in (_fold(net.weights, net.biases), net.plane_weights, net.plane_biases)]
+    loss, grads = _mc_objective(params, _design(rows), class_idx, model.hyper.margin_weight)
+    return loss, [g for dhidden, dpw, dpb in zip(grads[0::3], grads[1::3], grads[2::3])
+                  for g in (dhidden[:, :-1], dhidden[:, -1], dpw, dpb)]
 
 
-def _init_bank(class_id: int, n_features: int, hyper: MCHyper) -> ClassBank:
+def _init_bank(class_id: int, n_features: int, hyper: MCHyper) -> list:
+    """Initial ``[[W | c], plane W, plane b]`` of one class's bank."""
     rng = Rng(mix_seed(hyper.seed, class_id))
     n = hyper.subnet_features
     bound_in = 1.0 / np.sqrt(n_features)
@@ -240,7 +192,7 @@ def _init_bank(class_id: int, n_features: int, hyper: MCHyper) -> ClassBank:
                 break
         pw[j] = row
     pb = rng.uniform(-bound_plane, bound_plane, hyper.planes)
-    return ClassBank(int(class_id), HiddenLayer(sw, sb), pw, pb)
+    return [_fold(sw, sb), pw, pb]
 
 
 def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
@@ -252,34 +204,27 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
         raise DataError(f"multiclass training needs >= 2 classes, got {class_ids.size}")
 
     order = np.argsort(data.labels, kind="stable")
-    rows = data.features[order]
-    labels = data.labels[order]
-
-    banks = tuple(_init_bank(c, data.n_features, hyper) for c in class_ids)
-    class_idx = np.searchsorted(class_ids, labels)
+    design = _design(data.features[order])
+    class_idx = np.searchsorted(class_ids, data.labels[order])
     params, _ = descend(
-        _bank_params(banks),
-        lambda params: _mc_objective(params, rows, class_idx, hyper.margin_weight),
+        [arr for c in class_ids for arr in _init_bank(c, data.n_features, hyper)],
+        lambda params: _mc_objective(params, design, class_idx, hyper.margin_weight),
         hyper.lr, hyper.epochs, 0.0, "multiclass training", None)
     # the loss is built from tanh outputs and stays finite while the
-    # weights run away, so check the weights and plane norms themselves
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = (all(np.all(np.isfinite(p)) for p in params)
-                  and all(np.all(np.isfinite(np.linalg.norm(pw, axis=1)))
-                          for pw in params[2::4]))
-    if not finite:
+    # weights run away; a net rejects non-finite weights and plane norms
+    try:
+        banks = tuple(_net(params[i:i + 3]) for i in range(0, len(params), 3))
+    except ValueError:
         raise DivergenceError(f"multiclass training diverged by epoch {hyper.epochs}: "
-                              "a weight or plane norm is non-finite", epoch=hyper.epochs)
-    banks = tuple(ClassBank(bank.class_id, HiddenLayer(*params[4 * k:4 * k + 2]),
-                            *params[4 * k + 2:4 * k + 4])
-                  for k, bank in enumerate(banks))
-    return MulticlassTwinModel(banks, hyper, data.n_features)
+                              "a weight or plane norm is non-finite",
+                              epoch=hyper.epochs) from None
+    return MulticlassTwinModel(class_ids, banks, hyper, data.n_features)
 
 
 def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:
     """(N, K) matrix of per-class nearest-plane distances."""
     rows = _check_features(model, features)
-    return np.column_stack([class_distance(bank, rows) for bank in model.banks])
+    return np.column_stack([bank.distance(rows) for bank in model.banks])
 
 
 def mc_predict(model: MulticlassTwinModel, features):

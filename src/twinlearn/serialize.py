@@ -4,13 +4,15 @@ Floats are emitted with Python's shortest round-trip repr, so a dump and
 reload reproduces parameters bit for bit.  Only prediction-relevant state
 is stored; recorded training losses and cached plane norms are rebuilt or
 dropped on load.  Each file carries ``version`` and ``kind``; the rest of
-its schema is the kind's codec in the ``twinlearn.models`` table.
+its schema is the kind's codec in the ``twinlearn.models`` table.  A file
+that is not a valid model raises DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
 
+from .data import DataError
 from .models import MODELS, kind_of
 
 __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
@@ -25,13 +27,21 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(d: dict):
+    """The model ``d`` describes; DataError if it is not a valid model."""
+    if not isinstance(d, dict):
+        raise DataError(f"a model is a JSON object, got {type(d).__name__}")
     version = d.get("version")
     if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version {version!r}")
+        raise DataError(f"unsupported model schema version {version!r}")
     for kind in MODELS.values():
         if kind.codec == d.get("kind"):
-            return kind.from_dict(d)
-    raise ValueError(f"unknown model kind {d.get('kind')!r}")
+            try:
+                return kind.from_dict(d)
+            except KeyError as exc:
+                raise DataError(f"{kind.codec} model has no field {exc}") from None
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise DataError(f"malformed {kind.codec} model: {exc}") from None
+    raise DataError(f"unknown model kind {d.get('kind')!r}")
 
 
 def save_model(model, path) -> None:
@@ -42,4 +52,11 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"model file {path} is not JSON: {exc}") from None
+    try:
+        return model_from_dict(d)
+    except DataError as exc:
+        raise DataError(f"model file {path}: {exc}") from None

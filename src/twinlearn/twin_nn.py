@@ -1,35 +1,38 @@
 """Binary twin neural network and the regularized feed-forward baseline.
 
-Two independent one-hidden-layer tanh networks are trained, one per
-class.  Each network drives its own class onto the output hyperplane
-(pre-activation 0) while pushing the other class to a tanh output of -1
-(through the positive-class network) or +1 (through the negative-class
-network), the least-squares analogue of the twin SVM's unit-margin
-constraints.  Prediction assigns the class whose hyperplane is closer in
-normalized absolute distance |w.phi(x)+b| / ||w||.
+Every network here and in ``multiclass`` is one ``TanhNet``: a tanh
+feature map phi(x) = tanh(W x + c) feeding p planes w_j.phi(x) + b_j.  A
+twin side and the rfnn baseline are one-plane nets; a multiclass bank
+is a p-plane net.  Each net's distance to a point is that of its nearest
+plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane norms computed
+once per net.
 
-Both networks draw the same initial parameters from the model seed; the
-output head is oriented by the side's margin target, which makes the two
-side losses exact mirror images.  Swapping class labels together with
+Two independent one-plane nets are trained, one per class.  Each drives
+its own class onto its plane (pre-activation 0) while pushing the other
+class to a tanh output of -1 (through the positive-class net) or +1
+(through the negative-class net), the least-squares analogue of the twin
+SVM's unit-margin constraints.  Prediction assigns the class whose plane
+is closer.
+
+Both nets draw the same initial parameters from the model seed; the
+plane is oriented by the side's margin target, which makes the two side
+losses exact mirror images.  Swapping class labels together with
 (c_plus, c_minus) therefore flips every prediction bit for bit.
 
-All three networks (both twin sides, the rfnn baseline and the multiclass
-banks) train through ``descend``, one full-batch gradient step and one
-forward pass per epoch; only the twin sides stop early, on ``tol``.
-
-Each twin side and the rfnn baseline build their design matrix once per
-fit: the side's rows stacked as ``[other; own]`` (rfnn: all rows) with a
-column of ones appended, so the hidden biases fold into the weights as
-``[W | c]``.  An epoch is then one pass over the design:
-``phi = tanh(design @ [W | c].T)``, one backprop term
-``t = (1 - phi**2) * outer(delta, w)`` and one product ``t.T @ design``
-that gives the hidden weight and bias gradients together.  The two sides
-are never stacked into one matrix, so each keeps its own row order.
+All networks train through ``descend``, one full-batch gradient step and
+one forward pass per epoch; only the twin sides stop early, on ``tol``.
+Parameters train as ``[[W | c], plane W (p, h), plane b (p,)]`` over a
+design matrix built once per fit: the rows (for a twin side ``[other;
+own]``) with a column of ones appended, so the hidden biases fold into
+the weights.  An epoch is one pass over the design,
+``phi = tanh(design @ [W | c].T)``, and one ``_backprop`` of the
+per-sample, per-plane output gradients.  The two sides are never stacked
+into one matrix, so each keeps its own row order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +41,7 @@ from .data import Dataset, DataError
 
 __all__ = [
     "TwinHyper",
-    "HiddenLayer",
-    "HeadParams",
-    "SideNet",
+    "TanhNet",
     "TwinNNModel",
     "descend",
     "side_objective",
@@ -81,75 +82,61 @@ class TwinHyper:
 
 
 @dataclass(frozen=True, eq=False)
-class HiddenLayer:
-    """tanh feature map: x -> tanh(W x + c) with W of shape (h, M)."""
+class TanhNet:
+    """tanh feature map phi(x) = tanh(W x + c) feeding p planes
+    w_j.phi(x) + b_j; immutable, validated once, with its plane norms
+    computed once.  Parameters must be finite and every plane norm finite
+    and non-zero, so ``distance`` is always defined."""
 
-    weights: np.ndarray
-    biases: np.ndarray
+    weights: np.ndarray  # W, (h, M)
+    biases: np.ndarray  # c, (h,)
+    plane_weights: np.ndarray  # (p, h)
+    plane_biases: np.ndarray  # (p,)
+    final_loss: float | None = None
+    plane_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-            raise ShapeError("hidden layer needs (h, M) weights and (h,) biases")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("hidden layer parameters must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[0]
+        w, c, pw, pb = (np.asarray(a, dtype=np.float64) for a in
+                        (self.weights, self.biases, self.plane_weights, self.plane_biases))
+        if (w.ndim != 2 or pw.ndim != 2 or 0 in w.shape or 0 in pw.shape
+                or c.shape != w.shape[:1] or pw.shape[1] != w.shape[0]
+                or pb.shape != pw.shape[:1]):
+            raise ShapeError("a tanh net needs (h, M) weights, (h,) biases, "
+                             "(p, h) plane weights and (p,) plane biases")
+        if not all(np.isfinite(a).all() for a in (w, c, pw, pb)):
+            raise ValueError("tanh net parameters must be finite")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(pw, axis=1)
+        if not (np.isfinite(norms).all() and norms.all()):
+            bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0)).tolist()
+            raise ValueError(f"planes {bad} have zero or overflowing norms; distance undefined")
+        for name, value in (("weights", w), ("biases", c), ("plane_weights", pw),
+                            ("plane_biases", pb), ("plane_norms", norms)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
 
-    def map(self, x: np.ndarray) -> np.ndarray:
-        """Feature map of one sample (M,) or a batch (N, M)."""
-        return np.tanh(x @ self.weights.T + self.biases)
+    def planes(self, x: np.ndarray) -> np.ndarray:
+        """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch."""
+        return np.tanh(x @ self.weights.T + self.biases) @ self.plane_weights.T + self.plane_biases
 
-
-@dataclass(frozen=True, eq=False)
-class HeadParams:
-    """Output hyperplane in the hidden feature space."""
-
-    w: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1:
-            raise ShapeError("head weight must be 1-D")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.b)):
-            raise ValueError("head parameters must be finite")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
-
-@dataclass(frozen=True, eq=False)
-class SideNet:
-    """One class's network: feature map plus output hyperplane."""
-
-    hidden: HiddenLayer
-    head: HeadParams
-    final_loss: float | None = None
-
-    def preactivation(self, x: np.ndarray) -> np.ndarray | float:
-        z = self.hidden.map(x) @ self.head.w + self.head.b
-        return float(z) if np.ndim(x) == 1 else z
+    def distance(self, x: np.ndarray):
+        """Nearest-plane distance min_j |w_j.phi(x) + b_j| / ||w_j||, on raw
+        pre-activations, so it is invariant to positive rescaling of any
+        plane: a scalar for one sample (M,), (N,) for a batch."""
+        d = np.abs(self.planes(x))
+        d /= self.plane_norms  # in place: a large batch holds one array less
+        return d.min(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class TwinNNModel:
     """Trained pair of class networks; immutable and safe to share."""
 
-    plus: SideNet
-    minus: SideNet
+    plus: TanhNet
+    minus: TanhNet
     hyper: TwinHyper
     n_features: int
 
@@ -173,33 +160,48 @@ def _fold(hw: np.ndarray, hb: np.ndarray) -> np.ndarray:
     return np.column_stack((hw, hb))
 
 
-def _unfold(hidden: np.ndarray) -> HiddenLayer:
-    """The hidden layer of a trained (h, M + 1) ``[W | c]`` matrix."""
-    return HiddenLayer(np.ascontiguousarray(hidden[:, :-1]), hidden[:, -1].copy())
+def _one_plane(hw: np.ndarray, hb: np.ndarray, w: np.ndarray, b) -> list:
+    """Trainable ``[[W | c], plane W (1, h), plane b (1,)]`` of a one-plane
+    net given as hidden W, hidden c, head w (h,) and head b."""
+    return [_fold(hw, hb), np.reshape(w, (1, -1)), np.reshape(b, (1,))]
 
 
-def _backprop(w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: np.ndarray):
-    """Gradients [hidden [W | c], head w, head b] of per-sample output
-    gradients ``delta`` pushed back through ``phi = tanh(design @ [W | c].T)``
-    and a head ``w``."""
-    t = (1.0 - phi * phi) * np.outer(delta, w)
-    return [t.T @ design, phi.T @ delta, float(delta.sum())]
+def _net(params, final_loss: float | None = None) -> TanhNet:
+    """The net of trained ``[[W | c], plane W, plane b]``."""
+    hidden, pw, pb = params
+    return TanhNet(np.ascontiguousarray(hidden[:, :-1]), hidden[:, -1].copy(), pw, pb,
+                   final_loss)
+
+
+def _forward(params, design: np.ndarray):
+    """(phi, plane pre-activations (N, p)) of ``[[W | c], plane W, plane b]``
+    over a design with the ones column appended."""
+    hidden, pw, pb = params
+    phi = np.tanh(design @ hidden.T)
+    return phi, phi @ pw.T + pb
+
+
+def _backprop(plane_w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: np.ndarray):
+    """Gradients [[W | c], plane W, plane b] of per-sample, per-plane output
+    gradients ``delta`` (N, p) pushed back through the planes ``plane_w``
+    and ``phi = tanh(design @ [W | c].T)``."""
+    t = (1.0 - phi * phi) * (delta @ plane_w)
+    return [t.T @ design, delta.T @ phi, delta.sum(axis=0)]
 
 
 def _side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
-    """Unchecked core of side_objective over params [[W | c], w, b] and a
-    ``_design(other, own)`` whose first ``n_other`` rows are the other
-    class's."""
-    hidden, w, b = params
-    phi = np.tanh(design @ hidden.T)
-    out = phi @ w + b
+    """Unchecked core of side_objective over a one-plane net's
+    ``[[W | c], plane W, plane b]`` and a ``_design(other, own)`` whose
+    first ``n_other`` rows are the other class's."""
+    phi, out = _forward(params, design)
+    out = out[:, 0]
     y = np.tanh(out[:n_other])
     r = y - target
     z = out[n_other:]
     n_own = design.shape[0] - n_other
     loss = float(r @ r) / (2.0 * n_other) + c * float(z @ z) / (2.0 * n_own)
     delta = np.concatenate((r * (1.0 - y * y) / n_other, (c / n_own) * z))
-    return loss, _backprop(w, design, phi, delta)
+    return loss, _backprop(params[1], design, phi, delta.reshape(-1, 1))
 
 
 def side_objective(params, own: np.ndarray, other: np.ndarray, c: float,
@@ -216,10 +218,9 @@ def side_objective(params, own: np.ndarray, other: np.ndarray, c: float,
     """
     own = _check_rows(own, "own_rows")
     other = _check_rows(other, "other_rows")
-    hw, hb, w, b = params
-    loss, (dhidden, dw, db) = _side_objective([_fold(hw, hb), w, b], _design(other, own),
+    loss, (dhidden, dw, db) = _side_objective(_one_plane(*params), _design(other, own),
                                               other.shape[0], c, target)
-    return loss, [dhidden[:, :-1], dhidden[:, -1], dw, db]
+    return loss, [dhidden[:, :-1], dhidden[:, -1], dw[0], float(db[0])]
 
 
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -296,25 +297,17 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     infinity norm.
     """
     a, b = class_rows(data)
-    rng = Rng(hyper.seed)
-    hw, hb, w, head_b = _draw_initial_params(rng, hyper.hidden, data.n_features)
+    hw, hb, w, head_b = _draw_initial_params(Rng(hyper.seed), hyper.hidden, data.n_features)
     sides = []
     for name, own, other, c, target, sign in (("plus", a, b, hyper.c_plus, -1.0, 1.0),
                                               ("minus", b, a, hyper.c_minus, 1.0, -1.0)):
         design = _design(other, own)
-        (hidden, head_w, bias), final = descend(
-            [_fold(hw, hb), sign * w, sign * head_b],
+        params, final = descend(
+            _one_plane(hw, hb, sign * w, sign * head_b),
             lambda params: _side_objective(params, design, other.shape[0], c, target),
             hyper.lr, hyper.epochs, hyper.tol, f"{name} side", name)
-        sides.append(SideNet(_unfold(hidden), HeadParams(head_w, bias), final_loss=final))
+        sides.append(_net(params, final))
     return TwinNNModel(*sides, hyper, data.n_features)
-
-
-def _side_distance(side: SideNet, x: np.ndarray):
-    norm = side.head.norm
-    if norm == 0.0:
-        raise ValueError("head weight vector has zero norm; distance undefined")
-    return np.abs(side.preactivation(x)) / norm
 
 
 def decision_values(model: TwinNNModel, x):
@@ -323,7 +316,7 @@ def decision_values(model: TwinNNModel, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.n_features:
         raise ShapeError(f"expected {model.n_features} features, got {x.shape[-1]}")
-    return _side_distance(model.plus, x), _side_distance(model.minus, x)
+    return model.plus.distance(x), model.minus.distance(x)
 
 
 def predict(model: TwinNNModel, x):
@@ -335,20 +328,18 @@ def predict(model: TwinNNModel, x):
 
 @dataclass(frozen=True, eq=False)
 class RfnnModel:
-    """One-hidden-layer tanh network with a linear output, L2-regularized."""
+    """One-hidden-layer tanh network with a linear output, the one plane
+    of ``net``, L2-regularized."""
 
-    hidden: HiddenLayer
-    w: np.ndarray
-    b: float
+    net: TanhNet
     l2: float
     lr: float
     epochs: int
     seed: int
-    final_loss: float | None = None
 
     @property
     def n_features(self) -> int:
-        return self.hidden.n_features
+        return self.net.n_features
 
 
 def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
@@ -356,7 +347,7 @@ def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.n_features:
         raise ShapeError(f"expected {model.n_features} features, got {x.shape[-1]}")
-    z = model.hidden.map(x) @ model.w + model.b
+    z = model.net.planes(x)[..., 0]
     return float(z) if x.ndim == 1 else z
 
 
@@ -368,17 +359,17 @@ def rfnn_predict(model: RfnnModel, x):
 
 
 def _rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
-    """Unchecked core of rfnn_objective over params [[W | c], w, b] and a
-    ``_design(rows)``."""
-    hidden, w, b = params
-    phi = np.tanh(design @ hidden.T)
-    r = phi @ w + b - targets
+    """Unchecked core of rfnn_objective over a one-plane net's
+    ``[[W | c], plane W, plane b]`` and a ``_design(rows)``."""
+    hidden, pw, _ = params
+    phi, out = _forward(params, design)
+    r = out[:, 0] - targets
     hw = hidden[:, :-1]
-    penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(w @ w))
+    penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(np.vdot(pw, pw)))
     loss = float(r @ r) / (2.0 * design.shape[0]) + penalty
-    dhidden, dw, db = _backprop(w, design, phi, r / design.shape[0])
+    dhidden, dw, db = _backprop(pw, design, phi, (r / design.shape[0]).reshape(-1, 1))
     dhidden[:, :-1] += l2 * hw
-    return loss, [dhidden, dw + l2 * w, db]
+    return loss, [dhidden, dw + l2 * pw, db]
 
 
 def rfnn_objective(params, rows: np.ndarray, targets: np.ndarray, l2: float):
@@ -389,10 +380,8 @@ def rfnn_objective(params, rows: np.ndarray, targets: np.ndarray, l2: float):
     weight norms.  Biases are not penalized, so under extreme l2 the
     output collapses to the target mean.
     """
-    hw, hb, w, b = params
-    loss, (dhidden, dw, db) = _rfnn_objective([_fold(hw, hb), w, b], _design(rows),
-                                              targets, l2)
-    return loss, [dhidden[:, :-1], dhidden[:, -1], dw, db]
+    loss, (dhidden, dw, db) = _rfnn_objective(_one_plane(*params), _design(rows), targets, l2)
+    return loss, [dhidden[:, :-1], dhidden[:, -1], dw[0], float(db[0])]
 
 
 def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
@@ -408,9 +397,8 @@ def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
         raise ValueError(f"l2 must be non-negative, got {l2}")
     design = _design(data.features)
     targets = data.labels.astype(np.float64)
-    hw, hb, w, b = _draw_initial_params(Rng(seed), hidden, data.n_features)
-    (weights, w, b), final = descend(
-        [_fold(hw, hb), w, b],
+    params, final = descend(
+        _one_plane(*_draw_initial_params(Rng(seed), hidden, data.n_features)),
         lambda params: _rfnn_objective(params, design, targets, l2),
         lr, epochs, 0.0, "rfnn", "rfnn")
-    return RfnnModel(_unfold(weights), w, b, l2, lr, epochs, seed, final_loss=final)
+    return RfnnModel(_net(params, final), l2, lr, epochs, seed)

@@ -138,16 +138,18 @@ class TwsvmModel:
 
 
 def _design_blocks(problem: TwsvmProblem):
-    """(H, G, support): margin designs with the bias column appended."""
+    """(H, G, support, gram): margin designs with the bias column appended.
+    Kernel problems build the support's Gram matrix once; its row blocks
+    are the kernel parts of H and G (``gram`` is None for linear)."""
     if problem.kernel.kind == "linear":
-        a_part, b_part, support = problem.a, problem.b, None
+        a_part, b_part, support, gram = problem.a, problem.b, None, None
     else:
         support = np.vstack([problem.a, problem.b])
-        a_part = kernel_matrix(problem.kernel, problem.a, support)
-        b_part = kernel_matrix(problem.kernel, problem.b, support)
+        gram = kernel_matrix(problem.kernel, support, support)
+        a_part, b_part = gram[:problem.a.shape[0]], gram[problem.a.shape[0]:]
     h = np.hstack([a_part, np.ones((a_part.shape[0], 1))])
     g = np.hstack([b_part, np.ones((b_part.shape[0], 1))])
-    return h, g, support
+    return h, g, support, gram
 
 
 def dual_matrices(problem: TwsvmProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +157,7 @@ def dual_matrices(problem: TwsvmProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (G (H'H+rI)^-1 G', H (G'G+rI)^-1 H').
     """
-    h, g, _ = _design_blocks(problem)
+    h, g, _, _ = _design_blocks(problem)
     return _dual_side(h, g, problem.ridge)[0], _dual_side(g, h, problem.ridge)[0]
 
 
@@ -295,7 +297,7 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
 def solve_dual(problem: TwsvmProblem, tol: float = 1e-8,
                max_iter: int = MAX_SWEEPS) -> TwsvmModel:
     """Solve both dual QPs and recover the two planes."""
-    h, g, support = _design_blocks(problem)
+    h, g, support, gram = _design_blocks(problem)
     m_alpha, z_alpha, r_alpha = _dual_side(h, g, problem.ridge)
     alpha = projected_gradient_box_max(m_alpha, problem.c1, tol=tol, max_iter=max_iter)
     u = -(z_alpha @ alpha)
@@ -304,7 +306,7 @@ def solve_dual(problem: TwsvmProblem, tol: float = 1e-8,
     beta = projected_gradient_box_max(m_beta, problem.c2, tol=tol, max_iter=max_iter)
     v = z_beta @ beta
 
-    norm_plus, norm_minus = plane_norms(problem.kernel, support, u, v)
+    norm_plus, norm_minus = plane_norms(problem.kernel, support, u, v, gram)
     return TwsvmModel(
         u=u, v=v, alpha=alpha, beta=beta, kernel=problem.kernel,
         ridge_alpha=r_alpha, ridge_beta=r_beta,
@@ -313,12 +315,14 @@ def solve_dual(problem: TwsvmProblem, tol: float = 1e-8,
     )
 
 
-def plane_norms(kernel: KernelSpec, support, u, v) -> tuple[float, float]:
+def plane_norms(kernel: KernelSpec, support, u, v, gram=None) -> tuple[float, float]:
     """Norms of the weight parts of u and v: Euclidean for the linear
-    kernel, sqrt(w'Kw) over the expansion ``support`` otherwise."""
+    kernel, sqrt(w'Kw) over the expansion ``support`` otherwise, with K
+    the support's Gram matrix ``gram``, built here when not given."""
     if kernel.kind == "linear":
         return float(np.linalg.norm(u[:-1])), float(np.linalg.norm(v[:-1]))
-    gram = kernel_matrix(kernel, support, support)
+    if gram is None:
+        gram = kernel_matrix(kernel, support, support)
     return tuple(float(np.sqrt(max(w[:-1] @ (gram @ w[:-1]), 0.0))) for w in (u, v))
 
 

@@ -84,3 +84,57 @@ def two_block_rfnn_objective(params, rows, targets, l2):
     loss = float(r @ r) / (2.0 * rows.shape[0]) + penalty
     dhw, dhb, dw, db = _two_block_backprop(w, rows, phi, r / rows.shape[0])
     return loss, [dhw + l2 * hw, dhb, dw + l2 * w, db]
+
+
+def two_block_mc_objective(params, rows, class_idx, margin_weight):
+    """Reference multiclass objective over [subnet W, subnet c, plane W,
+    plane b] per bank, with the subnet bias added apart from the weights'
+    product and each bank backpropagated inline."""
+    phis, acts = [], []
+    for i in range(0, len(params), 4):
+        sw, sb, pw, pb = params[i:i + 4]
+        phis.append(np.tanh(rows @ sw.T + sb))
+        acts.append(np.tanh(phis[-1] @ pw.T + pb))
+    acts = np.stack(acts)
+    abs_acts = np.abs(acts)
+    n_banks, n, p = abs_acts.shape
+    own = abs_acts[class_idx, np.arange(n), :]
+    own_plane = own.argmin(axis=1)
+    own_min = own[np.arange(n), own_plane]
+    abs_acts[class_idx, np.arange(n), :] = np.inf
+    flat = abs_acts.transpose(1, 0, 2).reshape(n, n_banks * p)
+    other_flat = flat.argmin(axis=1)
+    other_bank = other_flat // p
+    other_plane = other_flat % p
+    other_min = flat[np.arange(n), other_flat]
+    deficit = np.maximum(1.0 - other_min, 0.0)
+    loss = float((margin_weight * own_min * own_min + deficit * deficit).mean())
+
+    grads = []
+    for k, (phi, a_k) in enumerate(zip(phis, acts)):
+        da = np.zeros_like(a_k)
+        own_rows = np.flatnonzero(class_idx == k)
+        if own_rows.size:
+            cols = own_plane[own_rows]
+            da[own_rows, cols] += (2.0 * margin_weight / n) * a_k[own_rows, cols]
+        routed = np.flatnonzero(other_bank == k)
+        if routed.size:
+            cols = other_plane[routed]
+            da[routed, cols] += (-2.0 / n) * deficit[routed] * np.sign(a_k[routed, cols])
+        dz = da * (1.0 - a_k * a_k)
+        dpre = (dz @ params[4 * k + 2]) * (1.0 - phi * phi)
+        grads += [dpre.T @ rows, dpre.sum(axis=0), dz.T @ phi, dz.sum(axis=0)]
+    return loss, grads
+
+
+def assert_matches_reference(result, reference):
+    """Loss within 1e-12 relative error of the reference loss, and every
+    gradient within 1e-12 of the largest reference gradient entry: a single
+    entry that sums to nearly zero has no relative precision to keep once
+    its terms are added in another order."""
+    (loss, grads), (ref_loss, ref_grads) = result, reference
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    scale = np.max(np.abs(flatten(ref_grads)))
+    for g, ref in zip(grads, ref_grads, strict=True):
+        assert np.shape(g) == np.shape(ref)
+        assert np.max(np.abs(np.asarray(g) - ref)) <= 1e-12 * scale

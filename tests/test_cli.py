@@ -12,6 +12,9 @@ from conftest import gaussian_blobs
 from twinlearn.cli import main
 from twinlearn.data import load_csv, save_csv
 from twinlearn.models import MODELS
+from twinlearn.multiclass import MCHyper, mc_train
+from twinlearn.serialize import model_to_dict
+from twinlearn.twin_nn import TwinHyper, train
 
 
 @pytest.fixture
@@ -77,6 +80,55 @@ class TestTrainPredict:
                      "--out", preds_path]) == 0
         preds = np.array([int(line) for line in open(preds_path)])
         assert np.mean(preds == ds.labels) >= 0.9
+
+
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _set(path, value):
+    def mutate(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return d
+    return mutate
+
+
+class TestModelFiles:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """A 3-feature CSV and saved twin_nn and twin_nn_mc models as dicts."""
+        ds = gaussian_blobs([(2, 0, 0), (-2, 0, 0), (0, 2, 0)], [10, 10, 10], seed=3)
+        path = tmp_path_factory.mktemp("models") / "three.csv"
+        save_csv(ds, path)
+        binary = gaussian_blobs([(2, 0, 0), (-2, 0, 0)], [5, 15], seed=4, labels=[1, -1])
+        return str(path), {
+            "twin_nn": model_to_dict(train(binary, TwinHyper(hidden=3, epochs=5))),
+            "twin_nn_mc": model_to_dict(mc_train(ds, MCHyper(subnet_features=3, epochs=5))),
+        }
+
+    @pytest.mark.parametrize("kind, mutate", [
+        ("twin_nn", _drop("plus")),
+        ("twin_nn", _set(["hyper", "bogus"], 1)),
+        ("twin_nn", _set(["plus", "b"], None)),
+        ("twin_nn", lambda d: [d]),
+        ("twin_nn", lambda d: "not json {"),
+        ("twin_nn", _set(["M"], 5)),
+        ("twin_nn", _set(["version"], 99)),
+        ("twin_nn", _set(["kind"], "mystery")),
+        ("twin_nn_mc", _set(["banks", 1, "planes", 0, "w", 1], float("inf"))),
+        ("twin_nn_mc", _set(["banks", 0, "planes", 1, "b"], float("nan"))),
+    ], ids=["no-plus", "unknown-hyper", "null-bias", "list", "not-json", "wrong-M",
+            "version", "unknown-kind", "inf-plane-weight", "nan-plane-bias"])
+    def test_malformed_model_file_exits_3(self, tmp_path, saved, capsys, kind, mutate):
+        data, models = saved
+        content = mutate(json.loads(json.dumps(models[kind])))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(content if isinstance(content, str) else json.dumps(content))
+        assert main(["predict", "--data", data, "--model-file", str(model_path)]) == 3
+        assert f"data error: model file {model_path}" in capsys.readouterr().err
 
 
 class TestCv:

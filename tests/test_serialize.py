@@ -34,9 +34,8 @@ class TestTwinNNRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        np.testing.assert_array_equal(back.plus.hidden.weights,
-                                      model.plus.hidden.weights)
-        np.testing.assert_array_equal(back.minus.head.w, model.minus.head.w)
+        np.testing.assert_array_equal(back.plus.weights, model.plus.weights)
+        np.testing.assert_array_equal(back.minus.plane_weights, model.minus.plane_weights)
         assert back.hyper == model.hyper
         x = np.random.default_rng(0).standard_normal((40, 2))
         np.testing.assert_array_equal(predict(back, x), predict(model, x))
@@ -47,7 +46,7 @@ class TestTwinNNRoundTrip:
         model = train(binary_blobs(), TwinHyper(hidden=3, epochs=25, seed=3))
         text = json.dumps(model_to_dict(model))
         back = model_from_dict(json.loads(text))
-        np.testing.assert_array_equal(back.plus.head.w, model.plus.head.w)
+        np.testing.assert_array_equal(back.plus.plane_weights, model.plus.plane_weights)
 
 
 class TestOtherKinds:
@@ -57,7 +56,7 @@ class TestOtherKinds:
         path = tmp_path / "mc.json"
         save_model(model, path)
         back = load_model(path)
-        assert [b.class_id for b in back.banks] == [b.class_id for b in model.banks]
+        assert back.class_ids.tolist() == model.class_ids.tolist()
         x = np.random.default_rng(1).standard_normal((30, 2))
         np.testing.assert_array_equal(mc_predict(back, x), mc_predict(model, x))
 

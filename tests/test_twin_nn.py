@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import twinlearn.twin_nn as twin_nn
 from conftest import (
+    assert_matches_reference,
     central_difference,
     flatten,
     gaussian_blobs,
@@ -17,9 +18,7 @@ from twinlearn.data import DataError, Dataset
 from twinlearn.evalstats import confusion, metrics
 from twinlearn.numcore import DivergenceError
 from twinlearn.twin_nn import (
-    HeadParams,
-    HiddenLayer,
-    SideNet,
+    TanhNet,
     TwinHyper,
     decision_values,
     predict,
@@ -43,7 +42,7 @@ def random_params(rng, hidden, n_features, scale=0.7):
 
 def random_side(rng, hidden, n_features):
     hw, hb, w, b = random_params(rng, hidden, n_features)
-    return SideNet(HiddenLayer(hw, hb), HeadParams(w, b))
+    return TanhNet(hw, hb, [w], [b])
 
 
 def plus_objective(params, a, b, c):
@@ -155,19 +154,6 @@ class TestGradients:
             np.testing.assert_array_equal(x2, 2.0 * x1)
 
 
-def assert_matches_reference(result, reference):
-    """Loss within 1e-12 relative error of the reference loss, and every
-    gradient within 1e-12 of the largest reference gradient entry: a single
-    entry that sums to nearly zero has no relative precision to keep once
-    its terms are added in another order."""
-    (loss, grads), (ref_loss, ref_grads) = result, reference
-    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-    scale = np.max(np.abs(flatten(ref_grads)))
-    for g, ref in zip(grads, ref_grads, strict=True):
-        assert np.shape(g) == np.shape(ref)
-        assert np.max(np.abs(np.asarray(g) - ref)) <= 1e-12 * scale
-
-
 # a head bias of +-40 saturates tanh on every row
 HEAD_BIAS = st.floats(-2.0, 2.0) | st.sampled_from([-40.0, 40.0])
 
@@ -234,7 +220,7 @@ class TestTrain:
     def test_zero_epochs_returns_initialized_model(self):
         ds = separable_blobs(seed=5)
         model = train(ds, TwinHyper(hidden=4, epochs=0, seed=6))
-        assert model.plus.head.norm > 0 and model.minus.head.norm > 0
+        assert model.plus.plane_norms[0] > 0 and model.minus.plane_norms[0] > 0
         labels = predict(model, ds.features)
         assert set(np.unique(labels)) <= {-1, 1}
 
@@ -260,8 +246,8 @@ class TestTrain:
         hyper = TwinHyper(hidden=5, lr=0.05, epochs=60, seed=10)
         m1 = train(ds, hyper)
         m2 = train(ds, hyper)
-        np.testing.assert_array_equal(m1.plus.hidden.weights, m2.plus.hidden.weights)
-        np.testing.assert_array_equal(m1.minus.head.w, m2.minus.head.w)
+        np.testing.assert_array_equal(m1.plus.weights, m2.plus.weights)
+        np.testing.assert_array_equal(m1.minus.plane_weights, m2.minus.plane_weights)
         assert m1.plus.final_loss == m2.plus.final_loss
 
     def test_label_and_c_swap_flips_every_prediction(self):
@@ -301,8 +287,8 @@ class TestTrain:
         assert increases <= 0.05 * len(losses)
         assert model.plus.final_loss <= losses[0]
         # with tol = 0 training takes exactly these steps
-        np.testing.assert_array_equal(model.plus.hidden.weights, params[0])
-        assert model.plus.head.b == params[3]
+        np.testing.assert_array_equal(model.plus.weights, params[0])
+        assert model.plus.plane_biases[0] == params[3]
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_objective_call_per_epoch(self, epochs, monkeypatch):
@@ -357,17 +343,15 @@ class TestPredict:
         model = TwinNNModel(plus, minus, TwinHyper(hidden=4), 3)
         lam = 37.5
         scaled = TwinNNModel(
-            SideNet(plus.hidden, HeadParams(lam * plus.head.w, lam * plus.head.b)),
+            TanhNet(plus.weights, plus.biases, lam * plus.plane_weights, lam * plus.plane_biases),
             minus, TwinHyper(hidden=4), 3)
         x = rng.standard_normal((100, 3))
         np.testing.assert_array_equal(predict(model, x), predict(scaled, x))
 
     def test_point_on_positive_plane_wins(self):
         # zero hidden biases and zero head bias put x=0 on the plus plane
-        plus = SideNet(HiddenLayer(np.ones((2, 2)), np.zeros(2)),
-                       HeadParams(np.array([1.0, 1.0]), 0.0))
-        minus = SideNet(HiddenLayer(np.ones((2, 2)), np.zeros(2)),
-                        HeadParams(np.array([1.0, 1.0]), 0.5))
+        plus = TanhNet(np.ones((2, 2)), np.zeros(2), [[1.0, 1.0]], [0.0])
+        minus = TanhNet(np.ones((2, 2)), np.zeros(2), [[1.0, 1.0]], [0.5])
         from twinlearn.twin_nn import TwinNNModel
 
         model = TwinNNModel(plus, minus, TwinHyper(hidden=2), 2)
@@ -376,15 +360,9 @@ class TestPredict:
         assert d_plus == 0.0 and d_minus > 0.0
 
     def test_zero_norm_head_errors(self):
-        from twinlearn.twin_nn import TwinNNModel
-
-        bad = SideNet(HiddenLayer(np.ones((2, 2)), np.zeros(2)),
-                      HeadParams(np.zeros(2), 1.0))
-        good = SideNet(HiddenLayer(np.ones((2, 2)), np.zeros(2)),
-                       HeadParams(np.ones(2), 0.0))
-        model = TwinNNModel(bad, good, TwinHyper(hidden=2), 2)
-        with pytest.raises(ValueError, match="zero norm"):
-            predict(model, np.zeros(2))
+        # a plane without weights has no distance, so no net holds one
+        with pytest.raises(ValueError, match="zero or overflowing norm"):
+            TanhNet(np.ones((2, 2)), np.zeros(2), [[0.0, 0.0]], [1.0])
 
 
 class TestRfnn:
@@ -436,15 +414,15 @@ class TestRfnn:
         # far inside the +-1 targets
         ds = separable_blobs(seed=22, n=15)
         model = train_rfnn_baseline(ds, hidden=4, lr=1e-6, epochs=200, l2=1e6, seed=23)
-        assert np.max(np.abs(model.w)) < 1e-3
-        assert np.max(np.abs(model.hidden.weights)) < 1e-3
+        assert np.max(np.abs(model.net.plane_weights)) < 1e-3
+        assert np.max(np.abs(model.net.weights)) < 1e-3
         outputs = rfnn_decision(model, ds.features)
         assert np.max(np.abs(outputs)) < 0.7
-        assert np.max(np.abs(outputs - model.b)) < 1e-3
+        assert np.max(np.abs(outputs - model.net.plane_biases[0])) < 1e-3
 
     def test_deterministic(self):
         ds = separable_blobs(seed=24, n=10)
         m1 = train_rfnn_baseline(ds, hidden=3, epochs=40, seed=25)
         m2 = train_rfnn_baseline(ds, hidden=3, epochs=40, seed=25)
-        np.testing.assert_array_equal(m1.w, m2.w)
-        assert m1.final_loss == m2.final_loss
+        np.testing.assert_array_equal(m1.net.plane_weights, m2.net.plane_weights)
+        assert m1.net.final_loss == m2.net.final_loss

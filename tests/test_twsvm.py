@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinlearn.twsvm as twsvm
 from twinlearn.data import Dataset
 from twinlearn.harness import ExperimentSpec, run_experiment
 from twinlearn.numcore import ConvergenceError, ShapeError
@@ -276,6 +277,20 @@ class TestSolveDual:
         k = np.exp(-0.5 * ((x[:, None, :] - model.support[None, :, :]) ** 2).sum(-1))
         s_plus = k @ model.u[:-1] + model.u[-1]
         np.testing.assert_allclose(d_plus, np.abs(s_plus) / model.norm_plus, rtol=1e-12)
+
+    def test_rbf_fit_builds_one_gram_matrix(self, monkeypatch):
+        calls = []
+        build = twsvm.kernel_matrix
+        monkeypatch.setattr(twsvm, "kernel_matrix",
+                            lambda *args: calls.append(1) or build(*args))
+        a, b = blob_rows(13, 6, 9, [1.5, 0.0])
+        model = solve_dual(TwsvmProblem(a, b, c1=1.0, c2=1.0,
+                                        kernel=KernelSpec("rbf", gamma=0.5)))
+        # H, G and both plane norms come from the one support Gram matrix
+        assert len(calls) == 1
+        gram = build(model.kernel, model.support, model.support)
+        for w, norm in ((model.u, model.norm_plus), (model.v, model.norm_minus)):
+            assert norm == np.sqrt(w[:-1] @ (gram @ w[:-1]))
 
     def test_rbf_separates_ring_data(self):
         rng = np.random.default_rng(12)
