@@ -163,6 +163,8 @@ def _cmd_bench(args) -> int:
 def _cmd_impute(args) -> int:
     if not args.out:
         raise UsageError("impute requires --out for the completed CSV")
+    if args.knn_k < 1:
+        raise UsageError(f"--knn-k must be >= 1, got {args.knn_k}")
     dataset = load_csv(args.data, label_column=args.label_column)
     completed = knn_impute(dataset, args.knn_k)
     save_csv(completed, args.out, named_labels=True)

@@ -403,47 +403,118 @@ def apply_scaling(dataset: Dataset, params: ScalingParams) -> Dataset:
     return Dataset(scaled, dataset.labels.copy(), dataset.missing, dataset.label_names)
 
 
-def _row_distances(row_values: np.ndarray, row_mask: np.ndarray,
-                   donor_values: np.ndarray, donor_mask: np.ndarray) -> np.ndarray:
-    """Distance from one row to every donor over mutually observed features.
+# a block's largest distance temporary, (rows, donors) or at M >= 8
+# (rows, donors, M) float64, stays near this many bytes
+_BLOCK_BYTES = 128 * 1024
+# numpy sums a contiguous row of fewer values than this left to right;
+# longer rows go through its pairwise sum
+_PAIRWISE_WIDTH = 8
 
-    sqrt(mean squared difference over shared features); +inf when two rows
-    share no observed feature.
+
+def _block_rows(n_donors: int, n_features: int) -> int:
+    """Target rows per imputation block, from the size of its temporaries."""
+    width = n_donors * (n_features if n_features >= _PAIRWISE_WIDTH else 1)
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
+def _block_distances(values: np.ndarray, observed: np.ndarray,
+                     donors_t: np.ndarray, donor_observed_t: np.ndarray) -> np.ndarray:
+    """(rows, donors) distances from a block of target rows to every donor.
+
+    sqrt(mean squared difference over mutually observed features); +inf
+    when two rows share no observed feature.  ``values`` and ``observed``
+    are the block's (rows, M) values (0 where missing) and observed mask;
+    ``donors_t`` and ``donor_observed_t`` are the donors' in feature-major
+    (M, donors) form, 0 where missing.  Each pair's squared differences
+    are summed in the order numpy sums one contiguous row of M values, so
+    the distances equal a per-row computation bit for bit.
     """
-    shared = (~row_mask) & (~donor_mask)
-    diff = np.where(shared, donor_values - row_values, 0.0)
-    n_shared = shared.sum(axis=1)
+    if values.shape[1] < _PAIRWISE_WIDTH:
+        # the same order as numpy's short row sum, and at M = 6 with 720
+        # donors about 3x faster than that sum over (rows, donors, M)
+        total = np.zeros((values.shape[0], donors_t.shape[1]))
+        plane = np.empty_like(total)
+        for j in range(values.shape[1]):
+            # donor - row in place: a broadcasting subtraction into a new
+            # array would hold numpy's iteration buffers besides it
+            np.copyto(plane, donors_t[j])
+            plane -= values[:, j, None]
+            plane *= plane
+            plane[~observed[:, j]] = 0.0
+            plane[:, ~donor_observed_t[j]] = 0.0
+            total += plane
+        del plane
+    else:
+        planes = np.subtract(donors_t.T, values[:, None, :], order="C")
+        planes *= planes
+        planes[~(observed[:, None, :] & donor_observed_t.T)] = 0.0
+        total = planes.sum(axis=2)
+        del planes
+    # built once the planes are freed; 0/1 products, so the shared-feature
+    # counts are exact small integers
+    n_shared = observed.astype(np.float64) @ donor_observed_t.astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        dist = np.sqrt((diff * diff).sum(axis=1) / n_shared)
+        total /= n_shared
+    dist = np.sqrt(total, out=total)
     dist[n_shared == 0] = np.inf
     return dist
+
+
+def _nearest_donors(dist: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row's min(k, finite) nearest donors, nearest first and equally
+    distant donors by lower index, as a stable sort of the row orders them.
+
+    Returns (positions, chosen) groups, one per donor count c: ``chosen``
+    is (len(positions), c), c = 0 for rows with no finite distance.  Only
+    the finite distances no larger than a row's k-th smallest are sorted.
+    """
+    kth = min(k, dist.shape[1]) - 1
+    kth_dist = np.partition(dist, kth, axis=1)[:, kth, None]
+    # np.nonzero walks the rows in order and each row in index order, and
+    # lexsort is stable: each row's candidates stay together, nearest
+    # first, equally distant ones by index
+    row, donor = np.nonzero((dist <= kth_dist) & np.isfinite(dist))
+    donor = donor[np.lexsort((dist[row, donor], row))]
+    found = np.bincount(row, minlength=dist.shape[0])
+    start = np.cumsum(found) - found
+    counts = np.minimum(found, k)
+    groups = []
+    for count in np.unique(counts):
+        positions = np.flatnonzero(counts == count)
+        groups.append((positions, donor[start[positions, None] + np.arange(count)]))
+    return groups
 
 
 def _impute_values(target_values: np.ndarray, target_mask: np.ndarray,
                    donor_values: np.ndarray, donor_mask: np.ndarray,
                    k: int, exclude_self: bool) -> np.ndarray:
     filled = target_values.copy()
-    donor_count = donor_values.shape[0]
-    for i in np.flatnonzero(target_mask.any(axis=1)):
-        dist = _row_distances(target_values[i], target_mask[i], donor_values, donor_mask)
+    donors_t = np.where(donor_mask, 0.0, donor_values).T.copy()
+    donor_observed_t = ~donor_mask.T
+    incomplete = np.flatnonzero(target_mask.any(axis=1))
+    step = _block_rows(donor_values.shape[0], donor_values.shape[1])
+    for start in range(0, incomplete.size, step):
+        rows = incomplete[start:start + step]
+        missing = target_mask[rows]
+        dist = _block_distances(np.where(missing, 0.0, target_values[rows]), ~missing,
+                                donors_t, donor_observed_t)
         if exclude_self:
-            dist[i] = np.inf
-        for j in np.flatnonzero(target_mask[i]):
-            observes_j = ~donor_mask[:, j]
-            if exclude_self:
-                observes_j = observes_j.copy()
-                observes_j[i] = False
-            candidates = np.flatnonzero(observes_j & np.isfinite(dist))
-            if candidates.size == 0:
+            dist[np.arange(rows.size), rows] = np.inf
+        for j in np.flatnonzero(missing.any(axis=0)):
+            needs_j = np.flatnonzero(missing[:, j])
+            dist_j = dist[needs_j]
+            dist_j[:, donor_mask[:, j]] = np.inf
+            for positions, chosen in _nearest_donors(dist_j, k):
+                cells = rows[needs_j[positions]]
+                if chosen.shape[1]:
+                    filled[cells, j] = donor_values[chosen, j].mean(axis=1)
+                    continue
                 # no comparable donor: fall back to the feature mean
-                pool = np.flatnonzero(observes_j)
-                if pool.size == 0:
+                pool = ~donor_mask[:, j]
+                if not pool.any():
                     raise DataError(f"feature {j} has no donors to impute from")
-                filled[i, j] = donor_values[pool, j].mean()
-                continue
-            order = candidates[np.argsort(dist[candidates], kind="stable")]
-            chosen = order[: min(k, order.size)]
-            filled[i, j] = donor_values[chosen, j].mean()
+                filled[cells, j] = donor_values[pool, j].mean()
+        del dist  # one block's distances alive at a time
     return filled
 
 
@@ -452,8 +523,15 @@ def knn_impute(dataset: Dataset, k: int = 5) -> Dataset:
 
     Distance is the root mean squared difference over features both rows
     observe; rows missing the feature under repair are skipped as donors,
-    and fewer than k donors means all of them are used.  Complete datasets
-    come back unchanged.
+    equally distant donors are taken in row order, and fewer than k donors
+    means all of them are used.  A cell with no comparable donor gets the
+    feature's mean.  Complete datasets come back unchanged.
+
+    The incomplete rows are processed in blocks: one distance pass per
+    block against all donors, then one nearest-donor selection per missing
+    feature of the block.  A block's rows are set by the donor count so
+    that each temporary stays near 128 KB (at 720 donors and M < 8, 22
+    rows).  The result equals a per-row computation bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

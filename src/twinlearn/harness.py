@@ -101,6 +101,8 @@ class ExperimentSpec:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         for key, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"grid entry {key!r} must be a non-empty list")

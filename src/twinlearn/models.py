@@ -169,14 +169,38 @@ def _twsvm_to_dict(model: TwsvmModel) -> dict:
     }
 
 
+def _finite_array(value, name: str, ndim: int) -> np.ndarray:
+    a = np.asarray(value, dtype=np.float64)
+    if a.ndim != ndim or 0 in a.shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be a non-empty finite {ndim}-D array")
+    return a
+
+
 def _twsvm_from_dict(d: dict) -> TwsvmModel:
+    """The saved plane pair, checked so that it can always predict: u and v
+    cover the M weights (linear) or the (n, M) support rows (RBF) plus a
+    bias, and both plane norms are finite and non-zero."""
     kernel = KernelSpec(d["kernel"]["kind"], d["kernel"]["gamma"])
-    support = None if d["support"] is None else np.asarray(d["support"])
-    u = np.asarray(d["u"])
-    v = np.asarray(d["v"])
-    norm_plus, norm_minus = twsvm.plane_norms(kernel, support, u, v)
+    u, v, alpha, beta = (_finite_array(d[key], key, 1) for key in ("u", "v", "alpha", "beta"))
+    if kernel.kind == "linear":
+        if d["support"] is not None:
+            raise ValueError("a linear twin SVM has no support rows")
+        support, width = None, d["M"]
+    else:
+        support = _finite_array(d["support"], "support", 2)
+        if support.shape[1] != d["M"]:
+            raise ValueError(f"M is {d['M']!r} but the support rows have "
+                             f"{support.shape[1]} features")
+        width = support.shape[0]
+    if u.shape != (width + 1,) or v.shape != (width + 1,):
+        raise ValueError(f"u and v must have {width + 1} entries, "
+                         f"got {u.size} and {v.size}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_plus, norm_minus = twsvm.plane_norms(kernel, support, u, v)
+    if not all(np.isfinite(n) and n > 0 for n in (norm_plus, norm_minus)):
+        raise ValueError("a plane has a zero or non-finite norm; distances are undefined")
     return TwsvmModel(
-        u=u, v=v, alpha=np.asarray(d["alpha"]), beta=np.asarray(d["beta"]),
+        u=u, v=v, alpha=alpha, beta=beta,
         kernel=kernel, ridge_alpha=d["ridge_alpha"], ridge_beta=d["ridge_beta"],
         n_features=d["M"], support=support,
         norm_plus=norm_plus, norm_minus=norm_minus,

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
-from twinlearn.data import Dataset
+from twinlearn.data import DataError, Dataset
 from twinlearn.numcore import Rng
 
 # every run draws the same hypothesis examples, so two commits compare
@@ -138,3 +138,43 @@ def assert_matches_reference(result, reference):
     for g, ref in zip(grads, ref_grads, strict=True):
         assert np.shape(g) == np.shape(ref)
         assert np.max(np.abs(np.asarray(g) - ref)) <= 1e-12 * scale
+
+
+def row_distances(row_values, row_mask, donor_values, donor_mask):
+    """Reference distance from one row to every donor over mutually observed
+    features: sqrt(mean squared difference), +inf when none is shared."""
+    shared = (~row_mask) & (~donor_mask)
+    diff = np.where(shared, donor_values - row_values, 0.0)
+    n_shared = shared.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dist = np.sqrt((diff * diff).sum(axis=1) / n_shared)
+    dist[n_shared == 0] = np.inf
+    return dist
+
+
+def impute_values_per_row(target_values, target_mask, donor_values, donor_mask,
+                          k, exclude_self):
+    """Reference KNN imputation: one distance vector per incomplete row and
+    one stable sort of the comparable donors per missing cell."""
+    filled = target_values.copy()
+    for i in np.flatnonzero(target_mask.any(axis=1)):
+        dist = row_distances(target_values[i], target_mask[i], donor_values, donor_mask)
+        if exclude_self:
+            dist[i] = np.inf
+        for j in np.flatnonzero(target_mask[i]):
+            observes_j = ~donor_mask[:, j]
+            if exclude_self:
+                observes_j = observes_j.copy()
+                observes_j[i] = False
+            candidates = np.flatnonzero(observes_j & np.isfinite(dist))
+            if candidates.size == 0:
+                # no comparable donor: fall back to the feature mean
+                pool = np.flatnonzero(observes_j)
+                if pool.size == 0:
+                    raise DataError(f"feature {j} has no donors to impute from")
+                filled[i, j] = donor_values[pool, j].mean()
+                continue
+            order = candidates[np.argsort(dist[candidates], kind="stable")]
+            chosen = order[: min(k, order.size)]
+            filled[i, j] = donor_values[chosen, j].mean()
+    return filled

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import gaussian_blobs
 from twinlearn.cli import main
-from twinlearn.data import load_csv, save_csv
+from twinlearn.data import Dataset, load_csv, save_csv
 from twinlearn.models import MODELS
 from twinlearn.multiclass import MCHyper, mc_train
 from twinlearn.serialize import model_to_dict
@@ -96,10 +96,43 @@ def _set(path, value):
     return mutate
 
 
+class TestKnnK:
+    """An imputation neighbour count below 1 is a usage error raised
+    before any data is loaded, whatever the data."""
+
+    @pytest.fixture(params=["complete", "gaps", "missing-file"])
+    def data_path(self, request, tmp_path, blob_csv):
+        path, ds = blob_csv
+        if request.param == "missing-file":
+            return str(tmp_path / "absent.csv")
+        if request.param == "gaps":
+            features = ds.features.copy()
+            features[::7, 0] = np.nan
+            path = tmp_path / "gaps.csv"
+            save_csv(Dataset(features, ds.labels, np.isnan(features)), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--model", "twsvm_linear", "--folds", "2"],
+        ["bench", "--model", "twsvm_linear", "--folds", "2"],
+    ], ids=["cv", "bench"])
+    def test_knn_k_zero_exits_2(self, tmp_path, capsys, data_path, argv):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--data", data_path, "--knn-k", "0", "--out", str(out)]) == 2
+        assert "knn_k must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_impute_knn_k_zero_exits_2(self, tmp_path, capsys, data_path):
+        out = tmp_path / "full.csv"
+        assert main(["impute", "--data", data_path, "--knn-k", "0", "--out", str(out)]) == 2
+        assert "--knn-k must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestModelFiles:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        """A 3-feature CSV and saved twin_nn and twin_nn_mc models as dicts."""
+        """A 3-feature CSV and saved network and twin SVM models as dicts."""
         ds = gaussian_blobs([(2, 0, 0), (-2, 0, 0), (0, 2, 0)], [10, 10, 10], seed=3)
         path = tmp_path_factory.mktemp("models") / "three.csv"
         save_csv(ds, path)
@@ -107,6 +140,8 @@ class TestModelFiles:
         return str(path), {
             "twin_nn": model_to_dict(train(binary, TwinHyper(hidden=3, epochs=5))),
             "twin_nn_mc": model_to_dict(mc_train(ds, MCHyper(subnet_features=3, epochs=5))),
+            "twsvm_linear": model_to_dict(MODELS["twsvm_linear"].fit(binary, {}, 0)),
+            "twsvm_rbf": model_to_dict(MODELS["twsvm_rbf"].fit(binary, {"gamma": 0.5}, 0)),
         }
 
     @pytest.mark.parametrize("kind, mutate", [
@@ -120,8 +155,18 @@ class TestModelFiles:
         ("twin_nn", _set(["kind"], "mystery")),
         ("twin_nn_mc", _set(["banks", 1, "planes", 0, "w", 1], float("inf"))),
         ("twin_nn_mc", _set(["banks", 0, "planes", 1, "b"], float("nan"))),
+        ("twsvm_linear", _set(["u", 0], float("nan"))),
+        ("twsvm_linear", lambda d: {**d, "u": d["u"][:2]}),
+        ("twsvm_linear", _set(["M"], 7)),
+        ("twsvm_linear", lambda d: {**d, "u": [0.0] * 3 + d["u"][-1:]}),
+        ("twsvm_linear", _set(["beta"], [[1.0]])),
+        ("twsvm_rbf", _set(["M"], 7)),
+        ("twsvm_rbf", lambda d: {**d, "v": d["v"][1:]}),
+        ("twsvm_rbf", _set(["support", 0, 1], float("inf"))),
     ], ids=["no-plus", "unknown-hyper", "null-bias", "list", "not-json", "wrong-M",
-            "version", "unknown-kind", "inf-plane-weight", "nan-plane-bias"])
+            "version", "unknown-kind", "inf-plane-weight", "nan-plane-bias",
+            "twsvm-nan-u", "twsvm-short-u", "twsvm-wrong-M", "twsvm-zero-plane",
+            "twsvm-2d-beta", "rbf-wrong-M", "rbf-short-v", "rbf-inf-support"])
     def test_malformed_model_file_exits_3(self, tmp_path, saved, capsys, kind, mutate):
         data, models = saved
         content = mutate(json.loads(json.dumps(models[kind])))

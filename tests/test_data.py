@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import impute_values_per_row, row_distances
+from twinlearn import data
 from twinlearn.data import (
     DataError,
     Dataset,
@@ -270,6 +276,127 @@ class TestKnnImpute:
         out = knn_impute_from(target, donors, k=1)
         assert out.features[0, 1] == 0.0  # nearest donor is the first row
         assert out.missing is None
+
+
+def _imputation_case(seed, m, n_targets, n_donors, decimals, share,
+                     blank_rows, isolated, exclude_self):
+    """(target values, target mask, donor values, donor mask) with NaN in
+    the missing cells.  Values are rounded to ``decimals`` so that equal
+    distances are common; the last ``blank_rows`` target rows miss every
+    feature; with ``isolated`` (and M >= 2) the first target row observes
+    only feature 0, which no donor but itself observes, so it shares no
+    feature with any donor; without ``exclude_self`` the other targets
+    then observe feature 0 and none is blank, as no donor could fill it.
+    The donors are the targets when ``exclude_self``."""
+    rng = np.random.default_rng(seed)
+    target = np.round(rng.standard_normal((n_targets, m)), decimals)
+    t_mask = rng.random((n_targets, m)) < share
+    if exclude_self:
+        donors, d_mask = target, t_mask
+    else:
+        donors = np.round(rng.standard_normal((n_donors, m)), decimals)
+        d_mask = rng.random((n_donors, m)) < share
+    # every feature is observed by some donor outside the rows forced below
+    free = np.arange(1 if isolated else 0, d_mask.shape[0] - (blank_rows if exclude_self else 0))
+    for j in range(m):
+        if free.size and d_mask[free, j].all():
+            d_mask[rng.choice(free), j] = False
+    if isolated and m >= 2:
+        if not exclude_self:
+            t_mask[:, 0] = False
+            blank_rows = 0
+        d_mask[:, 0] = True
+        t_mask[0] = True
+        t_mask[0, 0] = False
+    if blank_rows:
+        t_mask[-blank_rows:] = True
+    t_values = np.where(t_mask, np.nan, target)
+    d_values = t_values if exclude_self else np.where(d_mask, np.nan, donors)
+    return t_values, t_mask, d_values, d_mask
+
+
+class TestBlockedImputation:
+    """The blocked pass against the per-row reference in conftest."""
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), k=st.integers(1, 12),
+           n_targets=st.integers(1, 60), n_donors=st.integers(1, 300),
+           decimals=st.integers(0, 2), share=st.floats(0.0, 0.9),
+           blank_rows=st.integers(0, 3), isolated=st.booleans(),
+           exclude_self=st.booleans())
+    # M < 8 (planes summed in turn) and M >= 8 (one contiguous row sum)
+    @example(seed=1, m=5, k=3, n_targets=40, n_donors=80, decimals=1, share=0.3,
+             blank_rows=0, isolated=False, exclude_self=False)
+    @example(seed=2, m=11, k=3, n_targets=40, n_donors=80, decimals=1, share=0.3,
+             blank_rows=0, isolated=False, exclude_self=True)
+    # k >= 8: numpy's mean of 8 or more donors uses its 8-accumulator sum
+    @example(seed=3, m=4, k=11, n_targets=30, n_donors=120, decimals=2, share=0.2,
+             blank_rows=0, isolated=False, exclude_self=False)
+    # integer values: many equal distances, also at the k-th nearest donor
+    @example(seed=4, m=3, k=4, n_targets=50, n_donors=50, decimals=0, share=0.3,
+             blank_rows=0, isolated=False, exclude_self=True)
+    # rows missing every feature
+    @example(seed=5, m=6, k=2, n_targets=20, n_donors=40, decimals=1, share=0.3,
+             blank_rows=3, isolated=False, exclude_self=False)
+    @example(seed=6, m=9, k=2, n_targets=20, n_donors=20, decimals=1, share=0.3,
+             blank_rows=2, isolated=False, exclude_self=True)
+    # a row that shares no observed feature with any donor: feature means
+    @example(seed=7, m=4, k=3, n_targets=20, n_donors=30, decimals=1, share=0.2,
+             blank_rows=0, isolated=True, exclude_self=False)
+    @example(seed=8, m=8, k=3, n_targets=25, n_donors=25, decimals=1, share=0.2,
+             blank_rows=1, isolated=True, exclude_self=True)
+    # k larger than the donor count
+    @example(seed=9, m=3, k=12, n_targets=10, n_donors=5, decimals=1, share=0.3,
+             blank_rows=0, isolated=False, exclude_self=False)
+    @example(seed=10, m=10, k=12, n_targets=6, n_donors=6, decimals=1, share=0.3,
+             blank_rows=0, isolated=False, exclude_self=True)
+    # several blocks: 27 rows per block at 600 donors, M < 8; 8 at 200, M = 10
+    @example(seed=11, m=3, k=5, n_targets=60, n_donors=600, decimals=1, share=0.4,
+             blank_rows=1, isolated=False, exclude_self=False)
+    @example(seed=12, m=10, k=5, n_targets=60, n_donors=200, decimals=1, share=0.4,
+             blank_rows=1, isolated=False, exclude_self=False)
+    def test_bit_identical_to_per_row_reference(self, seed, m, k, n_targets, n_donors,
+                                                decimals, share, blank_rows, isolated,
+                                                exclude_self):
+        case = _imputation_case(seed, m, n_targets, n_donors, decimals, share,
+                                min(blank_rows, n_targets), isolated, exclude_self)
+        t_values, t_mask, d_values, d_mask = case
+        # the distances themselves, so that a summation order that happens
+        # to pick the same donors still shows
+        rows = np.flatnonzero(t_mask.any(axis=1))
+        got = data._block_distances(np.where(t_mask[rows], 0.0, t_values[rows]), ~t_mask[rows],
+                                    np.where(d_mask, 0.0, d_values).T.copy(), ~d_mask.T)
+        want = [row_distances(t_values[i], t_mask[i], d_values, d_mask) for i in rows]
+        assert got.tobytes() == np.reshape(want, got.shape).tobytes()
+        args = (*case, k, exclude_self)
+        try:
+            want = impute_values_per_row(*args)
+        except DataError:
+            # both stop at a feature no donor observes, not always the same one
+            with pytest.raises(DataError, match="has no donors to impute from"):
+                data._impute_values(*args)
+            return
+        assert data._impute_values(*args).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, exclude_self", [(4, True), (4, False), (9, True)])
+    def test_one_distance_pass_per_block(self, monkeypatch, m, exclude_self):
+        t_values, t_mask, d_values, d_mask = _imputation_case(
+            0, m, 300, 500, 2, 0.2, 2, False, exclude_self)
+        blocks = []
+        block_distances = data._block_distances
+
+        def counted(values, *rest):
+            blocks.append(values.shape[0])
+            return block_distances(values, *rest)
+
+        monkeypatch.setattr(data, "_block_distances", counted)
+        data._impute_values(t_values, t_mask, d_values, d_mask, 5, exclude_self)
+        incomplete = int(t_mask.any(axis=1).sum())
+        step = data._block_rows(d_values.shape[0], m)
+        assert 1 < step < incomplete
+        assert len(blocks) == math.ceil(incomplete / step)
+        assert blocks[:-1] == [step] * (len(blocks) - 1)
+        assert not hasattr(data, "_row_distances")
 
 
 class TestMakeFolds:
