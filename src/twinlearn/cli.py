@@ -204,9 +204,12 @@ def _load_scores(path) -> tuple[np.ndarray, list[str]]:
             raise DataError(f"{path}: row {i} has {len(row)} fields, "
                             f"expected {len(algorithms) + 1}")
         try:
-            values.append([float(tok) for tok in row[1:]])
+            parsed = [float(tok) for tok in row[1:]]
         except ValueError:
             raise DataError(f"{path}: non-numeric score in row {i}") from None
+        if not np.isfinite(parsed).all():
+            raise DataError(f"{path}: non-finite score in row {i}")
+        values.append(parsed)
     return np.asarray(values), algorithms
 
 
@@ -313,7 +316,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ShapeError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

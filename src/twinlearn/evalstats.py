@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import gammaincc
 
 __all__ = [
     "ConfusionMatrix",
@@ -225,7 +224,13 @@ def friedman(scores) -> tuple[float, float]:
     averaged (ranking direction does not affect the statistic).  Returns
     the chi-square statistic 12N/(k(k+1)) * [sum(Rbar_j^2) - k(k+1)^2/4]
     and its upper-tail p with k-1 degrees of freedom.
+
+    ``scipy.special`` is imported here, not at module level: only
+    ``compare`` (through ``harness.compare_algorithms``) calls this, and
+    every other command runs without loading scipy.
     """
+    from scipy.special import gammaincc
+
     m = np.asarray(scores, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("scores must be a 2-D (datasets x algorithms) array")

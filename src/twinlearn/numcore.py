@@ -11,7 +11,6 @@ benchmark results reproducible bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "ShapeError",
@@ -88,7 +87,13 @@ def solve_spd(m, rhs, ridge: float | None = None) -> np.ndarray:
 
     Raises FactorizationError when the ridged matrix is not positive
     definite, with a hint to increase the ridge.
+
+    ``scipy.linalg`` is imported here, not at module level: only the twin
+    SVM fits call this, and every other command runs without loading
+    scipy.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     m = as_matrix(m, "system matrix")
     n, cols = m.shape
     if n != cols:

@@ -212,8 +212,18 @@ class TestCv:
         path, _ = blob_csv
         assert main(["cv", "--data", path, "--grid", "nonsense"]) == 2
 
-    def test_missing_file_exit_code(self):
+    def test_missing_file_exit_code(self, blob_csv):
         assert main(["cv", "--data", "/does/not/exist.csv"]) == 3
+        # a path whose parent is a regular file: NotADirectoryError
+        path, _ = blob_csv
+        under_file = os.path.join(path, "x")
+        assert main(["cv", "--data", under_file]) == 3
+        assert main(["cv", "--data", path, "--grid", "epochs=5", "--folds", "2",
+                     "--out", under_file]) == 3
+        assert main(["train", "--data", path, "--grid", "epochs=5",
+                     "--out", under_file]) == 3
+        assert main(["predict", "--data", path, "--model-file", under_file]) == 3
+        assert main(["compare", "--scores", under_file]) == 3
 
     def test_numerical_failure_exit_code(self, tmp_path, blob_csv):
         # single diverging grid point: every fold fails, training errors
@@ -451,6 +461,18 @@ class TestCompare:
             writer.writerow(["dataset", "a", "b"])
             writer.writerow(["d0", 0.5, 0.6])
         assert main(["compare", "--scores", str(path)]) == 3
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_compare_non_finite_score_is_data_error(self, tmp_path, capsys, token):
+        path = tmp_path / "scores.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dataset", "a", "b"])
+            for i in range(4):
+                writer.writerow([f"d{i}", 0.5, token if i == 2 else 0.6])
+        assert main(["compare", "--scores", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err and "row 4" in err
 
 
 class TestArgparse:

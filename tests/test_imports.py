@@ -1,0 +1,111 @@
+"""Import-graph guard: scipy loads only where it runs.
+
+Only the twin SVM's Cholesky solve (``numcore.solve_spd``) and the Friedman
+p-value (``evalstats.friedman``) use scipy, and they import it inside the
+function.  Every other command must run in a fresh interpreter without
+loading it, so that a new module-level import cannot quietly bring back
+its start-up time and memory.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+PRELUDE = """
+import sys
+
+def check(step):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, f"{step} loaded {loaded[:3]}"
+"""
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         PRELUDE + textwrap.dedent(script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture
+def gappy_csv(tmp_path):
+    """36 rows of 3 classes (8/14/14) in 3 features, with 5 empty cells."""
+    rng = np.random.default_rng(3)
+    labels = np.repeat([0, 1, 2], [8, 14, 14])
+    centers = np.array([[2.5, 0.0, 0.0], [-2.5, 0.0, 0.0], [0.0, 2.5, 0.0]])
+    feats = centers[labels] + 0.7 * rng.standard_normal((labels.size, 3))
+    gaps = {(1, 0), (9, 2), (17, 1), (25, 0), (33, 2)}
+    lines = ["f0,f1,f2,label"]
+    for i, (row, label) in enumerate(zip(feats, labels)):
+        cells = ["" if (i, j) in gaps else repr(float(v)) for j, v in enumerate(row)]
+        lines.append(",".join(cells + [str(label)]))
+    path = tmp_path / "gappy.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_commands_without_twin_svm_or_compare_never_load_scipy(tmp_path, gappy_csv):
+    proc = _run("""
+        import os
+        import twinlearn
+        import twinlearn.cli
+        check("import twinlearn")
+        from twinlearn.cli import main
+
+        data, out = sys.argv[1], sys.argv[2]
+        cv = ["cv", "--data", data, "--folds", "2", "--grid", "epochs=20"]
+        assert main(cv + ["--model", "twin_nn", "--out", os.path.join(out, "a.json")]) == 0
+        check("cv twin_nn")
+        assert main(cv + ["--model", "twin_nn_mc", "--out", os.path.join(out, "b.json")]) == 0
+        check("cv twin_nn_mc")
+        complete = os.path.join(out, "complete.csv")
+        assert main(["impute", "--data", data, "--out", complete]) == 0
+        check("impute")
+        model = os.path.join(out, "rfnn.json")
+        assert main(["train", "--data", complete, "--model", "rfnn",
+                     "--grid", "epochs=20", "--out", model]) == 0
+        check("train rfnn")
+        assert main(["predict", "--data", complete, "--model-file", model,
+                     "--out", os.path.join(out, "p.txt")]) == 0
+        check("predict rfnn")
+        print("no scipy")
+    """, gappy_csv, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("no scipy")
+
+
+def test_twin_svm_cv_loads_scipy(gappy_csv):
+    proc = _run("""
+        from twinlearn.cli import main
+        check("import twinlearn.cli")
+        assert main(["cv", "--data", sys.argv[1], "--folds", "2",
+                     "--model", "twsvm_linear"]) == 0
+        assert "scipy.linalg" in sys.modules
+        print("scipy loaded")
+    """, gappy_csv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("scipy loaded")
+
+
+def test_compare_loads_scipy(tmp_path):
+    scores = tmp_path / "scores.csv"
+    rows = ["dataset,twin_nn,rfnn,twsvm_linear"]
+    rows += [f"d{i},{0.9 + 0.01 * i},{0.8 + 0.02 * i},{0.85 - 0.01 * i}" for i in range(5)]
+    scores.write_text("\n".join(rows) + "\n")
+    proc = _run("""
+        from twinlearn.cli import main
+        check("import twinlearn.cli")
+        assert main(["compare", "--scores", sys.argv[1]]) == 0
+        assert "scipy.special" in sys.modules
+        print("scipy loaded")
+    """, str(scores))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("scipy loaded")
