@@ -21,7 +21,10 @@ Training goes through ``twin_nn.descend``, the loop shared by all three
 networks, with one forward pass per epoch over a design matrix built
 once per fit, and the banks' gradients come from the shared
 ``twin_nn._backprop``; unlike the binary twin sides it never stops
-early, since it takes no ``tol``.
+early, since it takes no ``tol``.  Each bank starts from the one
+initializer, ``twin_nn._init_net`` with p planes, and ``mc_objective``
+takes and returns the one layout, ``[[W | c], plane W, plane b]`` per
+bank, over that design.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .numcore import DivergenceError, Rng, ShapeError, mix_seed
 from .data import Dataset, DataError
-from .twin_nn import TanhNet, _backprop, _design, _fold, _forward, _net, descend
+from .twin_nn import TanhNet, _backprop, _design, _forward, _init_net, _net, descend
 
 __all__ = [
     "MCHyper",
@@ -105,21 +108,14 @@ def _check_features(model: MulticlassTwinModel, features) -> np.ndarray:
     return batch
 
 
-def _class_index(model: MulticlassTwinModel, labels) -> np.ndarray:
-    ids = model.class_ids
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    idx = np.searchsorted(ids, labels)
-    bad = (idx >= ids.size) | (ids[np.minimum(idx, ids.size - 1)] != labels)
-    if bad.any():
-        unknown = sorted(set(labels[bad].tolist()))
-        raise DataError(f"unknown classes {unknown}; model has {ids.tolist()}")
-    return idx
+def mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weight: float):
+    """Mean per-sample loss and its subgradients, from one forward pass.
 
-
-def _mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weight: float):
-    """Unchecked core of mc_objective over ``[[W | c], plane W, plane b]``
-    per bank and a ``_design(rows)``, with ``class_idx`` the bank index of
-    each row's class."""
+    ``params`` holds ``[[W | c], plane W (p, h), plane b (p,)]`` for each
+    bank in order, ``design`` is ``_design(rows)`` and ``class_idx`` the
+    bank index of each row's class.  Gradients come in the layout of
+    ``params``; the min routes gradient to the argmin plane only.
+    """
     nets = [params[i:i + 3] for i in range(0, len(params), 3)]
     phis, acts = [], []
     for net in nets:
@@ -158,43 +154,6 @@ def _mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weig
     return loss, grads
 
 
-def mc_objective(model: MulticlassTwinModel, features, labels):
-    """Mean per-sample loss over a batch (or one sample) and its
-    subgradients, from one forward pass.
-
-    Gradients come as [subnet W, subnet c, plane W, plane b] for each bank
-    in order; the min routes gradient to the argmin plane only.
-    """
-    rows = _check_features(model, features)
-    class_idx = _class_index(model, labels)
-    if class_idx.shape[0] != rows.shape[0]:
-        raise ShapeError("features and labels disagree on sample count")
-    params = [arr for net in model.banks
-              for arr in (_fold(net.weights, net.biases), net.plane_weights, net.plane_biases)]
-    loss, grads = _mc_objective(params, _design(rows), class_idx, model.hyper.margin_weight)
-    return loss, [g for dhidden, dpw, dpb in zip(grads[0::3], grads[1::3], grads[2::3])
-                  for g in (dhidden[:, :-1], dhidden[:, -1], dpw, dpb)]
-
-
-def _init_bank(class_id: int, n_features: int, hyper: MCHyper) -> list:
-    """Initial ``[[W | c], plane W, plane b]`` of one class's bank."""
-    rng = Rng(mix_seed(hyper.seed, class_id))
-    n = hyper.subnet_features
-    bound_in = 1.0 / np.sqrt(n_features)
-    sw = rng.uniform(-bound_in, bound_in, n * n_features).reshape(n, n_features)
-    sb = rng.uniform(-bound_in, bound_in, n)
-    bound_plane = 1.0 / np.sqrt(n)
-    pw = np.empty((hyper.planes, n))
-    for j in range(hyper.planes):
-        while True:
-            row = rng.uniform(-bound_plane, bound_plane, n)
-            if np.linalg.norm(row) > 0:
-                break
-        pw[j] = row
-    pb = rng.uniform(-bound_plane, bound_plane, hyper.planes)
-    return [_fold(sw, sb), pw, pb]
-
-
 def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
     """Joint full-batch subgradient descent over all class banks."""
     if data.missing is not None:
@@ -207,8 +166,10 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
     design = _design(data.features[order])
     class_idx = np.searchsorted(class_ids, data.labels[order])
     params, _ = descend(
-        [arr for c in class_ids for arr in _init_bank(c, data.n_features, hyper)],
-        lambda params: _mc_objective(params, design, class_idx, hyper.margin_weight),
+        [arr for c in class_ids
+         for arr in _init_net(Rng(mix_seed(hyper.seed, c)), data.n_features,
+                              hyper.subnet_features, hyper.planes)],
+        lambda params: mc_objective(params, design, class_idx, hyper.margin_weight),
         hyper.lr, hyper.epochs, 0.0, "multiclass training", None)
     # the loss is built from tanh outputs and stays finite while the
     # weights run away; a net rejects non-finite weights and plane norms

@@ -21,7 +21,10 @@ losses exact mirror images.  Swapping class labels together with
 
 All networks train through ``descend``, one full-batch gradient step and
 one forward pass per epoch; only the twin sides stop early, on ``tol``.
-Parameters train as ``[[W | c], plane W (p, h), plane b (p,)]`` over a
+Parameters have one layout, ``[[W | c], plane W (p, h), plane b (p,)]``:
+``_init_net``, the one initializer, draws them in it, and the objectives
+(``side_objective``, ``rfnn_objective``, ``multiclass.mc_objective``)
+take it and return their gradients in it.  Each objective runs over a
 design matrix built once per fit: the rows (for a twin side ``[other;
 own]``) with a column of ones appended, so the hidden biases fold into
 the weights.  An epoch is one pass over the design,
@@ -141,29 +144,11 @@ class TwinNNModel:
     n_features: int
 
 
-def _check_rows(rows: np.ndarray, name: str) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ShapeError(f"{name} must be a non-empty (N, M) array")
-    return rows
-
-
 def _design(*blocks: np.ndarray) -> np.ndarray:
     """Row blocks stacked in order, with a column of ones appended so that
     one product with ``[W | c]`` applies the hidden weights and biases."""
     rows = np.vstack(blocks)
     return np.column_stack((rows, np.ones(rows.shape[0])))
-
-
-def _fold(hw: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Hidden weights (h, M) and biases (h,) as one (h, M + 1) matrix."""
-    return np.column_stack((hw, hb))
-
-
-def _one_plane(hw: np.ndarray, hb: np.ndarray, w: np.ndarray, b) -> list:
-    """Trainable ``[[W | c], plane W (1, h), plane b (1,)]`` of a one-plane
-    net given as hidden W, hidden c, head w (h,) and head b."""
-    return [_fold(hw, hb), np.reshape(w, (1, -1)), np.reshape(b, (1,))]
 
 
 def _net(params, final_loss: float | None = None) -> TanhNet:
@@ -189,10 +174,17 @@ def _backprop(plane_w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: n
     return [t.T @ design, delta.T @ phi, delta.sum(axis=0)]
 
 
-def _side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
-    """Unchecked core of side_objective over a one-plane net's
-    ``[[W | c], plane W, plane b]`` and a ``_design(other, own)`` whose
-    first ``n_other`` rows are the other class's."""
+def side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
+    """Loss and gradients of one side, from one forward pass over its design.
+
+    ``params`` is a one-plane net's ``[[W | c], plane W (1, h), plane b
+    (1,)]`` and ``design`` is ``_design(other, own)``, whose first
+    ``n_other`` rows are the other class's.  The loss is the margin term,
+    the mean squared gap between tanh outputs on ``other`` rows and
+    ``target`` (-1 for the positive side, +1 for the negative side), plus
+    the proximal term, ``c`` times the mean squared pre-activation on
+    ``own`` rows, each halved.  Gradients come in the layout of ``params``.
+    """
     phi, out = _forward(params, design)
     out = out[:, 0]
     y = np.tanh(out[:n_other])
@@ -204,41 +196,23 @@ def _side_objective(params, design: np.ndarray, n_other: int, c: float, target: 
     return loss, _backprop(params[1], design, phi, delta.reshape(-1, 1))
 
 
-def side_objective(params, own: np.ndarray, other: np.ndarray, c: float,
-                   target: float):
-    """Loss and gradients of one side, from one forward pass over the
-    stacked ``other`` and ``own`` rows.
-
-    ``params`` is [hidden W (h, M), hidden c (h,), head w (h,), head b].
-    The loss is the margin term, the mean squared gap between tanh
-    outputs on ``other`` rows and ``target`` (-1 for the positive side,
-    +1 for the negative side), plus the proximal term, ``c`` times the
-    mean squared pre-activation on ``own`` rows, each halved.  Gradients
-    come in parameter order.
-    """
-    own = _check_rows(own, "own_rows")
-    other = _check_rows(other, "other_rows")
-    loss, (dhidden, dw, db) = _side_objective(_one_plane(*params), _design(other, own),
-                                              other.shape[0], c, target)
-    return loss, [dhidden[:, :-1], dhidden[:, -1], dw[0], float(db[0])]
-
-
-def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    n = int(np.prod(shape))
-    return rng.uniform(-bound, bound, n).reshape(shape)
-
-
-def _draw_initial_params(rng: Rng, hidden: int, n_features: int):
-    """One shared parameter draw used to initialize both sides."""
-    hw = _uniform_init(rng, (hidden, n_features), n_features)
-    hb = _uniform_init(rng, (hidden,), n_features)
-    while True:
-        w = _uniform_init(rng, (hidden,), hidden)
-        if np.linalg.norm(w) > 0:
-            break
-    b = float(rng.uniform(-1.0 / np.sqrt(hidden), 1.0 / np.sqrt(hidden)))
-    return hw, hb, w, b
+def _init_net(rng: Rng, n_features: int, hidden: int, planes: int) -> list:
+    """Initial ``[[W | c], plane W (p, h), plane b (p,)]`` of a net, drawn
+    in this order: W then c uniform in +-1/sqrt(M), each plane's weights
+    uniform in +-1/sqrt(h) and redrawn until their norm is non-zero, then
+    the plane biases, also in +-1/sqrt(h).  Every trained model starts
+    from this stream, so the order must not change."""
+    bound = 1.0 / np.sqrt(n_features)
+    w = rng.uniform(-bound, bound, hidden * n_features).reshape(hidden, n_features)
+    c = rng.uniform(-bound, bound, hidden)
+    bound = 1.0 / np.sqrt(hidden)
+    plane_w = np.empty((planes, hidden))
+    for j in range(planes):
+        while True:
+            plane_w[j] = rng.uniform(-bound, bound, hidden)
+            if np.linalg.norm(plane_w[j]) > 0:
+                break
+    return [np.column_stack((w, c)), plane_w, rng.uniform(-bound, bound, planes)]
 
 
 def descend(params, objective, lr: float, epochs: int, tol: float, who: str,
@@ -297,14 +271,14 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     infinity norm.
     """
     a, b = class_rows(data)
-    hw, hb, w, head_b = _draw_initial_params(Rng(hyper.seed), hyper.hidden, data.n_features)
+    hidden, plane_w, plane_b = _init_net(Rng(hyper.seed), data.n_features, hyper.hidden, 1)
     sides = []
     for name, own, other, c, target, sign in (("plus", a, b, hyper.c_plus, -1.0, 1.0),
                                               ("minus", b, a, hyper.c_minus, 1.0, -1.0)):
         design = _design(other, own)
         params, final = descend(
-            _one_plane(hw, hb, sign * w, sign * head_b),
-            lambda params: _side_objective(params, design, other.shape[0], c, target),
+            [hidden, sign * plane_w, sign * plane_b],
+            lambda params: side_objective(params, design, other.shape[0], c, target),
             hyper.lr, hyper.epochs, hyper.tol, f"{name} side", name)
         sides.append(_net(params, final))
     return TwinNNModel(*sides, hyper, data.n_features)
@@ -358,9 +332,15 @@ def rfnn_predict(model: RfnnModel, x):
     return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
 
 
-def _rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
-    """Unchecked core of rfnn_objective over a one-plane net's
-    ``[[W | c], plane W, plane b]`` and a ``_design(rows)``."""
+def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
+    """Loss and gradients of the baseline from one forward pass.
+
+    ``params`` is a one-plane net's ``[[W | c], plane W (1, h), plane b
+    (1,)]`` and ``design`` is ``_design(rows)``.  The loss is half the mean
+    squared error to ``targets`` plus l2/2 times the squared weight norms.
+    Biases are not penalized, so under extreme l2 the output collapses to
+    the target mean.  Gradients come in the layout of ``params``.
+    """
     hidden, pw, _ = params
     phi, out = _forward(params, design)
     r = out[:, 0] - targets
@@ -370,18 +350,6 @@ def _rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
     dhidden, dw, db = _backprop(pw, design, phi, (r / design.shape[0]).reshape(-1, 1))
     dhidden[:, :-1] += l2 * hw
     return loss, [dhidden, dw + l2 * pw, db]
-
-
-def rfnn_objective(params, rows: np.ndarray, targets: np.ndarray, l2: float):
-    """Loss and gradients of the baseline from one forward pass.
-
-    ``params`` is [hidden W, hidden c, output w, output b].  The loss is
-    half the mean squared error to ``targets`` plus l2/2 times the squared
-    weight norms.  Biases are not penalized, so under extreme l2 the
-    output collapses to the target mean.
-    """
-    loss, (dhidden, dw, db) = _rfnn_objective(_one_plane(*params), _design(rows), targets, l2)
-    return loss, [dhidden[:, :-1], dhidden[:, -1], dw[0], float(db[0])]
 
 
 def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
@@ -398,7 +366,7 @@ def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
     design = _design(data.features)
     targets = data.labels.astype(np.float64)
     params, final = descend(
-        _one_plane(*_draw_initial_params(Rng(seed), hidden, data.n_features)),
-        lambda params: _rfnn_objective(params, design, targets, l2),
+        _init_net(Rng(seed), data.n_features, hidden, 1),
+        lambda params: rfnn_objective(params, design, targets, l2),
         lr, epochs, 0.0, "rfnn", "rfnn")
     return RfnnModel(_net(params, final), l2, lr, epochs, seed)

@@ -108,8 +108,8 @@ class TwsvmProblem:
         b = as_matrix(self.b, "class -1 rows")
         if a.shape[1] != b.shape[1]:
             raise ShapeError("class blocks have different feature counts")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("box bounds c1 and c2 must be non-negative")
+        if not (self.c1 > 0 and self.c2 > 0):
+            raise ValueError(f"box bounds c1 and c2 must be positive, got {self.c1}, {self.c2}")
         if self.ridge is not None and self.ridge < 0:
             raise ValueError(f"ridge must be non-negative, got {self.ridge}")
         object.__setattr__(self, "a", a)
@@ -257,9 +257,6 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
     caps the sweeps; hitting it raises ConvergenceError carrying the last
     iterate and its residual.
     """
-    n = m.shape[0]
-    if c == 0.0:
-        return np.zeros(n)
     c = float(c)
     diag = np.diag(m)
     x = np.where(diag > 0.0, 0.0, c)

@@ -30,12 +30,22 @@ def flatten(arrays):
 
 
 def params_from_flat(vec, hidden_width, n_features):
-    """[hidden W, hidden c, head w, head b] of one side from a flat vector."""
+    """One-plane net ``[[W | c], plane W (1, h), plane b (1,)]`` from a flat
+    vector read in hidden W, hidden c, head w, head b order."""
     h, m = hidden_width, n_features
     hw = vec[: h * m].reshape(h, m)
     hb = vec[h * m : h * m + h]
     w = vec[h * m + h : h * m + 2 * h]
-    return [hw, hb, w, float(vec[-1])]
+    return [np.column_stack((hw, hb)), w.reshape(1, h), vec[-1:].copy()]
+
+
+def flatten_nets(arrays):
+    """Flat vector of ``[[W | c], plane W, plane b]`` per net, read per net
+    in W, c, plane W, plane b order: the order ``params_from_flat`` reads."""
+    parts = []
+    for hidden, pw, pb in zip(arrays[0::3], arrays[1::3], arrays[2::3], strict=True):
+        parts += [np.ravel(hidden[:, :-1]), hidden[:, -1], np.ravel(pw), np.ravel(pb)]
+    return np.concatenate(parts)
 
 
 def central_difference(f, x0, eps=1e-5):
@@ -54,15 +64,26 @@ def max_relative_error(analytic, numeric, floor=1e-8):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def _split(net):
+    """(W, c, w, b) of a one-plane net's ``[[W | c], plane W, plane b]``."""
+    hidden, pw, pb = net
+    return hidden[:, :-1], hidden[:, -1], pw[0], pb[0]
+
+
 def _two_block_backprop(w, rows, phi, delta):
     dpre = delta[:, None] * w[None, :] * (1.0 - phi * phi)
     return [dpre.T @ rows, dpre.sum(axis=0), phi.T @ delta, float(delta.sum())]
 
 
+def _join(dhw, dhb, dw, db):
+    """Gradients (W, c, w, b) of a one-plane net in its parameter layout."""
+    return [np.column_stack((dhw, dhb)), dw.reshape(1, -1), np.array([db])]
+
+
 def two_block_side_objective(params, own, other, c, target):
     """Reference side objective: separate forward passes and backprops over
     the ``other`` (margin) and ``own`` (proximal) rows, summed per gradient."""
-    hw, hb, w, b = params
+    hw, hb, w, b = _split(params)
     phi_o = np.tanh(other @ hw.T + hb)
     y = np.tanh(phi_o @ w + b)
     r = y - target
@@ -71,29 +92,29 @@ def two_block_side_objective(params, own, other, c, target):
     loss = float(r @ r) / (2.0 * other.shape[0]) + c * float(z @ z) / (2.0 * own.shape[0])
     margin = _two_block_backprop(w, other, phi_o, r * (1.0 - y * y) / other.shape[0])
     proximal = _two_block_backprop(w, own, phi_a, (c / own.shape[0]) * z)
-    return loss, [m + p for m, p in zip(margin, proximal)]
+    return loss, _join(*(m + p for m, p in zip(margin, proximal)))
 
 
 def two_block_rfnn_objective(params, rows, targets, l2):
     """Reference rfnn objective with the hidden bias added apart from the
     weights' product."""
-    hw, hb, w, b = params
+    hw, hb, w, b = _split(params)
     phi = np.tanh(rows @ hw.T + hb)
     r = phi @ w + b - targets
     penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(w @ w))
     loss = float(r @ r) / (2.0 * rows.shape[0]) + penalty
     dhw, dhb, dw, db = _two_block_backprop(w, rows, phi, r / rows.shape[0])
-    return loss, [dhw + l2 * hw, dhb, dw + l2 * w, db]
+    return loss, _join(dhw + l2 * hw, dhb, dw + l2 * w, db)
 
 
 def two_block_mc_objective(params, rows, class_idx, margin_weight):
-    """Reference multiclass objective over [subnet W, subnet c, plane W,
-    plane b] per bank, with the subnet bias added apart from the weights'
-    product and each bank backpropagated inline."""
+    """Reference multiclass objective over ``[[W | c], plane W, plane b]``
+    per bank, with the subnet bias added apart from the weights' product
+    and each bank backpropagated inline."""
     phis, acts = [], []
-    for i in range(0, len(params), 4):
-        sw, sb, pw, pb = params[i:i + 4]
-        phis.append(np.tanh(rows @ sw.T + sb))
+    for i in range(0, len(params), 3):
+        hidden, pw, pb = params[i:i + 3]
+        phis.append(np.tanh(rows @ hidden[:, :-1].T + hidden[:, -1]))
         acts.append(np.tanh(phis[-1] @ pw.T + pb))
     acts = np.stack(acts)
     abs_acts = np.abs(acts)
@@ -122,8 +143,9 @@ def two_block_mc_objective(params, rows, class_idx, margin_weight):
             cols = other_plane[routed]
             da[routed, cols] += (-2.0 / n) * deficit[routed] * np.sign(a_k[routed, cols])
         dz = da * (1.0 - a_k * a_k)
-        dpre = (dz @ params[4 * k + 2]) * (1.0 - phi * phi)
-        grads += [dpre.T @ rows, dpre.sum(axis=0), dz.T @ phi, dz.sum(axis=0)]
+        dpre = (dz @ params[3 * k + 1]) * (1.0 - phi * phi)
+        grads += [np.column_stack((dpre.T @ rows, dpre.sum(axis=0))), dz.T @ phi,
+                  dz.sum(axis=0)]
     return loss, grads
 
 

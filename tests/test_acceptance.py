@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (
     central_difference,
-    flatten,
+    flatten_nets,
     gaussian_blobs,
     max_relative_error,
     params_from_flat,
@@ -30,11 +30,10 @@ from twinlearn.harness import ExperimentSpec, run_experiment
 from twinlearn.multiclass import (
     MCHyper,
     mc_distances,
-    mc_objective,
     mc_predict,
     mc_train,
 )
-from twinlearn.twin_nn import side_objective
+from twinlearn.twin_nn import _design, side_objective
 from twinlearn.twsvm import (
     TwsvmProblem,
     box_kkt_residual,
@@ -72,16 +71,19 @@ def test_criterion_1_gradient_fidelity():
             vec = rng.standard_normal(h * m + 2 * h + 1) * 0.8
             # the positive side (margin over B, target -1) or the negative one
             own, other, target = (a, b, -1.0) if rng.random() < 0.5 else (b, a, 1.0)
-            g = side_objective(params_from_flat(vec, h, m), own, other, c, target)[1]
+            design = _design(other, own)
+            g = side_objective(params_from_flat(vec, h, m), design, len(other), c, target)[1]
             fd = central_difference(
-                lambda v: side_objective(params_from_flat(v, h, m), own, other, c, target)[0],
+                lambda v: side_objective(params_from_flat(v, h, m), design, len(other), c,
+                                         target)[0],
                 vec)
-            worst_binary = max(worst_binary, max_relative_error(flatten(g), fd))
+            worst_binary = max(worst_binary, max_relative_error(flatten_nets(g), fd))
         assert worst_binary <= 1e-5
 
         from test_multiclass import (
             flatten_model,
             model_from_flat,
+            model_objective,
             resample_until_clear_of_ties,
         )
 
@@ -89,11 +91,11 @@ def test_criterion_1_gradient_fidelity():
         for trial in range(50):
             sub_rng = np.random.default_rng(2000 + trial)
             model, x, y = resample_until_clear_of_ties(sub_rng, [0, 1, 2])
-            grads = mc_objective(model, x, y)[1]
+            grads = model_objective(model, x, y)[1]
             fd = central_difference(
-                lambda vec: mc_objective(model_from_flat(model, vec), x, y)[0],
+                lambda vec: model_objective(model_from_flat(model, vec), x, y)[0],
                 flatten_model(model), eps=1e-6)
-            worst_mc = max(worst_mc, max_relative_error(flatten(grads), fd, floor=1e-6))
+            worst_mc = max(worst_mc, max_relative_error(flatten_nets(grads), fd, floor=1e-6))
         assert worst_mc <= 1e-5
     assert timer.seconds < 10.0
     report(1, f"binary max rel err {worst_binary:.2e}, multiclass "

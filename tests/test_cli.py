@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twinlearn.twsvm as twsvm
 from conftest import gaussian_blobs
 from twinlearn.cli import main
 from twinlearn.data import Dataset, load_csv, save_csv
@@ -234,6 +236,17 @@ class TestCv:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 4
 
+    @pytest.mark.parametrize("bound", ["c1=0", "c2=0"])
+    def test_zero_box_bound_is_a_usage_error(self, tmp_path, bound):
+        # a zero box would save a twin SVM whose plane has no weights
+        ds = gaussian_blobs([(1, 1, 1), (-1, -1, -1)], [20, 60], seed=5, labels=[1, -1])
+        path, model_path = tmp_path / "blobs3.csv", tmp_path / "m.json"
+        save_csv(ds, path)
+        rc = main(["train", "--data", str(path), "--model", "twsvm_linear",
+                   "--grid", bound, "--out", str(model_path)])
+        assert rc == 2
+        assert not model_path.exists()
+
     def test_multiclass_runaway_weights_exit_4(self, tmp_path, three_csv):
         # the tanh-bounded loss stays finite while lr = 1e300 drives the
         # weights towards 1e299 and the plane norms past float range
@@ -255,13 +268,16 @@ class TestCv:
         assert [f["stage"] for f in payload["failures"]] == ["train", "train"]
         assert "diverged" in payload["failures"][0]["error"]
 
-    def test_model_that_cannot_predict_fails_its_folds(self, tmp_path):
-        # c1 = 0 pins the positive plane at u = 0: the fit succeeds, but
-        # its test-fold distances are undefined
+    def test_model_that_cannot_predict_fails_its_folds(self, tmp_path, monkeypatch):
+        # a fit whose positive plane has no weights succeeds, but its
+        # test-fold distances are undefined
+        solve = twsvm.solve_dual
+        monkeypatch.setattr(twsvm, "solve_dual", lambda problem: dataclasses.replace(
+            solve(problem), u=np.zeros(problem.a.shape[1] + 1), norm_plus=0.0))
         ds = gaussian_blobs([(2, 2, 2), (0, 0, 0)], [3, 27], seed=4, labels=[1, -1])
         path, out = tmp_path / "small.csv", tmp_path / "r.json"
         save_csv(ds, path)
-        rc = main(["cv", "--data", str(path), "--model", "twsvm_linear", "--grid", "c1=0",
+        rc = main(["cv", "--data", str(path), "--model", "twsvm_linear",
                    "--folds", "2", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())

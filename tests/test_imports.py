@@ -1,4 +1,5 @@
-"""Import-graph guard: scipy loads only where it runs.
+"""Import guards: every exported name exists, and scipy loads only where
+it runs.
 
 Only the twin SVM's Cholesky solve (``numcore.solve_spd``) and the Friedman
 p-value (``evalstats.friedman``) use scipy, and they import it inside the
@@ -7,13 +8,25 @@ loading it, so that a new module-level import cannot quietly bring back
 its start-up time and memory.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
 import pytest
+
+import twinlearn
+
+MODULES = ["twinlearn"] + [f"twinlearn.{m.name}" for m in pkgutil.iter_modules(twinlearn.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

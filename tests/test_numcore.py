@@ -62,6 +62,21 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             solve_spd(np.eye(2), [1.0, 1.0], ridge=-1e-3)
 
+    def test_perturbed_solution_refused(self, monkeypatch):
+        # a solve that is off by 1e-3 in every entry is no rounding error
+        import scipy.linalg
+
+        solve = scipy.linalg.cho_solve
+        monkeypatch.setattr(scipy.linalg, "cho_solve",
+                            lambda *args, **kwargs: solve(*args, **kwargs) + 1e-3)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5))
+        m = a.T @ a + np.eye(5)
+        m = (m + m.T) / 2.0
+        for rhs in (rng.standard_normal(5), rng.standard_normal((5, 3))):
+            with pytest.raises(FactorizationError, match="exceeds bound"):
+                solve_spd(m, rhs, ridge=0.0)
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -78,7 +93,9 @@ class TestRng:
             0.6800434110281394,
         ]
         assert Rng(42)._next_u64() == 1546998764402558742
-        assert Rng(123).permutation(10).tolist() == [2, 0, 1, 6, 5, 4, 3, 8, 9, 7]
+        shuffled = np.arange(10)
+        Rng(123).shuffle(shuffled)
+        assert shuffled.tolist() == [2, 0, 1, 6, 5, 4, 3, 8, 9, 7]
         assert mix_seed(42, 0, 1) == 5350072072073812120
 
     def test_uniform_monte_carlo_mean(self):

@@ -7,7 +7,7 @@ import twinlearn.twin_nn as twin_nn
 from conftest import (
     assert_matches_reference,
     central_difference,
-    flatten,
+    flatten_nets,
     gaussian_blobs,
     max_relative_error,
     params_from_flat,
@@ -16,10 +16,13 @@ from conftest import (
 )
 from twinlearn.data import DataError, Dataset
 from twinlearn.evalstats import confusion, metrics
-from twinlearn.numcore import DivergenceError
+from twinlearn.numcore import DivergenceError, Rng
 from twinlearn.twin_nn import (
     TanhNet,
     TwinHyper,
+    _design,
+    _init_net,
+    _net,
     decision_values,
     predict,
     rfnn_decision,
@@ -32,7 +35,7 @@ from twinlearn.twin_nn import (
 
 
 def zero_params(hidden, n_features):
-    return [np.zeros((hidden, n_features)), np.zeros(hidden), np.zeros(hidden), 0.0]
+    return params_from_flat(np.zeros(hidden * n_features + 2 * hidden + 1), hidden, n_features)
 
 
 def random_params(rng, hidden, n_features, scale=0.7):
@@ -41,18 +44,17 @@ def random_params(rng, hidden, n_features, scale=0.7):
 
 
 def random_side(rng, hidden, n_features):
-    hw, hb, w, b = random_params(rng, hidden, n_features)
-    return TanhNet(hw, hb, [w], [b])
+    return _net(random_params(rng, hidden, n_features))
 
 
 def plus_objective(params, a, b, c):
     """Positive side: margin over B rows (target -1) + proximal over A."""
-    return side_objective(params, a, b, c, -1.0)
+    return side_objective(params, _design(b, a), b.shape[0], c, -1.0)
 
 
 def minus_objective(params, a, b, c):
     """Negative side: margin over A rows (target +1) + proximal over B."""
-    return side_objective(params, b, a, c, 1.0)
+    return side_objective(params, _design(a, b), a.shape[0], c, 1.0)
 
 
 class TestLosses:
@@ -70,8 +72,8 @@ class TestLosses:
         a = rng.standard_normal((4, 2))
         b = rng.standard_normal((5, 2))
         params = random_params(rng, 3, 2)
-        hw, hb, w, head_b = params
-        r = np.tanh(np.tanh(b @ hw.T + hb) @ w + head_b) + 1.0
+        hidden, w, head_b = params
+        r = np.tanh(np.tanh(b @ hidden[:, :-1].T + hidden[:, -1]) @ w[0] + head_b[0]) + 1.0
         loss, grads = plus_objective(params, a, b, 0.0)
         assert loss == float(r @ r) / (2.0 * len(b))
         # with c = 0 the own rows leave no trace in the gradient either
@@ -84,7 +86,7 @@ class TestLosses:
         a = rng.standard_normal((4, m))
         b = rng.standard_normal((4, m))
         params = random_params(rng, h, m)
-        hw, hb, w, head_b = params
+        hw, hb, w, head_b = params[0][:, :-1], params[0][:, -1], params[1][0], params[2][0]
         c = 0.7
 
         def phi(x):
@@ -101,11 +103,6 @@ class TestLosses:
         prox *= c / (2 * len(a))
         assert plus_objective(params, a, b, c)[0] == pytest.approx(margin + prox, rel=1e-12)
 
-    def test_empty_class_rejected(self):
-        params = zero_params(2, 2)
-        with pytest.raises(Exception):
-            plus_objective(params, np.empty((0, 2)), np.ones((2, 2)), 1.0)
-
 
 class TestGradients:
     def test_zero_parameters(self):
@@ -116,8 +113,8 @@ class TestGradients:
         g = plus_objective(params, a, b, 1.0)[1]
         # hidden map is zero at zero parameters, so dw vanishes; the
         # proximal gradient is zero and the margin residual is +1
-        np.testing.assert_array_equal(g[2], np.zeros(3))
-        assert g[3] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(g[1], np.zeros((1, 3)))
+        assert g[2][0] == pytest.approx(1.0, abs=1e-15)
         for with_c, without_c in zip(g, plus_objective(params, a, b, 0.0)[1]):
             np.testing.assert_array_equal(with_c, without_c)
 
@@ -135,9 +132,9 @@ class TestGradients:
         for objective in (plus_objective, minus_objective):
             fd = central_difference(
                 lambda vec: objective(params_from_flat(vec, h, m), a, b, c)[0],
-                flatten(params),
+                flatten_nets(params),
             )
-            assert max_relative_error(flatten(objective(params, a, b, c)[1]), fd) <= 1e-5
+            assert max_relative_error(flatten_nets(objective(params, a, b, c)[1]), fd) <= 1e-5
 
     def test_proximal_component_exactly_linear_in_c(self):
         rng = np.random.default_rng(4)
@@ -145,11 +142,11 @@ class TestGradients:
         params = random_params(rng, 4, 3)
         # a head bias of 30 saturates tanh on every row, so the margin
         # term's gradient is exactly zero and only the proximal one is left
-        params[3] = 30.0
+        params[2] = np.array([30.0])
         b = rng.standard_normal((3, 3))
         g1 = plus_objective(params, a, b, 0.65)[1]
         g2 = plus_objective(params, a, b, 1.3)[1]
-        assert g1[3] != 0.0
+        assert g1[2][0] != 0.0
         for x1, x2 in zip(g1, g2):
             np.testing.assert_array_equal(x2, 2.0 * x1)
 
@@ -176,8 +173,8 @@ class TestFusedObjectives:
         own = rng.standard_normal((n_own, m))
         other = rng.standard_normal((n_other, m))
         params = random_params(rng, h, m)
-        params[3] = head_bias
-        assert_matches_reference(side_objective(params, own, other, c, target),
+        params[2] = np.array([head_bias])
+        assert_matches_reference(side_objective(params, _design(other, own), n_other, c, target),
                                  two_block_side_objective(params, own, other, c, target))
 
     @settings(max_examples=100, deadline=None)
@@ -191,9 +188,26 @@ class TestFusedObjectives:
         rows = rng.standard_normal((n, m))
         targets = rng.choice([-1.0, 1.0], size=n)
         params = random_params(rng, h, m)
-        params[3] = head_bias
-        assert_matches_reference(rfnn_objective(params, rows, targets, l2),
+        params[2] = np.array([head_bias])
+        assert_matches_reference(rfnn_objective(params, _design(rows), targets, l2),
                                  two_block_rfnn_objective(params, rows, targets, l2))
+
+
+class TestInitNet:
+    def test_golden_values_pin_the_draw(self):
+        # frozen from the one initializer's stream: W and c, each plane,
+        # then the plane biases; every trained model starts here
+        hidden = [[-0.5885066301327597, -0.17114777082784638, 0.6955157656059248],
+                  [0.2546198336919083, 0.6006065231233384, 0.38146920325330647]]
+        one = _init_net(Rng(42), 2, 2, 1)
+        assert [a.tolist() for a in one] == [
+            hidden, [[0.31007845450158555, 0.4949866883240004]], [0.3696391944752233]]
+        two = _init_net(Rng(42), 2, 2, 2)
+        assert [a.tolist() for a in two] == [
+            hidden,
+            [[0.31007845450158555, 0.4949866883240004],
+             [0.3696391944752233, 0.11787372424506593]],
+            [0.2580273226999147, -0.29602634821930146]]
 
 
 def separable_blobs(seed=0, n=20):
@@ -274,10 +288,7 @@ class TestTrain:
         hyper = TwinHyper(hidden=3, lr=0.01, epochs=200, seed=15, tol=0.0)
         model = train(ds, hyper)
         # walk the plus-side trajectory by hand and count loss increases
-        from twinlearn.twin_nn import _draw_initial_params
-        from twinlearn.numcore import Rng
-
-        params = list(_draw_initial_params(Rng(hyper.seed), 3, 2))
+        params = _init_net(Rng(hyper.seed), 2, 3, 1)
         losses = []
         for _ in range(200):
             loss, grads = plus_objective(params, a, b, hyper.c_plus)
@@ -287,8 +298,8 @@ class TestTrain:
         assert increases <= 0.05 * len(losses)
         assert model.plus.final_loss <= losses[0]
         # with tol = 0 training takes exactly these steps
-        np.testing.assert_array_equal(model.plus.weights, params[0])
-        assert model.plus.plane_biases[0] == params[3]
+        np.testing.assert_array_equal(model.plus.weights, params[0][:, :-1])
+        assert model.plus.plane_biases[0] == params[2][0]
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_objective_call_per_epoch(self, epochs, monkeypatch):
@@ -298,16 +309,16 @@ class TestTrain:
             calls[target] += 1
             return core(params, design, n_other, c, target)
 
-        core = twin_nn._side_objective
-        monkeypatch.setattr(twin_nn, "_side_objective", counted)
+        core = twin_nn.side_objective
+        monkeypatch.setattr(twin_nn, "side_objective", counted)
         train(separable_blobs(seed=26, n=6), TwinHyper(hidden=3, epochs=epochs, tol=0.0))
         # one forward pass per epoch plus one for the final loss, per side
         assert calls == {-1.0: epochs + 1, 1.0: epochs + 1}
 
     def test_tol_stops_early(self, monkeypatch):
         calls = []
-        core = twin_nn._side_objective
-        monkeypatch.setattr(twin_nn, "_side_objective",
+        core = twin_nn.side_objective
+        monkeypatch.setattr(twin_nn, "side_objective",
                             lambda *args: calls.append(1) or core(*args))
         hyper = TwinHyper(hidden=3, lr=0.2, epochs=5000, tol=1e-4, seed=27)
         train(separable_blobs(seed=26, n=6), hyper)
@@ -380,10 +391,11 @@ class TestRfnn:
         l2 = float(rng.uniform(0.0, 0.5))
         vec = rng.standard_normal(h * m + 2 * h + 1) * 0.6
 
-        g = rfnn_objective(params_from_flat(vec, h, m), rows, targets, l2)[1]
+        design = _design(rows)
+        g = rfnn_objective(params_from_flat(vec, h, m), design, targets, l2)[1]
         fd = central_difference(
-            lambda v: rfnn_objective(params_from_flat(v, h, m), rows, targets, l2)[0], vec)
-        assert max_relative_error(flatten(g), fd) <= 1e-5
+            lambda v: rfnn_objective(params_from_flat(v, h, m), design, targets, l2)[0], vec)
+        assert max_relative_error(flatten_nets(g), fd) <= 1e-5
 
     def test_divergence_names_side_and_epoch(self):
         ds = separable_blobs(seed=7)
@@ -394,8 +406,8 @@ class TestRfnn:
 
     def test_one_objective_call_per_epoch(self, monkeypatch):
         calls = []
-        core = twin_nn._rfnn_objective
-        monkeypatch.setattr(twin_nn, "_rfnn_objective",
+        core = twin_nn.rfnn_objective
+        monkeypatch.setattr(twin_nn, "rfnn_objective",
                             lambda *args: calls.append(1) or core(*args))
         train_rfnn_baseline(separable_blobs(seed=26, n=6), hidden=3, epochs=9)
         assert len(calls) == 10

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinlearn.twsvm as twsvm
@@ -110,6 +110,7 @@ class TestProjectedGradient:
            duplicate=st.booleans(), zero=st.booleans(),
            scale=st.floats(0.1, 10.0),
            c=st.floats(0.0, 10.0, exclude_min=True))
+    @example(n=4, rank=2, seed=0, duplicate=False, zero=True, scale=1.0, c=0.0)
     def test_random_psd_duals_reach_kkt_monotonically(self, n, rank, seed, duplicate,
                                                        zero, scale, c):
         # M = F'F: rank-deficient when F has fewer rows than columns, two
@@ -148,14 +149,28 @@ class TestProjectedGradient:
 
 
 class TestSolveDual:
-    def test_zero_bounds_collapse_to_origin(self):
+    def test_non_positive_bounds_rejected(self):
+        # a zero box pins a dual at 0 and its plane at u = 0, whose
+        # distances are undefined
         rng = np.random.default_rng(6)
-        problem = random_problem(rng, c1=0.0, c2=0.0)
+        for c1, c2 in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (-1.0, 0.5)):
+            with pytest.raises(ValueError, match="must be positive"):
+                random_problem(rng, c1=c1, c2=c2)
+
+    @pytest.mark.parametrize("seed", [39, 68])
+    def test_ill_conditioned_rbf_gram_solves(self, seed):
+        # the ridged 221x221 RBF Gram has condition number near 1e8; a
+        # backward-stable Cholesky leaves a residual near 2e-8, which a
+        # bound blind to the sizes of the matrix and solution refused
+        # (seed 39 with two BLAS threads, seed 68 with one or two)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(1, 1, (20, 5))
+        b = rng.normal(-1, 1, (200, 5))
+        problem = TwsvmProblem(a, b, 1, 1, KernelSpec("rbf", 1.0))
         model = solve_dual(problem)
-        np.testing.assert_array_equal(model.alpha, np.zeros(3))
-        np.testing.assert_array_equal(model.beta, np.zeros(6))
-        np.testing.assert_array_equal(model.u, np.zeros(3))
-        np.testing.assert_array_equal(model.v, np.zeros(3))
+        m_alpha, m_beta = dual_matrices(problem)
+        assert box_kkt_residual(m_alpha, model.alpha, 1.0) <= 1e-8
+        assert box_kkt_residual(m_beta, model.beta, 1.0) <= 1e-8
 
     def test_parallel_lines_toy_geometry(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])
