@@ -10,7 +10,6 @@ an explicit boolean mask; the two representations are kept consistent.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,19 +146,14 @@ class ScalingParams:
 
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Stratified fold assignments for repeated k-fold cross validation.
+    """Stratified fold assignments for repeated k-fold cross validation:
+    ``assignments[r][i]`` is the fold index of sample i in repeat r."""
 
-    ``assignments[r][i]`` is the fold index of sample i in repeat r.
-    """
-
-    k: int
-    repeat: int
-    seed: int
     assignments: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.assignments, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != self.repeat:
+        if arr.ndim != 2:
             raise ShapeError("assignments must be (repeat, n_samples)")
         arr.setflags(write=False)
         object.__setattr__(self, "assignments", arr)
@@ -170,21 +164,6 @@ class FoldPlan:
         test = np.flatnonzero(row == fold)
         train = np.flatnonzero(row != fold)
         return train, test
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "repeat": self.repeat,
-            "seed": self.seed,
-            "assignments": self.assignments.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FoldPlan":
-        return cls(d["k"], d["repeat"], d["seed"], np.asarray(d["assignments"]))
 
 
 def _is_int64(value: float) -> bool:
@@ -286,9 +265,8 @@ def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
     return Dataset(values, labels, mask if mask.any() else None, names)
 
 
-def save_csv(dataset: Dataset, path, label_name: str = "label",
-             named_labels: bool = False) -> None:
-    """Write a Dataset as CSV: feature columns f0..f{M-1} then the label.
+def save_csv(dataset: Dataset, path, named_labels: bool = False) -> None:
+    """Write a Dataset as CSV: feature columns f0..f{M-1} then ``label``.
 
     Floats are written with repr so a reload reproduces them exactly;
     missing cells are written as empty fields.  Labels are written as raw
@@ -298,7 +276,7 @@ def save_csv(dataset: Dataset, path, label_name: str = "label",
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dataset.n_features)] + [label_name])
+        writer.writerow([f"f{j}" for j in range(dataset.n_features)] + ["label"])
         miss = dataset.missing
         for i in range(dataset.n_samples):
             row = []
@@ -487,7 +465,7 @@ def _nearest_donors(dist: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarr
 
 def _impute_values(target_values: np.ndarray, target_mask: np.ndarray,
                    donor_values: np.ndarray, donor_mask: np.ndarray,
-                   k: int, exclude_self: bool) -> np.ndarray:
+                   k: int) -> np.ndarray:
     filled = target_values.copy()
     donors_t = np.where(donor_mask, 0.0, donor_values).T.copy()
     donor_observed_t = ~donor_mask.T
@@ -498,8 +476,6 @@ def _impute_values(target_values: np.ndarray, target_mask: np.ndarray,
         missing = target_mask[rows]
         dist = _block_distances(np.where(missing, 0.0, target_values[rows]), ~missing,
                                 donors_t, donor_observed_t)
-        if exclude_self:
-            dist[np.arange(rows.size), rows] = np.inf
         for j in np.flatnonzero(missing.any(axis=0)):
             needs_j = np.flatnonzero(missing[:, j])
             dist_j = dist[needs_j]
@@ -519,38 +495,30 @@ def _impute_values(target_values: np.ndarray, target_mask: np.ndarray,
 
 
 def knn_impute(dataset: Dataset, k: int = 5) -> Dataset:
-    """Replace each missing cell with the mean of its k nearest donors.
+    """Replace each missing cell with the mean of its k nearest donors,
+    the other rows of ``dataset``; ``knn_impute_from`` with the dataset as
+    its own donor set."""
+    return knn_impute_from(dataset, dataset, k)
 
-    Distance is the root mean squared difference over features both rows
-    observe; rows missing the feature under repair are skipped as donors,
-    equally distant donors are taken in row order, and fewer than k donors
-    means all of them are used.  A cell with no comparable donor gets the
-    feature's mean.  Complete datasets come back unchanged.
+
+def knn_impute_from(target: Dataset, donors: Dataset, k: int = 5) -> Dataset:
+    """Replace each of ``target``'s missing cells with the mean of its k
+    nearest rows of ``donors``.
+
+    The cross-validation harness completes test folds from training-fold
+    donors only.  Distance is the root mean squared difference over
+    features both rows observe; rows missing the feature under repair are
+    skipped as donors, so a row never donates to itself: it misses the
+    feature it needs.  Equally distant donors are taken in row order, and
+    fewer than k donors means all of them are used.  A cell with no
+    comparable donor gets the feature's donor mean.  A complete target
+    comes back unchanged.
 
     The incomplete rows are processed in blocks: one distance pass per
     block against all donors, then one nearest-donor selection per missing
     feature of the block.  A block's rows are set by the donor count so
     that each temporary stays near 128 KB (at 720 donors and M < 8, 22
     rows).  The result equals a per-row computation bit for bit.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if dataset.missing is None:
-        return dataset
-    donors_mask = dataset.missing
-    if donors_mask.all(axis=0).any():
-        bad = np.flatnonzero(donors_mask.all(axis=0)).tolist()
-        raise DataError(f"features {bad} are missing in every row")
-    filled = _impute_values(dataset.features, dataset.missing,
-                            dataset.features, dataset.missing, k, exclude_self=True)
-    return Dataset(filled, dataset.labels.copy(), None, dataset.label_names)
-
-
-def knn_impute_from(target: Dataset, donors: Dataset, k: int = 5) -> Dataset:
-    """Impute ``target``'s missing cells from rows of a separate donor set.
-
-    Used by the cross-validation harness to complete test folds from
-    training-fold donors only.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -562,9 +530,9 @@ def knn_impute_from(target: Dataset, donors: Dataset, k: int = 5) -> Dataset:
                   if donors.missing is None else donors.missing)
     if donor_mask.all(axis=0).any():
         bad = np.flatnonzero(donor_mask.all(axis=0)).tolist()
-        raise DataError(f"features {bad} are missing in every donor row")
+        raise DataError(f"features {bad} are missing in every row of the donor set")
     filled = _impute_values(target.features, target.missing,
-                            donors.features, donor_mask, k, exclude_self=False)
+                            donors.features, donor_mask, k)
     return Dataset(filled, target.labels.copy(), None, target.label_names)
 
 
@@ -593,7 +561,7 @@ def make_folds(dataset: Dataset, k: int, repeat: int, seed: int) -> FoldPlan:
             offset = rng.integers(0, k)
             for pos, sample in enumerate(idx):
                 assignments[r, sample] = (pos + offset) % k
-    return FoldPlan(k, repeat, seed, assignments)
+    return FoldPlan(assignments)
 
 
 def make_imbalanced(dataset: Dataset, positive_class: int) -> Dataset:

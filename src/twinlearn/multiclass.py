@@ -127,30 +127,28 @@ def mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weigh
     n_banks, n, p = abs_acts.shape
     # own and foreign min |activation| per sample; argmins take the first
     # (lowest bank, then plane) index on ties
-    own = abs_acts[class_idx, np.arange(n), :]
+    rows = np.arange(n)
+    own = abs_acts[class_idx, rows, :]
     own_plane = own.argmin(axis=1)
-    own_min = own[np.arange(n), own_plane]
-    abs_acts[class_idx, np.arange(n), :] = np.inf
+    own_min = own[rows, own_plane]
+    abs_acts[class_idx, rows, :] = np.inf
     flat = abs_acts.transpose(1, 0, 2).reshape(n, n_banks * p)
     other_flat = flat.argmin(axis=1)
     other_bank = other_flat // p
     other_plane = other_flat % p
-    other_min = flat[np.arange(n), other_flat]
+    other_min = flat[rows, other_flat]
     loss = float(loss_from_mins(own_min, other_min, margin_weight).mean())
     deficit = np.maximum(1.0 - other_min, 0.0)
 
+    # each row's own-plane and foreign-plane terms, scattered into zeros
+    # with += so that a -0.0 term still lands as 0.0
+    da = np.zeros_like(acts)
+    da[class_idx, rows, own_plane] += (2.0 * margin_weight / n) * acts[class_idx, rows, own_plane]
+    da[other_bank, rows, other_plane] += (
+        (-2.0 / n) * deficit * np.sign(acts[other_bank, rows, other_plane]))
     grads = []
-    for k, (net, phi, a_k) in enumerate(zip(nets, phis, acts)):
-        da = np.zeros_like(a_k)
-        own_rows = np.flatnonzero(class_idx == k)
-        if own_rows.size:
-            cols = own_plane[own_rows]
-            da[own_rows, cols] += (2.0 * margin_weight / n) * a_k[own_rows, cols]
-        routed = np.flatnonzero(other_bank == k)
-        if routed.size:
-            cols = other_plane[routed]
-            da[routed, cols] += (-2.0 / n) * deficit[routed] * np.sign(a_k[routed, cols])
-        grads += _backprop(net[1], design, phi, da * (1.0 - a_k * a_k))
+    for net, phi, a_k, da_k in zip(nets, phis, acts, da):
+        grads += _backprop(net[1], design, phi, da_k * (1.0 - a_k * a_k))
     return loss, grads
 
 

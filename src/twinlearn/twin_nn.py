@@ -106,7 +106,7 @@ class TanhNet:
                 or pb.shape != pw.shape[:1]):
             raise ShapeError("a tanh net needs (h, M) weights, (h,) biases, "
                              "(p, h) plane weights and (p,) plane biases")
-        if not all(np.isfinite(a).all() for a in (w, c, pw, pb)):
+        if not np.isfinite(np.concatenate((w.ravel(), c, pw.ravel(), pb))).all():
             raise ValueError("tanh net parameters must be finite")
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(pw, axis=1)

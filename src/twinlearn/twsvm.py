@@ -51,6 +51,8 @@ __all__ = [
 # dual (gamma=1, c=10), took 1,281 sweeps; the cap leaves room for larger
 # problems while a dual that cannot converge still fails in bounded time.
 MAX_SWEEPS = 10_000
+# the dual solver's tolerance on the projected gradient's infinity norm
+KKT_TOL = 1e-8
 # sweeps between active-set polishes
 POLISH_EVERY = 16
 
@@ -196,8 +198,7 @@ def _projected_gradient_norm(g: np.ndarray, x: np.ndarray, c: float) -> float:
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
-def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float,
-                       tol: float) -> np.ndarray:
+def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
     """Walk uphill from x to the maximizer of the face it sits on.
 
     Each pass solves the free block for the step to the face's maximizer
@@ -217,7 +218,7 @@ def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float,
         block = m[np.ix_(free, free)]
         step, *_ = np.linalg.lstsq(block, g, rcond=None)
         unabsorbed = g - block @ step
-        if np.max(np.abs(unabsorbed)) > tol:
+        if np.max(np.abs(unabsorbed)) > KKT_TOL:
             step = unabsorbed
         rise = g @ step
         if not rise > 0.0:
@@ -237,8 +238,7 @@ def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float,
     return z
 
 
-def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
-                               max_iter: int = MAX_SWEEPS,
+def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEEPS,
                                trace: list | None = None) -> np.ndarray:
     """Maximize e'x - x'Mx/2 over the box [0, c]^n for PSD M.
 
@@ -247,7 +247,7 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
     x_i <- clip(x_i + g_i/M_ii, 0, c), updating the gradient g = e - Mx
     by one column.  The gradient is recomputed exactly at the start of
     every sweep and that value alone drives the convergence test (the
-    projected gradient's infinity norm at most ``tol``), so rounding
+    projected gradient's infinity norm at most ``KKT_TOL``), so rounding
     drift in the updates cannot fake convergence.  A coordinate with
     M_ii = 0 has a zero row (M is PSD) and sits at c.  Every
     ``POLISH_EVERY``-th sweep begins with the active-set polish, which
@@ -265,12 +265,12 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
     columns = np.ascontiguousarray(m.T)  # row i is column i of m
     for sweep in range(max_iter):
         if sweep % POLISH_EVERY == 0:
-            x = _active_set_polish(m, x, c, tol)
+            x = _active_set_polish(m, x, c)
         g = 1.0 - m @ x
         residual = _projected_gradient_norm(g, x, c)
         if trace is not None:
             trace.append(dual_objective(m, x))
-        if residual <= tol:
+        if residual <= KKT_TOL:
             return x
         # Python floats in the loop: numpy scalar arithmetic is slower
         values = x.tolist()
@@ -282,25 +282,24 @@ def projected_gradient_box_max(m: np.ndarray, c: float, tol: float = 1e-8,
                 g -= (new - old) * columns[i]
         x = np.array(values)
     residual = box_kkt_residual(m, x, c)
-    if residual <= tol:
+    if residual <= KKT_TOL:
         return x
     raise ConvergenceError(
         f"coordinate descent hit the iteration cap of {max_iter} sweeps at "
-        f"residual {residual:.3e} (tol {tol:.1e})",
+        f"residual {residual:.3e} (tol {KKT_TOL:.1e})",
         best=x, residual=residual,
     )
 
 
-def solve_dual(problem: TwsvmProblem, tol: float = 1e-8,
-               max_iter: int = MAX_SWEEPS) -> TwsvmModel:
+def solve_dual(problem: TwsvmProblem) -> TwsvmModel:
     """Solve both dual QPs and recover the two planes."""
     h, g, support, gram = _design_blocks(problem)
     m_alpha, z_alpha, r_alpha = _dual_side(h, g, problem.ridge)
-    alpha = projected_gradient_box_max(m_alpha, problem.c1, tol=tol, max_iter=max_iter)
+    alpha = projected_gradient_box_max(m_alpha, problem.c1)
     u = -(z_alpha @ alpha)
 
     m_beta, z_beta, r_beta = _dual_side(g, h, problem.ridge)
-    beta = projected_gradient_box_max(m_beta, problem.c2, tol=tol, max_iter=max_iter)
+    beta = projected_gradient_box_max(m_beta, problem.c2)
     v = z_beta @ beta
 
     norm_plus, norm_minus = plane_norms(problem.kernel, support, u, v, gram)

@@ -445,6 +445,24 @@ class TestLabelTokens:
         assert _train_exit_code(token, fmt) in (0, 2, 3, 4)
 
 
+class TestLabelColumn:
+    """``--label-column`` names a header column; a headerless file loads
+    only through the library's ``load_csv(..., has_header=False)``."""
+
+    @pytest.mark.parametrize("header, column", [(False, "-1"), (True, "2")])
+    def test_column_index_exits_3(self, tmp_path, capsys, header, column):
+        path = tmp_path / "data.csv"
+        rows = [f"{0.25 * i},{0.5 * i},{i % 2}" for i in range(1, 9)]
+        path.write_text("\n".join((["f0,f1,label"] if header else []) + rows) + "\n")
+        rc = main(["train", "--data", str(path), "--label-column", column,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert f"unknown label column '{column}'" in capsys.readouterr().err
+        if not header:
+            ds = load_csv(path, label_column=-1, has_header=False)
+            assert ds.features.shape == (8, 2) and ds.labels.tolist() == [1, 0] * 4
+
+
 class TestCompare:
     def test_compare_table_and_json(self, tmp_path, capsys):
         path = tmp_path / "scores.csv"
