@@ -5,6 +5,13 @@ are filled from training-fold donors only, so nothing about a test fold
 leaks into preprocessing.  When a grid has more than one point, the
 winner is picked on an inner stratified 80/20 split of the training fold,
 scored by G-means for binary runs and accuracy for multiclass runs.
+Every grid point's values are checked against the model kind's ranges
+when the spec is built, before any data are read or any fold runs.
+
+One-vs-rest labels a row with the class whose own plane is nearest, so
+it fits only each class's +1 own plane against the rest, through
+``ModelKind.own_plane``: no twin network minus side and no twin SVM beta
+dual.  A class fit fails only where that plane's own training fails.
 
 Per-job seeds derive deterministically from (master seed, repeat, fold,
 grid index), never from execution order, so folds and grid points could
@@ -37,7 +44,7 @@ from .data import (
     make_imbalanced,
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
-from .models import BINARY_MODELS, INT_PARAMS, MODEL_KINDS, MODELS
+from .models import BINARY_MODELS, MODEL_KINDS, MODELS, typed
 from .numcore import NumericalError, Rng, mix_seed
 
 __all__ = [
@@ -157,8 +164,7 @@ def expand_grid(grid: dict) -> list[dict]:
 
 
 def _fit(kind: str, ds: Dataset, params: dict, seed: int):
-    params = {k: int(v) if k in INT_PARAMS else float(v) for k, v in params.items()}
-    return MODELS[kind].fit(ds, params, seed)
+    return MODELS[kind].fit(ds, typed(params), seed)
 
 
 def fit_model(kind: str, dataset: Dataset, params: dict, seed: int,
@@ -356,27 +362,34 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunR
 
 @dataclass(eq=False)
 class OvrEnsemble:
-    """K binary models, one per class, ordered by class id."""
+    """K own planes, one per class and ordered by class id: what
+    ``ModelKind.own_plane.fit`` returns for that class against the rest
+    (a twin side's net, an rfnn model or a twin SVM's positive plane)."""
 
     kind: str
     class_ids: np.ndarray
-    models: list
+    planes: list
 
 
 def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnsemble:
-    """Train one binary model per class against the rest."""
+    """Fit each class's +1 own plane against the rest, and nothing else:
+    no twin network's minus side, no twin SVM's beta dual.  Each fit is
+    bit-identical to the +1 side of that class's full binary fit, and it
+    fails only where that side itself fails."""
     if kind not in BINARY_MODELS:
         raise ValueError(f"one-vs-rest needs a binary model kind, got {kind!r}")
-    models = [_fit(kind, make_imbalanced(train, int(c)), params, mix_seed(seed, _OVR_TAG, int(c)))
+    fit, params = MODELS[kind].own_plane.fit, typed(params)
+    planes = [fit(make_imbalanced(train, int(c)), params, mix_seed(seed, _OVR_TAG, int(c)))
               for c in train.class_ids]
-    return OvrEnsemble(kind, train.class_ids.copy(), models)
+    return OvrEnsemble(kind, train.class_ids.copy(), planes)
 
 
 def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
-    """(N, K) own-plane distances, one column per class."""
+    """(N, K) own-plane distances, one column per class, each the +1
+    distance of that class's binary model."""
     rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    distance = MODELS[ensemble.kind].distance
-    return np.column_stack([distance(model, rows) for model in ensemble.models])
+    distance = MODELS[ensemble.kind].own_plane.distance
+    return np.column_stack([distance(plane, rows) for plane in ensemble.planes])
 
 
 def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
@@ -386,7 +399,8 @@ def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
 
 
 def run_onevsrest(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
-    """Repeated CV of a one-vs-rest ensemble of binary models.
+    """Repeated CV of a one-vs-rest ensemble of each class's +1 own plane
+    (see ``fit_onevsrest``).
 
     Requires a dataset with K >= 3 classes; binary datasets belong in
     run_experiment.  Reports accuracy and the K x K confusion matrix per

@@ -1,5 +1,6 @@
-"""The model-kind table: how each kind of model fits, predicts, measures
-own-plane distance and is written to a model file.
+"""The model-kind table: how each kind of model checks its
+hyperparameters, fits, predicts, fits and measures its +1 own plane alone
+for one-vs-rest, and is written to a model file.
 
 A new model kind is one ``MODELS`` entry.  Entries call model functions
 through their module at call time (``twin_nn.predict(...)``), never a
@@ -11,9 +12,9 @@ below plus the ``version`` and ``kind`` fields added by ``serialize``.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import asdict, dataclass, fields
-from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,44 +23,69 @@ from .multiclass import MCHyper, MulticlassTwinModel
 from .twin_nn import RfnnModel, TanhNet, TwinHyper, TwinNNModel
 from .twsvm import KernelSpec, TwsvmModel, TwsvmProblem
 
-__all__ = ["ModelKind", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS", "kind_of"]
+__all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS",
+           "typed", "kind_of"]
 
 
 # hyperparameters that count something; fits take them as ints
 INT_PARAMS = frozenset({"hidden", "epochs", "subnet_features", "planes"})
 
 
+def typed(params: dict) -> dict:
+    """Hyperparameter values as fits take them: ints for ``INT_PARAMS``,
+    floats for the rest."""
+    return {k: int(v) if k in INT_PARAMS else float(v) for k, v in params.items()}
+
+
+class OwnPlane(NamedTuple):
+    """The +1 class's own plane of a binary kind, fitted alone:
+    ``fit(dataset, params, seed)`` on {+1,-1} labels returns the part of the
+    full model that the plane needs, and ``distance(part, x)`` is that
+    plane's distance to the rows of x, as the full model measures it."""
+
+    fit: Callable
+    distance: Callable
+
+
 @dataclass(frozen=True)
 class ModelKind:
     """``fit(dataset, params, seed)`` takes typed hyperparameters (binary
-    kinds: {+1,-1} labels); ``distance`` is the +1 class's own-plane
-    distance (binary kinds only); ``codec`` is the kind saved in files."""
+    kinds: {+1,-1} labels); ``check(params)`` raises ValueError where a
+    typed hyperparameter is out of range, by the fit's own checks and
+    without data; ``own_plane`` fits and measures the +1 class's own plane
+    and nothing else, which is all one-vs-rest reads (binary kinds only);
+    ``codec`` is the kind saved in files."""
 
     name: str
     task: str  # "binary" or "multiclass"
     model_type: type
     codec: str
     fit: Callable
+    check: Callable
     predict: Callable
-    distance: Callable | None
+    own_plane: OwnPlane | None
     to_dict: Callable
     from_dict: Callable
     params: frozenset  # the hyperparameter names fit takes; never "seed"
 
     def check_params(self, params: dict) -> None:
         """ValueError unless every name in ``params`` (name -> a value or a
-        list of candidate values) is a hyperparameter of this kind and
-        every value of an integer hyperparameter is integral."""
+        list of candidate values) is a hyperparameter of this kind, every
+        value of an integer hyperparameter is integral, and every
+        combination of values is in range."""
         unknown = sorted(set(params) - self.params)
         if unknown:
             raise ValueError(f"{self.name} takes no hyperparameter {unknown}; "
                              f"choose from {sorted(self.params)}")
+        candidates = {name: value if isinstance(value, (list, tuple)) else [value]
+                      for name, value in sorted(params.items())}
         for name in sorted(INT_PARAMS & set(params)):
-            values = params[name] if isinstance(params[name], (list, tuple)) else [params[name]]
-            for value in values:
+            for value in candidates[name]:
                 if not float(value).is_integer():
                     raise ValueError(f"{self.name} hyperparameter {name!r} must be "
                                      f"an integer, got {value!r}")
+        for point in itertools.product(*candidates.values()):
+            self.check(typed(dict(zip(candidates, point))))
 
 
 def _names(source, *excluded: str) -> frozenset:
@@ -196,7 +222,7 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
         raise ValueError(f"u and v must have {width + 1} entries, "
                          f"got {u.size} and {v.size}")
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_plus, norm_minus = twsvm.plane_norms(kernel, support, u, v)
+        norm_plus, norm_minus = twsvm.plane_norms(kernel, support, (u, v))
     if not all(np.isfinite(n) and n > 0 for n in (norm_plus, norm_minus)):
         raise ValueError("a plane has a zero or non-finite norm; distances are undefined")
     return TwsvmModel(
@@ -207,44 +233,67 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
     )
 
 
-def _fit_twsvm(kernel: str, ds, params: dict, seed: int) -> TwsvmModel:
-    a, b = twin_nn.class_rows(ds)
+def _twsvm_settings(kernel: str, params: dict) -> dict:
+    """``TwsvmProblem``'s arguments other than the rows, checked as the
+    problem and its kernel check them."""
     gamma = params.get("gamma", 1.0) if kernel == "rbf" else None
-    problem = TwsvmProblem(
-        a, b, c1=params.get("c1", 1.0), c2=params.get("c2", 1.0),
-        kernel=KernelSpec(kernel, gamma), ridge=params.get("ridge"),
-    )
-    return twsvm.solve_dual(problem)
+    c1, c2, ridge = params.get("c1", 1.0), params.get("c2", 1.0), params.get("ridge")
+    twsvm.check_bounds(c1, c2, ridge)
+    return {"c1": c1, "c2": c2, "kernel": KernelSpec(kernel, gamma), "ridge": ridge}
+
+
+def _twsvm_problem(kernel: str, ds, params: dict) -> TwsvmProblem:
+    return TwsvmProblem(*twin_nn.class_rows(ds), **_twsvm_settings(kernel, params))
 
 
 def _twsvm_kind(name: str, kernel: str) -> ModelKind:
     # both kernels share one codec: the kernel is part of the saved model
     return ModelKind(
         name, "binary", TwsvmModel, "twsvm",
-        fit=partial(_fit_twsvm, kernel),
+        fit=lambda ds, params, seed: twsvm.solve_dual(_twsvm_problem(kernel, ds, params)),
+        check=lambda params: _twsvm_settings(kernel, params),
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
-        distance=lambda model, x: twsvm.twsvm_distances(model, x)[0],
+        own_plane=OwnPlane(
+            lambda ds, params, seed: twsvm.solve_plus(_twsvm_problem(kernel, ds, params)),
+            lambda plane, x: twsvm.plane_distance(plane, x)),
         to_dict=_twsvm_to_dict, from_dict=_twsvm_from_dict,
         params=_names(TwsvmProblem, "a", "b", "kernel")
         | (_names(KernelSpec, "kind") if kernel == "rbf" else frozenset()),
     )
 
 
+def _fit_rfnn(ds, params: dict, seed: int) -> RfnnModel:
+    return twin_nn.train_rfnn_baseline(ds, seed=seed, **params)
+
+
+def _check_rfnn(params: dict) -> None:
+    defaults = inspect.signature(twin_nn.train_rfnn_baseline).parameters
+    twin_nn.check_rfnn_hyper(*(params.get(name, defaults[name].default)
+                               for name in ("hidden", "lr", "l2")))
+
+
 MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
     ModelKind(
         "twin_nn", "binary", TwinNNModel, "twin_nn",
         fit=lambda ds, params, seed: twin_nn.train(ds, TwinHyper(seed=seed, **params)),
+        check=lambda params: TwinHyper(**params),
         predict=lambda model, x: twin_nn.predict(model, x),
-        distance=lambda model, x: twin_nn.decision_values(model, x)[0],
+        # the plus side's net alone; TwinHyper still checks c_minus
+        own_plane=OwnPlane(
+            lambda ds, params, seed: twin_nn.train_side(ds, TwinHyper(seed=seed, **params),
+                                                        "plus"),
+            lambda net, x: net.distance(x)),
         to_dict=_twin_to_dict, from_dict=_twin_from_dict,
         params=_names(TwinHyper),
     ),
     ModelKind(
         "rfnn", "binary", RfnnModel, "rfnn",
-        fit=lambda ds, params, seed: twin_nn.train_rfnn_baseline(ds, seed=seed, **params),
+        fit=_fit_rfnn,
+        check=_check_rfnn,
         predict=lambda model, x: twin_nn.rfnn_predict(model, x),
-        # no plane: the negated output stands in (largest output = nearest)
-        distance=lambda model, x: -twin_nn.rfnn_decision(model, x),
+        # one net, so the whole model; no plane: the negated output stands
+        # in (largest output = nearest)
+        own_plane=OwnPlane(_fit_rfnn, lambda model, x: -twin_nn.rfnn_decision(model, x)),
         to_dict=_rfnn_to_dict, from_dict=_rfnn_from_dict,
         params=_names(twin_nn.train_rfnn_baseline, "data"),
     ),
@@ -253,8 +302,9 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
     ModelKind(
         "twin_nn_mc", "multiclass", MulticlassTwinModel, "twin_nn_mc",
         fit=lambda ds, params, seed: multiclass.mc_train(ds, MCHyper(seed=seed, **params)),
+        check=lambda params: MCHyper(**params),
         predict=lambda model, x: multiclass.mc_predict(model, x),
-        distance=None,
+        own_plane=None,
         to_dict=_mc_to_dict, from_dict=_mc_from_dict,
         params=_names(MCHyper),
     ),

@@ -48,11 +48,13 @@ __all__ = [
     "TwinNNModel",
     "descend",
     "side_objective",
+    "train_side",
     "train",
     "predict",
     "decision_values",
     "RfnnModel",
     "rfnn_objective",
+    "check_rfnn_hyper",
     "train_rfnn_baseline",
     "rfnn_decision",
     "rfnn_predict",
@@ -162,16 +164,26 @@ def _forward(params, design: np.ndarray):
     """(phi, plane pre-activations (N, p)) of ``[[W | c], plane W, plane b]``
     over a design with the ones column appended."""
     hidden, pw, pb = params
-    phi = np.tanh(design @ hidden.T)
+    phi = design @ hidden.T
+    np.tanh(phi, out=phi)
     return phi, phi @ pw.T + pb
 
 
 def _backprop(plane_w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: np.ndarray):
     """Gradients [[W | c], plane W, plane b] of per-sample, per-plane output
     gradients ``delta`` (N, p) pushed back through the planes ``plane_w``
-    and ``phi = tanh(design @ [W | c].T)``."""
-    t = (1.0 - phi * phi) * (delta @ plane_w)
-    return [t.T @ design, delta.T @ phi, delta.sum(axis=0)]
+    and ``phi = tanh(design @ [W | c].T)``, which it overwrites.
+
+    Working in place, an epoch allocates two (N, h) arrays (phi and
+    ``delta @ plane_w``) instead of six.  At a few thousand rows malloc can
+    hand such arrays back as fresh pages on every epoch, depending on what
+    else is on the heap, and a page fault per 4 KB then costs more than the
+    arithmetic."""
+    d_plane = delta.T @ phi
+    phi *= phi
+    np.subtract(1.0, phi, out=phi)
+    phi *= delta @ plane_w
+    return [phi.T @ design, d_plane, delta.sum(axis=0)]
 
 
 def side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
@@ -262,26 +274,35 @@ def class_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def train_side(data: Dataset, hyper: TwinHyper, side: str) -> TanhNet:
+    """One side of the twin network, ``"plus"`` (class +1's net) or
+    ``"minus"``, trained alone and bit-identical to that side of
+    ``train(data, hyper)``.
+
+    The side starts from the model seed's one initial draw, its head sign
+    oriented by the side's margin target, and stops early when the applied
+    parameter update falls below ``hyper.tol`` in infinity norm.
+    """
+    a, b = class_rows(data)
+    own, other, c, target = {"plus": (a, b, hyper.c_plus, -1.0),
+                             "minus": (b, a, hyper.c_minus, 1.0)}[side]
+    hidden, plane_w, plane_b = _init_net(Rng(hyper.seed), data.n_features, hyper.hidden, 1)
+    design = _design(other, own)
+    params, final = descend(
+        [hidden, -target * plane_w, -target * plane_b],
+        lambda params: side_objective(params, design, other.shape[0], c, target),
+        hyper.lr, hyper.epochs, hyper.tol, f"{side} side", side)
+    return _net(params, final)
+
+
 def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     """Full-batch gradient descent of both side losses, independently.
 
-    Deterministic in ``hyper.seed``: both sides share one initial draw,
-    with the head sign oriented by the side's margin target.  Stops early
-    when the applied parameter update falls below ``hyper.tol`` in
-    infinity norm.
+    Deterministic in ``hyper.seed``: both sides start from the same
+    initial draw (see ``train_side``).
     """
-    a, b = class_rows(data)
-    hidden, plane_w, plane_b = _init_net(Rng(hyper.seed), data.n_features, hyper.hidden, 1)
-    sides = []
-    for name, own, other, c, target, sign in (("plus", a, b, hyper.c_plus, -1.0, 1.0),
-                                              ("minus", b, a, hyper.c_minus, 1.0, -1.0)):
-        design = _design(other, own)
-        params, final = descend(
-            [hidden, sign * plane_w, sign * plane_b],
-            lambda params: side_objective(params, design, other.shape[0], c, target),
-            hyper.lr, hyper.epochs, hyper.tol, f"{name} side", name)
-        sides.append(_net(params, final))
-    return TwinNNModel(*sides, hyper, data.n_features)
+    return TwinNNModel(train_side(data, hyper, "plus"), train_side(data, hyper, "minus"),
+                       hyper, data.n_features)
 
 
 def decision_values(model: TwinNNModel, x):
@@ -352,17 +373,22 @@ def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
     return loss, [dhidden, dw + l2 * pw, db]
 
 
-def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
-                        epochs: int = 2000, l2: float = 1e-4,
-                        seed: int = 0) -> RfnnModel:
-    """Train the regularized feed-forward baseline on {+1,-1} labels."""
-    class_rows(data)  # validates binary +-1 labels and completeness
+def check_rfnn_hyper(hidden: int, lr: float, l2: float) -> None:
+    """ValueError unless the baseline's hyperparameters are in range."""
     if hidden < 1:
         raise ValueError(f"hidden width must be >= 1, got {hidden}")
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if l2 < 0:
         raise ValueError(f"l2 must be non-negative, got {l2}")
+
+
+def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
+                        epochs: int = 2000, l2: float = 1e-4,
+                        seed: int = 0) -> RfnnModel:
+    """Train the regularized feed-forward baseline on {+1,-1} labels."""
+    class_rows(data)  # validates binary +-1 labels and completeness
+    check_rfnn_hyper(hidden, lr, l2)
     design = _design(data.features)
     targets = data.labels.astype(np.float64)
     params, final = descend(

@@ -36,13 +36,17 @@ __all__ = [
     "KernelSpec",
     "TwsvmProblem",
     "TwsvmModel",
+    "TwsvmPlane",
+    "check_bounds",
     "kernel_matrix",
     "dual_matrices",
     "dual_objective",
     "box_kkt_residual",
     "projected_gradient_box_max",
     "solve_dual",
+    "solve_plus",
     "plane_norms",
+    "plane_distance",
     "twsvm_distances",
     "twsvm_predict",
 ]
@@ -89,6 +93,15 @@ def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     return np.exp(-spec.gamma * sq)
 
 
+def check_bounds(c1: float, c2: float, ridge: float | None) -> None:
+    """ValueError unless both box bounds are positive and a given ridge is
+    non-negative."""
+    if not (c1 > 0 and c2 > 0):
+        raise ValueError(f"box bounds c1 and c2 must be positive, got {c1}, {c2}")
+    if ridge is not None and ridge < 0:
+        raise ValueError(f"ridge must be non-negative, got {ridge}")
+
+
 @dataclass(frozen=True, eq=False)
 class TwsvmProblem:
     """Training data and hyperparameters for one twin SVM fit.
@@ -110,10 +123,7 @@ class TwsvmProblem:
         b = as_matrix(self.b, "class -1 rows")
         if a.shape[1] != b.shape[1]:
             raise ShapeError("class blocks have different feature counts")
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError(f"box bounds c1 and c2 must be positive, got {self.c1}, {self.c2}")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError(f"ridge must be non-negative, got {self.ridge}")
+        check_bounds(self.c1, self.c2, self.ridge)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -137,6 +147,18 @@ class TwsvmModel:
     support: np.ndarray | None
     norm_plus: float
     norm_minus: float
+
+
+@dataclass(frozen=True, eq=False)
+class TwsvmPlane:
+    """The positive plane u = [w_plus; b_plus] of a twin SVM alone, with its
+    norm; ``kernel``, ``support`` and ``n_features`` as in ``TwsvmModel``."""
+
+    u: np.ndarray
+    norm: float
+    kernel: KernelSpec
+    support: np.ndarray | None
+    n_features: int
 
 
 def _design_blocks(problem: TwsvmProblem):
@@ -291,18 +313,21 @@ def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEE
     )
 
 
+def _solve_side(own: np.ndarray, other: np.ndarray, ridge: float | None, c: float,
+                sign: float):
+    """(x, plane, r): the dual over ``other``'s rows solved in the box
+    [0, c], and the plane ``sign`` * Z x it recovers (see ``_dual_side``)."""
+    m, z, r = _dual_side(own, other, ridge)
+    x = projected_gradient_box_max(m, c)
+    return x, sign * (z @ x), r
+
+
 def solve_dual(problem: TwsvmProblem) -> TwsvmModel:
     """Solve both dual QPs and recover the two planes."""
     h, g, support, gram = _design_blocks(problem)
-    m_alpha, z_alpha, r_alpha = _dual_side(h, g, problem.ridge)
-    alpha = projected_gradient_box_max(m_alpha, problem.c1)
-    u = -(z_alpha @ alpha)
-
-    m_beta, z_beta, r_beta = _dual_side(g, h, problem.ridge)
-    beta = projected_gradient_box_max(m_beta, problem.c2)
-    v = z_beta @ beta
-
-    norm_plus, norm_minus = plane_norms(problem.kernel, support, u, v, gram)
+    alpha, u, r_alpha = _solve_side(h, g, problem.ridge, problem.c1, -1.0)
+    beta, v, r_beta = _solve_side(g, h, problem.ridge, problem.c2, 1.0)
+    norm_plus, norm_minus = plane_norms(problem.kernel, support, (u, v), gram)
     return TwsvmModel(
         u=u, v=v, alpha=alpha, beta=beta, kernel=problem.kernel,
         ridge_alpha=r_alpha, ridge_beta=r_beta,
@@ -311,37 +336,48 @@ def solve_dual(problem: TwsvmProblem) -> TwsvmModel:
     )
 
 
-def plane_norms(kernel: KernelSpec, support, u, v, gram=None) -> tuple[float, float]:
-    """Norms of the weight parts of u and v: Euclidean for the linear
-    kernel, sqrt(w'Kw) over the expansion ``support`` otherwise, with K
-    the support's Gram matrix ``gram``, built here when not given."""
+def solve_plus(problem: TwsvmProblem) -> TwsvmPlane:
+    """The positive plane of ``solve_dual(problem)`` alone, bit for bit:
+    only the alpha dual is solved."""
+    h, g, support, gram = _design_blocks(problem)
+    _, u, _ = _solve_side(h, g, problem.ridge, problem.c1, -1.0)
+    (norm,) = plane_norms(problem.kernel, support, (u,), gram)
+    return TwsvmPlane(u, norm, problem.kernel, support, problem.a.shape[1])
+
+
+def plane_norms(kernel: KernelSpec, support, planes, gram=None) -> tuple[float, ...]:
+    """Norms of the weight parts of each of ``planes``: Euclidean for the
+    linear kernel, sqrt(w'Kw) over the expansion ``support`` otherwise,
+    with K the support's Gram matrix ``gram``, built here when not given."""
     if kernel.kind == "linear":
-        return float(np.linalg.norm(u[:-1])), float(np.linalg.norm(v[:-1]))
+        return tuple(float(np.linalg.norm(w[:-1])) for w in planes)
     if gram is None:
         gram = kernel_matrix(kernel, support, support)
-    return tuple(float(np.sqrt(max(w[:-1] @ (gram @ w[:-1]), 0.0))) for w in (u, v))
+    return tuple(float(np.sqrt(max(w[:-1] @ (gram @ w[:-1]), 0.0))) for w in planes)
 
 
-def _plane_values(model: TwsvmModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if model.kernel.kind == "linear":
-        basis = rows
-    else:
-        basis = kernel_matrix(model.kernel, rows, model.support)
-    s_plus = basis @ model.u[:-1] + model.u[-1]
-    s_minus = basis @ model.v[:-1] + model.v[-1]
-    return s_plus, s_minus
+def _distances(kernel: KernelSpec, support, n_features: int, x, planes) -> list[np.ndarray]:
+    """|w.k(x) + b| / norm over the rows of x for each (w, norm) of ``planes``;
+    the kernel block against ``support`` is built once for all of them."""
+    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if rows.shape[1] != n_features:
+        raise ShapeError(f"expected {n_features} features, got {rows.shape[1]}")
+    if any(norm == 0.0 for _, norm in planes):
+        raise ValueError("a plane has zero norm; distances are undefined")
+    basis = rows if kernel.kind == "linear" else kernel_matrix(kernel, rows, support)
+    return [np.abs(basis @ w[:-1] + w[-1]) / norm for w, norm in planes]
+
+
+def plane_distance(plane: TwsvmPlane, x) -> np.ndarray:
+    """Normalized absolute distances (N,) of the rows of x to the plane."""
+    return _distances(plane.kernel, plane.support, plane.n_features, x,
+                      ((plane.u, plane.norm),))[0]
 
 
 def twsvm_distances(model: TwsvmModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Normalized absolute distances to the two planes."""
-    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if rows.shape[1] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} features, got {rows.shape[1]}")
-    if model.norm_plus == 0.0 or model.norm_minus == 0.0:
-        raise ValueError("a plane has zero norm; distances are undefined")
-    s_plus, s_minus = _plane_values(model, rows)
-    d_plus = np.abs(s_plus) / model.norm_plus
-    d_minus = np.abs(s_minus) / model.norm_minus
+    d_plus, d_minus = _distances(model.kernel, model.support, model.n_features, x,
+                                 ((model.u, model.norm_plus), (model.v, model.norm_minus)))
     if np.ndim(x) == 1:
         return float(d_plus[0]), float(d_minus[0])
     return d_plus, d_minus

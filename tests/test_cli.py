@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twinlearn.harness as harness
 import twinlearn.twsvm as twsvm
 from conftest import gaussian_blobs
 from twinlearn.cli import main
@@ -246,6 +247,37 @@ class TestCv:
                    "--grid", bound, "--out", str(model_path)])
         assert rc == 2
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("model, grid", [
+        ("twsvm_linear", "c1=0"), ("twin_nn", "hidden=0"), ("rfnn", "l2=-1"),
+        ("twsvm_rbf", "gamma=-1"), ("twin_nn", "hidden=4,0"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "cv", "bench"])
+    def test_out_of_range_value_exits_2_before_any_fold(self, tmp_path, monkeypatch,
+                                                        command, model, grid):
+        ds = gaussian_blobs([(1, 1, 1), (-1, -1, -1)], [20, 60], seed=5, labels=[1, -1])
+        path, out = tmp_path / "blobs3.csv", tmp_path / "out.json"
+        save_csv(ds, path)
+        monkeypatch.setattr(harness, "make_folds", lambda *args: pytest.fail("a fold ran"))
+        argv = [command, "--data", str(path), "--model", model, "--out", str(out)]
+        if command == "train":
+            argv += ["--grid", grid.split(",")[-1]]
+        else:
+            argv += ["--folds", "3", "--grid", f"{model}:{grid}" if command == "bench" else grid]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_divergence_fails_its_folds(self, tmp_path, blob_csv):
+        # lr = 1e9 is in range: each fit diverges, and each fold records it
+        path, _ = blob_csv
+        out = tmp_path / "r.json"
+        rc = main(["cv", "--data", path, "--model", "twin_nn", "--grid", "lr=1e9",
+                   "--grid", "epochs=60", "--folds", "2", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert all(fold["failed"] for fold in payload["folds"])
+        assert [f["stage"] for f in payload["failures"]] == ["train", "train"]
+        assert "diverged" in payload["failures"][0]["error"]
 
     def test_multiclass_runaway_weights_exit_4(self, tmp_path, three_csv):
         # the tanh-bounded loss stays finite while lr = 1e300 drives the

@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
+import twinlearn.twin_nn as twin_nn
+import twinlearn.twsvm as twsvm
 from conftest import gaussian_blobs
-from twinlearn.data import DataError, Dataset, make_folds, save_csv
+from twinlearn.data import DataError, Dataset, make_folds, make_imbalanced, save_csv
 from twinlearn.harness import (
+    _OVR_TAG,
+    BINARY_MODELS,
     ExperimentSpec,
     compare_algorithms,
     expand_grid,
+    fit_model,
     fit_onevsrest,
     format_result_table,
     ovr_distances,
@@ -17,6 +22,7 @@ from twinlearn.harness import (
     run_experiment,
     run_onevsrest,
 )
+from twinlearn.numcore import DivergenceError, mix_seed
 
 
 def binary_blob_csv(tmp_path, seed=0, counts=(25, 25), name="blobs.csv"):
@@ -165,6 +171,21 @@ class TestRunExperiment:
         assert total_pos == 10  # the minority class became +1
 
 
+# the +1 class's own-plane distance, read off a full binary model
+FULL_PLUS_DISTANCE = {
+    "twin_nn": lambda model, x: twin_nn.decision_values(model, x)[0],
+    "rfnn": lambda model, x: -twin_nn.rfnn_decision(model, x),
+    "twsvm_linear": lambda model, x: twsvm.twsvm_distances(model, x)[0],
+    "twsvm_rbf": lambda model, x: twsvm.twsvm_distances(model, x)[0],
+}
+OVR_PARAMS = {
+    "twin_nn": {"hidden": 4, "epochs": 120},
+    "rfnn": {"hidden": 4, "epochs": 120},
+    "twsvm_linear": {"c1": 0.5},
+    "twsvm_rbf": {"gamma": 0.5},
+}
+
+
 class TestOneVsRest:
     def test_three_blob_confusion_trace(self, tmp_path):
         path, ds = three_class_csv(tmp_path, seed=20)
@@ -193,6 +214,55 @@ class TestOneVsRest:
         d = ovr_distances(ensemble, x)
         expected = ensemble.class_ids[np.argmin(d, axis=1)]
         np.testing.assert_array_equal(ovr_predict(ensemble, x), expected)
+
+    @pytest.mark.parametrize("kind", BINARY_MODELS)
+    def test_distances_are_the_full_fits_plus_distances(self, kind):
+        ds = gaussian_blobs([(2, 0), (-1, 1.7), (-1, -1.7)], [15, 15, 15], std=0.9,
+                            seed=27)
+        x = np.random.default_rng(5).standard_normal((30, 2)) * 2
+        ensemble = fit_onevsrest(ds, kind, OVR_PARAMS[kind], seed=28)
+        full = [fit_model(kind, make_imbalanced(ds, int(c)), OVR_PARAMS[kind],
+                          mix_seed(28, _OVR_TAG, int(c)))
+                for c in ds.class_ids]
+        expected = np.column_stack([FULL_PLUS_DISTANCE[kind](model, x) for model in full])
+        d = ovr_distances(ensemble, x)
+        assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["twin_nn", "twsvm_linear"])
+    def test_no_minus_side_or_beta_dual_is_trained(self, tmp_path, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("one-vs-rest fitted a whole binary model")
+
+        monkeypatch.setattr(twin_nn, "train", refuse)
+        monkeypatch.setattr(twsvm, "solve_dual", refuse)
+        sides, duals = [], []
+        train_side, solve = twin_nn.train_side, twsvm.projected_gradient_box_max
+        monkeypatch.setattr(twin_nn, "train_side", lambda data, hyper, side:
+                            sides.append(side) or train_side(data, hyper, side))
+        monkeypatch.setattr(twsvm, "projected_gradient_box_max",
+                            lambda m, c: duals.append(c) or solve(m, c))
+        ds = gaussian_blobs([(3, 0), (-3, 0), (0, 3)], [15, 15, 15], std=0.7, seed=29)
+        ensemble = fit_onevsrest(ds, kind, OVR_PARAMS[kind], seed=30)
+        assert len(ensemble.planes) == 3
+        # one plus side or one alpha dual per class
+        assert sides + duals == (["plus"] * 3 if kind == "twin_nn" else [0.5] * 3)
+        path, _ = three_class_csv(tmp_path, seed=31)
+        spec = ExperimentSpec(data_path=str(path), model=kind, grid={
+            key: [value] for key, value in OVR_PARAMS[kind].items()}, folds=2, seed=32)
+        result = run_onevsrest(spec)
+        assert result.failures == [] and not any(f["failed"] for f in result.folds)
+        assert set(sides) <= {"plus"}
+
+    def test_a_diverging_minus_side_fails_no_fold(self, tmp_path):
+        # c_minus = 1e4 makes the minus side diverge, which one-vs-rest never trains
+        path, ds = three_class_csv(tmp_path, seed=33)
+        grid = {"c_minus": [1e4], "hidden": [4], "epochs": [100]}
+        with pytest.raises(DivergenceError, match="minus side"):
+            fit_model("twin_nn", make_imbalanced(ds, 0), {k: v[0] for k, v in grid.items()},
+                      seed=1)
+        result = run_onevsrest(ExperimentSpec(data_path=str(path), model="twin_nn",
+                                              grid=grid, folds=3, seed=1))
+        assert result.failures == [] and result.aggregates["acc"]["n"] == 3
 
     def test_mc_kind_rejected(self):
         ds = gaussian_blobs([(1, 0), (-1, 0), (0, 1)], [5, 5, 5], seed=26)

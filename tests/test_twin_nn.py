@@ -255,6 +255,15 @@ class TestTrain:
         assert err.value.side in ("plus", "minus")
         assert err.value.epoch is not None
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_one_side_alone_is_that_side_of_train(self, side):
+        ds = separable_blobs(seed=11)
+        hyper = TwinHyper(hidden=5, lr=0.05, epochs=60, seed=12)
+        alone, full = twin_nn.train_side(ds, hyper, side), getattr(train(ds, hyper), side)
+        for name in ("weights", "biases", "plane_weights", "plane_biases"):
+            assert getattr(alone, name).tobytes() == getattr(full, name).tobytes()
+        assert alone.final_loss == full.final_loss
+
     def test_bit_reproducible(self):
         ds = separable_blobs(seed=9)
         hyper = TwinHyper(hidden=5, lr=0.05, epochs=60, seed=10)

@@ -307,6 +307,21 @@ class TestSolveDual:
         for w, norm in ((model.u, model.norm_plus), (model.v, model.norm_minus)):
             assert norm == np.sqrt(w[:-1] @ (gram @ w[:-1]))
 
+    @pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf", gamma=0.5)])
+    def test_plus_plane_alone_solves_one_dual(self, kernel, monkeypatch):
+        a, b = blob_rows(14, 8, 20, [1.0, 0.5])
+        problem = TwsvmProblem(a, b, c1=0.5, c2=1.0, kernel=kernel)
+        full = solve_dual(problem)
+        solves = []
+        solve = twsvm.projected_gradient_box_max
+        monkeypatch.setattr(twsvm, "projected_gradient_box_max",
+                            lambda m, c: solves.append(c) or solve(m, c))
+        plane = twsvm.solve_plus(problem)
+        assert solves == [0.5]  # the alpha dual only
+        assert plane.u.tobytes() == full.u.tobytes() and plane.norm == full.norm_plus
+        x = np.random.default_rng(15).standard_normal((12, 2))
+        assert twsvm.plane_distance(plane, x).tobytes() == twsvm_distances(full, x)[0].tobytes()
+
     def test_rbf_separates_ring_data(self):
         rng = np.random.default_rng(12)
         inner = rng.standard_normal((30, 2)) * 0.4
