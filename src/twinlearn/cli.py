@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -45,7 +46,9 @@ def _parse_number(token: str):
 
 
 def _parse_grid(entries: list[str] | None, allow_prefix: bool = False) -> dict:
-    """Parse repeated ``key=v1,v2,...`` flags; ``model:key=...`` with prefixes."""
+    """Parse repeated ``key=v1,v2,...`` flags; with ``allow_prefix`` (bench)
+    every key is ``model:key`` and the result maps each model to its grid.
+    A key given twice (per model, in bench) is a usage error."""
     grid: dict = {}
     for entry in entries or []:
         if "=" not in entry:
@@ -57,13 +60,18 @@ def _parse_grid(entries: list[str] | None, allow_prefix: bool = False) -> dict:
         parsed = [_parse_number(tok) for tok in values.split(",") if tok.strip()]
         if not parsed:
             raise UsageError(f"--grid entry {entry!r} has no values")
-        if allow_prefix and ":" in key:
-            model, _, bare = key.partition(":")
-            grid.setdefault(model.strip(), {})[bare.strip()] = parsed
-        else:
-            if ":" in key:
-                raise UsageError(f"model-prefixed grid key {key!r} is only valid in bench")
-            grid[key] = parsed
+        target = grid
+        if allow_prefix:
+            model, colon, key = key.partition(":")
+            if not colon:
+                raise UsageError(f"bench --grid entry {entry!r} needs a model prefix; "
+                                 f"use model:key=v1,v2")
+            target, key = grid.setdefault(model.strip(), {}), key.strip()
+        elif ":" in key:
+            raise UsageError(f"model-prefixed grid key {key!r} is only valid in bench")
+        if key in target:
+            raise UsageError(f"--grid entry {entry!r} repeats a key given before")
+        target[key] = parsed
     return grid
 
 
@@ -141,6 +149,8 @@ def _cmd_bench(args) -> int:
     models = [m.strip() for m in args.model.split(",") if m.strip()]
     if not models:
         raise UsageError("bench needs at least one model kind")
+    if len(set(models)) < len(models):
+        raise UsageError(f"bench --model {args.model!r} lists a model kind twice")
     grids = _parse_grid(args.grid, allow_prefix=True)
     stray = [k for k in grids if k not in models]
     if stray:
@@ -189,15 +199,17 @@ def _cmd_gen_imbalance(args) -> int:
 
 def _load_scores(path) -> tuple[np.ndarray, list[str]]:
     """Scores CSV: header 'dataset,<alg1>,<alg2>,...', one row per dataset."""
-    import csv as _csv
-
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in _csv.reader(fh) if row]
+        rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
         raise DataError(f"{path}: expected a header plus at least one data row")
     algorithms = [name.strip() for name in rows[0][1:]]
     if not algorithms:
         raise DataError(f"{path}: header names no algorithm columns")
+    for j, name in enumerate(algorithms):
+        if not name or name in algorithms[:j]:
+            raise DataError(f"{path}: header column {j + 2} names algorithm {name!r}, "
+                            "which is empty or named before")
     values = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(algorithms) + 1:

@@ -21,7 +21,7 @@ import numpy as np
 from . import multiclass, twin_nn, twsvm
 from .multiclass import MCHyper, MulticlassTwinModel
 from .twin_nn import RfnnModel, TanhNet, TwinHyper, TwinNNModel
-from .twsvm import KernelSpec, TwsvmModel, TwsvmProblem
+from .twsvm import KernelSpec, TwsvmModel, TwsvmPlane, TwsvmProblem
 
 __all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS",
            "typed", "kind_of"]
@@ -41,7 +41,9 @@ class OwnPlane(NamedTuple):
     """The +1 class's own plane of a binary kind, fitted alone:
     ``fit(dataset, params, seed)`` on {+1,-1} labels returns the part of the
     full model that the plane needs, and ``distance(part, x)`` is that
-    plane's distance to the rows of x, as the full model measures it."""
+    plane's distance to the rows of x, as the full model measures it.  For
+    the twin kinds the part is a plane type (a twin side's ``TanhNet``, a
+    ``TwsvmPlane``) and the distance is its own ``distance``."""
 
     fit: Callable
     distance: Callable
@@ -52,9 +54,11 @@ class ModelKind:
     """``fit(dataset, params, seed)`` takes typed hyperparameters (binary
     kinds: {+1,-1} labels); ``check(params)`` raises ValueError where a
     typed hyperparameter is out of range, by the fit's own checks and
-    without data; ``own_plane`` fits and measures the +1 class's own plane
-    and nothing else, which is all one-vs-rest reads (binary kinds only);
-    ``codec`` is the kind saved in files."""
+    without data; ``predict(model, x)`` raises ShapeError when x has the
+    wrong width, by the check its plane type (``TanhNet`` or
+    ``TwsvmPlane``) makes; ``own_plane`` fits and measures the +1 class's
+    own plane and nothing else, which is all one-vs-rest reads (binary
+    kinds only); ``codec`` is the kind saved in files."""
 
     name: str
     task: str  # "binary" or "multiclass"
@@ -119,7 +123,7 @@ def _check_width(n_features, nets) -> None:
 
 def _twin_to_dict(model: TwinNNModel) -> dict:
     return {
-        "M": model.n_features,
+        "M": model.plus.n_features,
         "h": model.hyper.hidden,
         "hyper": asdict(model.hyper),
         "plus": _net_to_dict(model.plus),
@@ -130,12 +134,12 @@ def _twin_to_dict(model: TwinNNModel) -> dict:
 def _twin_from_dict(d: dict) -> TwinNNModel:
     plus, minus = _net_from_dict(d["plus"]), _net_from_dict(d["minus"])
     _check_width(d["M"], (plus, minus))
-    return TwinNNModel(plus, minus, TwinHyper(**d["hyper"]), d["M"])
+    return TwinNNModel(plus, minus, TwinHyper(**d["hyper"]))
 
 
 def _rfnn_to_dict(model: RfnnModel) -> dict:
     return {
-        "M": model.n_features,
+        "M": model.net.n_features,
         "h": model.net.weights.shape[0],
         "hyper": {"l2": model.l2, "lr": model.lr,
                   "epochs": model.epochs, "seed": model.seed},
@@ -152,7 +156,7 @@ def _rfnn_from_dict(d: dict) -> RfnnModel:
 def _mc_to_dict(model: MulticlassTwinModel) -> dict:
     return {
         "K": len(model.banks),
-        "M": model.n_features,
+        "M": model.banks[0].n_features,
         "n": model.hyper.subnet_features,
         "p": model.hyper.planes,
         "hyper": asdict(model.hyper),
@@ -178,20 +182,20 @@ def _mc_from_dict(d: dict) -> MulticlassTwinModel:
     )
     _check_width(d["M"], banks)
     return MulticlassTwinModel([bank["class_id"] for bank in d["banks"]], banks,
-                               MCHyper(**d["hyper"]), d["M"])
+                               MCHyper(**d["hyper"]))
 
 
 def _twsvm_to_dict(model: TwsvmModel) -> dict:
     return {
-        "M": model.n_features,
-        "u": model.u.tolist(),
-        "v": model.v.tolist(),
+        "M": model.plus.n_features,
+        "u": model.plus.u.tolist(),
+        "v": model.minus.u.tolist(),
         "alpha": model.alpha.tolist(),
         "beta": model.beta.tolist(),
-        "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
+        "kernel": {"kind": model.plus.kernel.kind, "gamma": model.plus.kernel.gamma},
         "ridge_alpha": model.ridge_alpha,
         "ridge_beta": model.ridge_beta,
-        "support": None if model.support is None else model.support.tolist(),
+        "support": None if model.plus.support is None else model.plus.support.tolist(),
     }
 
 
@@ -222,15 +226,11 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
         raise ValueError(f"u and v must have {width + 1} entries, "
                          f"got {u.size} and {v.size}")
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_plus, norm_minus = twsvm.plane_norms(kernel, support, (u, v))
-    if not all(np.isfinite(n) and n > 0 for n in (norm_plus, norm_minus)):
+        gram = None if support is None else twsvm.kernel_matrix(kernel, support, support)
+        plus, minus = (TwsvmPlane(w, kernel, support, d["M"], gram) for w in (u, v))
+    if not all(np.isfinite(plane.norm) and plane.norm > 0 for plane in (plus, minus)):
         raise ValueError("a plane has a zero or non-finite norm; distances are undefined")
-    return TwsvmModel(
-        u=u, v=v, alpha=alpha, beta=beta,
-        kernel=kernel, ridge_alpha=d["ridge_alpha"], ridge_beta=d["ridge_beta"],
-        n_features=d["M"], support=support,
-        norm_plus=norm_plus, norm_minus=norm_minus,
-    )
+    return TwsvmModel(plus, minus, alpha, beta, d["ridge_alpha"], d["ridge_beta"])
 
 
 def _twsvm_settings(kernel: str, params: dict) -> dict:
@@ -255,7 +255,7 @@ def _twsvm_kind(name: str, kernel: str) -> ModelKind:
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
         own_plane=OwnPlane(
             lambda ds, params, seed: twsvm.solve_plus(_twsvm_problem(kernel, ds, params)),
-            lambda plane, x: twsvm.plane_distance(plane, x)),
+            lambda plane, x: plane.distance(x)),
         to_dict=_twsvm_to_dict, from_dict=_twsvm_from_dict,
         params=_names(TwsvmProblem, "a", "b", "kernel")
         | (_names(KernelSpec, "kind") if kernel == "rbf" else frozenset()),

@@ -78,7 +78,6 @@ class MulticlassTwinModel:
     class_ids: np.ndarray
     banks: tuple[TanhNet, ...]
     hyper: MCHyper
-    n_features: int
 
     def __post_init__(self):
         ids = np.asarray(self.class_ids)
@@ -98,14 +97,6 @@ def loss_from_mins(own_min, other_min, margin_weight: float):
     """
     deficit = np.maximum(1.0 - other_min, 0.0)
     return margin_weight * own_min * own_min + deficit * deficit
-
-
-def _check_features(model: MulticlassTwinModel, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    batch = np.atleast_2d(x)
-    if batch.shape[1] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} features, got {batch.shape[1]}")
-    return batch
 
 
 def mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weight: float):
@@ -177,12 +168,12 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
         raise DivergenceError(f"multiclass training diverged by epoch {hyper.epochs}: "
                               "a weight or plane norm is non-finite",
                               epoch=hyper.epochs) from None
-    return MulticlassTwinModel(class_ids, banks, hyper, data.n_features)
+    return MulticlassTwinModel(class_ids, banks, hyper)
 
 
 def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:
     """(N, K) matrix of per-class nearest-plane distances."""
-    rows = _check_features(model, features)
+    rows = np.atleast_2d(features)
     return np.column_stack([bank.distance(rows) for bank in model.banks])
 
 

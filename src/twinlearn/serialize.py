@@ -5,7 +5,7 @@ reload reproduces parameters bit for bit.  Only prediction-relevant state
 is stored; recorded training losses and cached plane norms are rebuilt or
 dropped on load.  Each file carries ``version`` and ``kind``; the rest of
 its schema is the kind's codec in the ``twinlearn.models`` table.  A file
-that is not a valid model raises DataError naming the file.
+that is not a valid model raises DataError naming it; none is ever saved.
 """
 
 from __future__ import annotations
@@ -45,8 +45,15 @@ def model_from_dict(d: dict):
 
 
 def save_model(model, path) -> None:
+    """Write ``model`` to ``path`` as JSON; DataError naming the path, and
+    no file, if ``model_from_dict`` would refuse the encoding."""
+    d = model_to_dict(model)
+    try:
+        model_from_dict(d)
+    except DataError as exc:
+        raise DataError(f"cannot save a model to {path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
+        json.dump(d, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

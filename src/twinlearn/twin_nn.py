@@ -123,11 +123,15 @@ class TanhNet:
     def n_features(self) -> int:
         return self.weights.shape[1]
 
-    def planes(self, x: np.ndarray) -> np.ndarray:
-        """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch."""
+    def planes(self, x) -> np.ndarray:
+        """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch.
+        This is the net's one input check: ShapeError unless x has M features."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.n_features:
+            raise ShapeError(f"expected {self.n_features} features, got {x.shape[-1]}")
         return np.tanh(x @ self.weights.T + self.biases) @ self.plane_weights.T + self.plane_biases
 
-    def distance(self, x: np.ndarray):
+    def distance(self, x):
         """Nearest-plane distance min_j |w_j.phi(x) + b_j| / ||w_j||, on raw
         pre-activations, so it is invariant to positive rescaling of any
         plane: a scalar for one sample (M,), (N,) for a batch."""
@@ -143,7 +147,6 @@ class TwinNNModel:
     plus: TanhNet
     minus: TanhNet
     hyper: TwinHyper
-    n_features: int
 
 
 def _design(*blocks: np.ndarray) -> np.ndarray:
@@ -302,15 +305,12 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     initial draw (see ``train_side``).
     """
     return TwinNNModel(train_side(data, hyper, "plus"), train_side(data, hyper, "minus"),
-                       hyper, data.n_features)
+                       hyper)
 
 
 def decision_values(model: TwinNNModel, x):
     """Per-side absolute normalized plane distances |w.phi(x)+b| / ||w||
     for one sample (M,) or a batch (N, M)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} features, got {x.shape[-1]}")
     return model.plus.distance(x), model.minus.distance(x)
 
 
@@ -332,18 +332,11 @@ class RfnnModel:
     epochs: int
     seed: int
 
-    @property
-    def n_features(self) -> int:
-        return self.net.n_features
-
 
 def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
     """Raw network output for one sample or a batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} features, got {x.shape[-1]}")
     z = model.net.planes(x)[..., 0]
-    return float(z) if x.ndim == 1 else z
+    return float(z) if np.ndim(x) == 1 else z
 
 
 def rfnn_predict(model: RfnnModel, x):

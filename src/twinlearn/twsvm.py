@@ -16,11 +16,15 @@ A ridge defaulting to 1e-6*trace/dim keeps the Gram inversions well posed
 (they are singular whenever a class has fewer samples than features + 1).
 Kernel problems build H and G from kernel rows against all training
 points and keep those points as the expansion support.
+
+A solved model is two ``TwsvmPlane``s, as a twin network is two nets:
+each holds its [w; b], norm and kernel expansion, and measures its own
+distance |w.k(x) + b| / ||w||.  A point takes the nearer plane's class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,8 +49,6 @@ __all__ = [
     "projected_gradient_box_max",
     "solve_dual",
     "solve_plus",
-    "plane_norms",
-    "plane_distance",
     "twsvm_distances",
     "twsvm_predict",
 ]
@@ -129,36 +131,65 @@ class TwsvmProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class TwsvmModel:
-    """Solved plane pair; u = [w_plus; b_plus], v = [w_minus; b_minus].
-
-    For kernel problems the weight part of u/v lives in the expansion
-    over ``support`` (all training rows, class +1 block first).
-    """
+class TwsvmPlane:
+    """One solved plane u = [w; b] and its norm, computed once: Euclidean
+    for the linear kernel, sqrt(w'Kw) for a kernel expansion over
+    ``support`` (all training rows, class +1 block first), with K the
+    support's Gram matrix, which a kernel expansion must pass as ``gram``.
+    A zero norm is kept, and ``distance`` refuses it."""
 
     u: np.ndarray
-    v: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     kernel: KernelSpec
-    ridge_alpha: float
-    ridge_beta: float
-    n_features: int
     support: np.ndarray | None
-    norm_plus: float
-    norm_minus: float
+    n_features: int
+    gram: InitVar[np.ndarray | None] = None
+    norm: float = field(init=False)
+
+    def __post_init__(self, gram):
+        w = self.u[:-1]
+        if self.kernel.kind == "linear":
+            norm = float(np.linalg.norm(w))
+        elif gram is None:
+            raise ValueError("a kernel expansion needs the Gram matrix of its support")
+        else:
+            norm = float(np.sqrt(max(w @ (gram @ w), 0.0)))
+        object.__setattr__(self, "norm", norm)
+
+    def distance(self, x):
+        """|w.k(x) + b| / norm: a scalar for one sample (M,), (N,) for a
+        batch (N, M).  ShapeError unless x has M features; ValueError if
+        the norm is zero."""
+        return self._score(self._basis(x), np.ndim(x) == 1)
+
+    def _basis(self, x) -> np.ndarray:
+        """The rows of x (N, M), or for a kernel expansion their kernel rows
+        against the support (N, S).  ShapeError unless x has M features,
+        the plane's one input check."""
+        rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if rows.shape[1] != self.n_features:
+            raise ShapeError(f"expected {self.n_features} features, got {rows.shape[1]}")
+        return rows if self.kernel.kind == "linear" else kernel_matrix(self.kernel, rows,
+                                                                       self.support)
+
+    def _score(self, basis: np.ndarray, single: bool):
+        """Distances of ``_basis`` rows, a scalar when ``single``."""
+        if self.norm == 0.0:
+            raise ValueError("a plane has zero norm; distances are undefined")
+        d = np.abs(basis @ self.u[:-1] + self.u[-1]) / self.norm
+        return float(d[0]) if single else d
 
 
 @dataclass(frozen=True, eq=False)
-class TwsvmPlane:
-    """The positive plane u = [w_plus; b_plus] of a twin SVM alone, with its
-    norm; ``kernel``, ``support`` and ``n_features`` as in ``TwsvmModel``."""
+class TwsvmModel:
+    """Solved plane pair: ``plus`` is u = [w_plus; b_plus] from the alpha
+    dual, ``minus`` is v = [w_minus; b_minus] from the beta dual."""
 
-    u: np.ndarray
-    norm: float
-    kernel: KernelSpec
-    support: np.ndarray | None
-    n_features: int
+    plus: TwsvmPlane
+    minus: TwsvmPlane
+    alpha: np.ndarray
+    beta: np.ndarray
+    ridge_alpha: float
+    ridge_beta: float
 
 
 def _design_blocks(problem: TwsvmProblem):
@@ -327,13 +358,9 @@ def solve_dual(problem: TwsvmProblem) -> TwsvmModel:
     h, g, support, gram = _design_blocks(problem)
     alpha, u, r_alpha = _solve_side(h, g, problem.ridge, problem.c1, -1.0)
     beta, v, r_beta = _solve_side(g, h, problem.ridge, problem.c2, 1.0)
-    norm_plus, norm_minus = plane_norms(problem.kernel, support, (u, v), gram)
-    return TwsvmModel(
-        u=u, v=v, alpha=alpha, beta=beta, kernel=problem.kernel,
-        ridge_alpha=r_alpha, ridge_beta=r_beta,
-        n_features=problem.a.shape[1], support=support,
-        norm_plus=norm_plus, norm_minus=norm_minus,
-    )
+    plus, minus = (TwsvmPlane(w, problem.kernel, support, problem.a.shape[1], gram)
+                   for w in (u, v))
+    return TwsvmModel(plus, minus, alpha, beta, r_alpha, r_beta)
 
 
 def solve_plus(problem: TwsvmProblem) -> TwsvmPlane:
@@ -341,46 +368,15 @@ def solve_plus(problem: TwsvmProblem) -> TwsvmPlane:
     only the alpha dual is solved."""
     h, g, support, gram = _design_blocks(problem)
     _, u, _ = _solve_side(h, g, problem.ridge, problem.c1, -1.0)
-    (norm,) = plane_norms(problem.kernel, support, (u,), gram)
-    return TwsvmPlane(u, norm, problem.kernel, support, problem.a.shape[1])
+    return TwsvmPlane(u, problem.kernel, support, problem.a.shape[1], gram)
 
 
-def plane_norms(kernel: KernelSpec, support, planes, gram=None) -> tuple[float, ...]:
-    """Norms of the weight parts of each of ``planes``: Euclidean for the
-    linear kernel, sqrt(w'Kw) over the expansion ``support`` otherwise,
-    with K the support's Gram matrix ``gram``, built here when not given."""
-    if kernel.kind == "linear":
-        return tuple(float(np.linalg.norm(w[:-1])) for w in planes)
-    if gram is None:
-        gram = kernel_matrix(kernel, support, support)
-    return tuple(float(np.sqrt(max(w[:-1] @ (gram @ w[:-1]), 0.0))) for w in planes)
-
-
-def _distances(kernel: KernelSpec, support, n_features: int, x, planes) -> list[np.ndarray]:
-    """|w.k(x) + b| / norm over the rows of x for each (w, norm) of ``planes``;
-    the kernel block against ``support`` is built once for all of them."""
-    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if rows.shape[1] != n_features:
-        raise ShapeError(f"expected {n_features} features, got {rows.shape[1]}")
-    if any(norm == 0.0 for _, norm in planes):
-        raise ValueError("a plane has zero norm; distances are undefined")
-    basis = rows if kernel.kind == "linear" else kernel_matrix(kernel, rows, support)
-    return [np.abs(basis @ w[:-1] + w[-1]) / norm for w, norm in planes]
-
-
-def plane_distance(plane: TwsvmPlane, x) -> np.ndarray:
-    """Normalized absolute distances (N,) of the rows of x to the plane."""
-    return _distances(plane.kernel, plane.support, plane.n_features, x,
-                      ((plane.u, plane.norm),))[0]
-
-
-def twsvm_distances(model: TwsvmModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized absolute distances to the two planes."""
-    d_plus, d_minus = _distances(model.kernel, model.support, model.n_features, x,
-                                 ((model.u, model.norm_plus), (model.v, model.norm_minus)))
-    if np.ndim(x) == 1:
-        return float(d_plus[0]), float(d_minus[0])
-    return d_plus, d_minus
+def twsvm_distances(model: TwsvmModel, x):
+    """Normalized absolute distances to the two planes.  Both planes expand
+    over the same kernel and support, so the rows' basis is built once."""
+    basis = model.plus._basis(x)
+    single = np.ndim(x) == 1
+    return model.plus._score(basis, single), model.minus._score(basis, single)
 
 
 def twsvm_predict(model: TwsvmModel, x):

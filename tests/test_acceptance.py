@@ -157,7 +157,7 @@ def test_criterion_3_class_size_insensitivity():
         model = solve_dual(TwsvmProblem(a, b, c1=c1, c2=0.7, ridge=1e-6))
         doubled = solve_dual(TwsvmProblem(a, np.vstack([b, b]), c1=c1 / 2.0,
                                           c2=0.7, ridge=1e-6))
-        worst = max(worst, float(np.max(np.abs(model.u - doubled.u))))
+        worst = max(worst, float(np.max(np.abs(model.plus.u - doubled.plus.u))))
     assert worst <= 1e-6
     report(3, f"max |u - u_doubled| = {worst:.2e} over 20 instances")
 

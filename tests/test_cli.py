@@ -71,6 +71,18 @@ class TestTrainPredict:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    def test_train_refuses_to_save_a_model_predict_would_refuse(self, tmp_path, capsys):
+        # all-zero features fit planes with no weights; predict could not
+        # use them, so train exits 3 and writes nothing
+        ds = Dataset(np.zeros((6, 2)), np.array([1, 1, -1, -1, -1, -1]))
+        data, model_path = tmp_path / "zeros.csv", tmp_path / "m.json"
+        save_csv(ds, data)
+        assert main(["train", "--data", str(data), "--model", "twsvm_linear",
+                     "--out", str(model_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(model_path) in err and "zero" in err
+        assert not model_path.exists()
+
     def test_multiclass_train_predict(self, tmp_path, three_csv):
         path, ds = three_csv
         model_path = str(tmp_path / "mc.json")
@@ -304,8 +316,13 @@ class TestCv:
         # a fit whose positive plane has no weights succeeds, but its
         # test-fold distances are undefined
         solve = twsvm.solve_dual
-        monkeypatch.setattr(twsvm, "solve_dual", lambda problem: dataclasses.replace(
-            solve(problem), u=np.zeros(problem.a.shape[1] + 1), norm_plus=0.0))
+        def zero_plus(problem):
+            model = solve(problem)
+            plus = dataclasses.replace(model.plus, u=np.zeros(problem.a.shape[1] + 1))
+            assert plus.norm == 0.0
+            return dataclasses.replace(model, plus=plus)
+
+        monkeypatch.setattr(twsvm, "solve_dual", zero_plus)
         ds = gaussian_blobs([(2, 2, 2), (0, 0, 0)], [3, 27], seed=4, labels=[1, -1])
         path, out = tmp_path / "small.csv", tmp_path / "r.json"
         save_csv(ds, path)
@@ -337,6 +354,18 @@ class TestBench:
         rc = main(["bench", "--data", path, "--model", "twin_nn",
                    "--grid", "rfnn:hidden=4"])
         assert rc == 2
+
+    def test_bench_rejects_a_kind_listed_twice(self, capsys):
+        # the data file does not exist: loading it first would exit 3
+        assert main(["bench", "--data", "/does/not/exist.csv",
+                     "--model", "twin_nn,rfnn,twin_nn"]) == 2
+        assert "'twin_nn,rfnn,twin_nn' lists a model kind twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [["twin_nn=4"], ["twin_nn=4", "twin_nn:hidden=4"],
+                                      ["twin_nn:hidden=4", "twin_nn=4"]])
+    def test_bench_grid_key_needs_a_model_prefix(self, grid):
+        argv = ["bench", "--data", "/does/not/exist.csv", "--model", "twin_nn"]
+        assert main(argv + [arg for entry in grid for arg in ("--grid", entry)]) == 2
 
 
 class TestImputeAndImbalance:
@@ -411,6 +440,23 @@ class TestGridValidation:
         grid = f"{model}:{key}=2,2.5" if command[0] == "bench" else f"{key}=2.5"
         argv = command + ["--model", model, "--data", "/does/not/exist.csv", "--grid", grid]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("command", [["train", "--out", "never-written.json"], ["cv"]])
+    def test_repeated_grid_key_exits_2_before_loading(self, capsys, command):
+        # the data file does not exist: loading it first would exit 3
+        argv = command + ["--data", "/does/not/exist.csv",
+                          "--grid", "hidden=4", "--grid", "hidden=8"]
+        assert main(argv) == 2
+        assert "'hidden=8'" in capsys.readouterr().err
+
+    def test_bench_repeated_grid_key_is_per_model(self, tmp_path, blob_csv):
+        argv = ["bench", "--data", "/does/not/exist.csv", "--model", "twin_nn,rfnn",
+                "--grid", "twin_nn:hidden=4", "--grid", "twin_nn:hidden=8"]
+        assert main(argv) == 2
+        path, _ = blob_csv
+        assert main(["bench", "--data", path, "--model", "twin_nn,rfnn", "--folds", "2",
+                     "--grid", "twin_nn:hidden=4", "--grid", "rfnn:hidden=4",
+                     "--grid", "twin_nn:epochs=5", "--grid", "rfnn:epochs=5"]) == 0
 
     def test_integral_float_value_is_accepted(self, tmp_path, blob_csv):
         path, _ = blob_csv
@@ -539,6 +585,24 @@ class TestCompare:
         assert main(["compare", "--scores", str(path)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err and "row 4" in err
+
+    @pytest.mark.parametrize("header, name", [
+        (["dataset", "a", "a", "b"], "column 3 names algorithm 'a'"),
+        (["dataset", "a", "b", "b"], "column 4 names algorithm 'b'"),
+        (["dataset", "a", " a ", "b"], "column 3 names algorithm 'a'"),
+        (["dataset", "a", "", "b"], "column 3 names algorithm ''"),
+        (["dataset", "a", "b", " "], "column 4 names algorithm ''"),
+    ])
+    def test_compare_refuses_repeated_or_empty_names(self, tmp_path, capsys, header, name):
+        path = tmp_path / "scores.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i in range(5):
+                writer.writerow([f"d{i}", 0.5 + 0.01 * i, 0.6, 0.7])
+        assert main(["compare", "--scores", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err and name in err
 
 
 class TestArgparse:

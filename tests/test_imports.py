@@ -1,5 +1,5 @@
-"""Import guards: every exported name exists, and scipy loads only where
-it runs.
+"""Import guards: every exported name exists, no module imports a name it
+never uses, and scipy loads only where it runs.
 
 Only the twin SVM's Cholesky solve (``numcore.solve_spd``) and the Friedman
 p-value (``evalstats.friedman``) use scipy, and they import it inside the
@@ -8,6 +8,7 @@ loading it, so that a new module-level import cannot quietly bring back
 its start-up time and memory.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -29,6 +30,44 @@ def test_every_exported_name_exists(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module ``source`` imports at any level but never reads and
+    does not list in ``__all__``; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(bound, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used | exported)
+
+
+def test_the_unused_import_guard_sees_unused_names():
+    source = "from __future__ import annotations\nimport os, sys as system\n" \
+             "from json import dumps, loads\nimport xml.dom\n__all__ = ['loads']\n" \
+             "def f():\n    from math import pi, tau\n    return os.sep, tau\n"
+    assert unused_imports(source) == ["dumps (line 3)", "pi (line 7)", "system (line 2)",
+                                      "xml (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    os.path.join(SRC, "twinlearn", name) for name in os.listdir(os.path.join(SRC, "twinlearn"))
+    if name.endswith(".py")), ids=os.path.basename)
+def test_no_module_imports_a_name_it_never_uses(path):
+    with open(path, encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
 
 PRELUDE = """
 import sys

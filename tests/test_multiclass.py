@@ -37,7 +37,7 @@ def random_bank(rng, n_features, n, p, scale=0.8):
 def random_model(rng, class_ids, n_features=2, n=2, p=2, hyper=None):
     banks = tuple(random_bank(rng, n_features, n, p) for _ in class_ids)
     return MulticlassTwinModel(sorted(class_ids), banks,
-                               hyper or MCHyper(subnet_features=n, planes=p), n_features)
+                               hyper or MCHyper(subnet_features=n, planes=p))
 
 
 def flatten_model(model):
@@ -59,7 +59,7 @@ def model_from_flat(model, vec):
         pw = vec[i:i + p * n].reshape(p, n); i += p * n
         pb = vec[i:i + p]; i += p
         banks.append(TanhNet(sw, sb, pw, pb))
-    return MulticlassTwinModel(model.class_ids, tuple(banks), model.hyper, model.n_features)
+    return MulticlassTwinModel(model.class_ids, tuple(banks), model.hyper)
 
 
 def params_of(model):
@@ -234,12 +234,12 @@ class TestFusedObjective:
                                            margin_weight=margin_weight))
         if tie == "banks":  # every bank the same: foreign mins tie across banks
             model = MulticlassTwinModel(model.class_ids, (model.banks[0],) * n_banks,
-                                        model.hyper, m)
+                                        model.hyper)
         if tie == "planes":  # every plane of a bank the same: mins tie within it
             model = MulticlassTwinModel(model.class_ids, tuple(
                 TanhNet(b.weights, b.biases, np.repeat(b.plane_weights[:1], planes, axis=0),
                         np.repeat(b.plane_biases[:1], planes)) for b in model.banks),
-                model.hyper, m)
+                model.hyper)
         params = params_of(model)
         reference = two_block_mc_objective(params, x, labels, margin_weight)
         if tie == "none":
@@ -339,7 +339,7 @@ class TestPredict:
         while off_plane.distance(np.zeros(2)) == 0.0:
             off_plane = random_bank(rng, 2, 2, 1)
         model = MulticlassTwinModel([0, 1], (on_plane, off_plane),
-                                    MCHyper(subnet_features=2, planes=1), 2)
+                                    MCHyper(subnet_features=2, planes=1))
         assert mc_predict(model, np.zeros(2)) == 0
 
     def test_per_bank_rescaling_invariance(self):
@@ -350,7 +350,7 @@ class TestPredict:
             scaled_banks.append(TanhNet(
                 bank.weights, bank.biases,
                 lam * bank.plane_weights, lam * bank.plane_biases))
-        scaled = MulticlassTwinModel(model.class_ids, tuple(scaled_banks), model.hyper, 3)
+        scaled = MulticlassTwinModel(model.class_ids, tuple(scaled_banks), model.hyper)
         x = rng.standard_normal((100, 3))
         np.testing.assert_array_equal(mc_predict(model, x), mc_predict(scaled, x))
 
@@ -366,5 +366,5 @@ class TestPredict:
         bank = TanhNet(np.ones((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]), np.array([0.0]))
         bank2 = TanhNet(np.ones((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]), np.array([0.0]))
         model = MulticlassTwinModel([3, 7], (bank, bank2),
-                                    MCHyper(subnet_features=2, planes=1), 2)
+                                    MCHyper(subnet_features=2, planes=1))
         assert mc_predict(model, np.zeros(2)) == 3

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import gaussian_blobs
+from twinlearn.data import DataError
 from twinlearn.multiclass import MCHyper, mc_predict, mc_train
 from twinlearn.serialize import load_model, model_from_dict, model_to_dict, save_model
 from twinlearn.twin_nn import (
@@ -70,8 +72,8 @@ class TestOtherKinds:
         path = tmp_path / "twsvm.json"
         save_model(model, path)
         back = load_model(path)
-        np.testing.assert_array_equal(back.u, model.u)
-        assert back.norm_plus == pytest.approx(model.norm_plus, rel=1e-15)
+        np.testing.assert_array_equal(back.plus.u, model.plus.u)
+        assert back.plus.norm == pytest.approx(model.plus.norm, rel=1e-15)
         x = rng.standard_normal((20, 2))
         np.testing.assert_array_equal(twsvm_distances(back, x)[0],
                                       twsvm_distances(model, x)[0])
@@ -83,6 +85,21 @@ class TestOtherKinds:
         back = load_model(path)
         x = np.random.default_rng(2).standard_normal((15, 2))
         np.testing.assert_array_equal(rfnn_decision(back, x), rfnn_decision(model, x))
+
+    def test_save_refuses_a_model_load_would_refuse(self, tmp_path):
+        a = np.zeros((3, 2))
+        model = solve_dual(TwsvmProblem(a, a - 1.0, c1=1.0, c2=1.0))
+        model = dataclasses.replace(model, plus=dataclasses.replace(model.plus, u=np.zeros(3)))
+        path = tmp_path / "twsvm.json"
+        with pytest.raises(DataError, match=f"{path}.*zero or non-finite norm"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_save_of_a_non_model_writes_nothing(self, tmp_path):
+        path = tmp_path / "nothing.json"
+        with pytest.raises(TypeError, match="cannot serialize"):
+            save_model(object(), path)
+        assert not path.exists()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown model kind"):

@@ -349,8 +349,7 @@ class TestPredict:
         side = random_side(rng, 3, 2)
         from twinlearn.twin_nn import TwinNNModel
 
-        model = TwinNNModel(plus=side, minus=side, hyper=TwinHyper(hidden=3),
-                            n_features=2)
+        model = TwinNNModel(plus=side, minus=side, hyper=TwinHyper(hidden=3))
         x = rng.standard_normal((50, 2))
         assert np.all(predict(model, x) == 1)
 
@@ -360,11 +359,11 @@ class TestPredict:
 
         plus = random_side(rng, 4, 3)
         minus = random_side(rng, 4, 3)
-        model = TwinNNModel(plus, minus, TwinHyper(hidden=4), 3)
+        model = TwinNNModel(plus, minus, TwinHyper(hidden=4))
         lam = 37.5
         scaled = TwinNNModel(
             TanhNet(plus.weights, plus.biases, lam * plus.plane_weights, lam * plus.plane_biases),
-            minus, TwinHyper(hidden=4), 3)
+            minus, TwinHyper(hidden=4))
         x = rng.standard_normal((100, 3))
         np.testing.assert_array_equal(predict(model, x), predict(scaled, x))
 
@@ -374,7 +373,7 @@ class TestPredict:
         minus = TanhNet(np.ones((2, 2)), np.zeros(2), [[1.0, 1.0]], [0.5])
         from twinlearn.twin_nn import TwinNNModel
 
-        model = TwinNNModel(plus, minus, TwinHyper(hidden=2), 2)
+        model = TwinNNModel(plus, minus, TwinHyper(hidden=2))
         assert predict(model, np.zeros(2)) == 1
         d_plus, d_minus = decision_values(model, np.zeros(2))
         assert d_plus == 0.0 and d_minus > 0.0

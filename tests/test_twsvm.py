@@ -10,6 +10,7 @@ from twinlearn.numcore import ConvergenceError, ShapeError
 from twinlearn.twsvm import (
     KernelSpec,
     TwsvmModel,
+    TwsvmPlane,
     TwsvmProblem,
     box_kkt_residual,
     dual_matrices,
@@ -177,20 +178,21 @@ class TestSolveDual:
         b = np.array([[0.0, 2.0], [1.0, 2.0]])
         model = solve_dual(TwsvmProblem(a, b, c1=10.0, c2=10.0, ridge=1e-8))
         # positive plane passes through both class +1 points
-        dist_a = np.abs(a @ model.u[:-1] + model.u[-1]) / model.norm_plus
+        u, v = model.plus.u, model.minus.u
+        dist_a = np.abs(a @ u[:-1] + u[-1]) / model.plus.norm
         assert np.max(dist_a) <= 1e-6
         # negative plane passes through both class -1 points
-        dist_b = np.abs(b @ model.v[:-1] + model.v[-1]) / model.norm_minus
+        dist_b = np.abs(b @ v[:-1] + v[-1]) / model.minus.norm
         assert np.max(dist_b) <= 1e-6
 
     def test_toy_midpoint_tie_goes_positive(self):
         # the exact geometric solution: plus plane y=0, minus plane y=2
         model = TwsvmModel(
-            u=np.array([0.0, -0.5, 0.0]), v=np.array([0.0, 0.5, -1.0]),
-            alpha=np.zeros(2), beta=np.zeros(2), kernel=KernelSpec("linear"),
-            ridge_alpha=0.0, ridge_beta=0.0, n_features=2, support=None,
-            norm_plus=0.5, norm_minus=0.5,
+            plus=TwsvmPlane(np.array([0.0, -0.5, 0.0]), KernelSpec("linear"), None, 2),
+            minus=TwsvmPlane(np.array([0.0, 0.5, -1.0]), KernelSpec("linear"), None, 2),
+            alpha=np.zeros(2), beta=np.zeros(2), ridge_alpha=0.0, ridge_beta=0.0,
         )
+        assert model.plus.norm == 0.5 and model.minus.norm == 0.5
         d_plus, d_minus = twsvm_distances(model, np.array([0.5, 1.0]))
         assert d_plus == d_minus
         assert twsvm_predict(model, np.array([0.5, 1.0])) == 1
@@ -224,7 +226,7 @@ class TestSolveDual:
         doubled = TwsvmProblem(problem.a, np.vstack([problem.b, problem.b]),
                                c1=0.45, c2=0.5, ridge=1e-6)
         model2 = solve_dual(doubled)
-        assert np.max(np.abs(model.u - model2.u)) <= 1e-6
+        assert np.max(np.abs(model.plus.u - model2.plus.u)) <= 1e-6
 
     def test_agrees_with_explicit_active_set_solve(self):
         # independent oracle: enumerate every active-set configuration of
@@ -277,8 +279,8 @@ class TestSolveDual:
             t = g.T @ g + 1e-4 * np.eye(3)
             u_explicit = -np.linalg.solve(s, g.T @ alpha)
             v_explicit = np.linalg.solve(t, h.T @ beta)
-            assert np.max(np.abs(model.u - u_explicit)) <= 1e-6
-            assert np.max(np.abs(model.v - v_explicit)) <= 1e-6
+            assert np.max(np.abs(model.plus.u - u_explicit)) <= 1e-6
+            assert np.max(np.abs(model.minus.u - v_explicit)) <= 1e-6
 
     def test_rbf_predictions_evaluate_expansion(self):
         rng = np.random.default_rng(11)
@@ -289,9 +291,10 @@ class TestSolveDual:
         x = rng.standard_normal((8, 2))
         d_plus, _ = twsvm_distances(model, x)
         # independent recomputation of the kernel expansion
-        k = np.exp(-0.5 * ((x[:, None, :] - model.support[None, :, :]) ** 2).sum(-1))
-        s_plus = k @ model.u[:-1] + model.u[-1]
-        np.testing.assert_allclose(d_plus, np.abs(s_plus) / model.norm_plus, rtol=1e-12)
+        plus = model.plus
+        k = np.exp(-0.5 * ((x[:, None, :] - plus.support[None, :, :]) ** 2).sum(-1))
+        s_plus = k @ plus.u[:-1] + plus.u[-1]
+        np.testing.assert_allclose(d_plus, np.abs(s_plus) / plus.norm, rtol=1e-12)
 
     def test_rbf_fit_builds_one_gram_matrix(self, monkeypatch):
         calls = []
@@ -303,9 +306,32 @@ class TestSolveDual:
                                         kernel=KernelSpec("rbf", gamma=0.5)))
         # H, G and both plane norms come from the one support Gram matrix
         assert len(calls) == 1
-        gram = build(model.kernel, model.support, model.support)
-        for w, norm in ((model.u, model.norm_plus), (model.v, model.norm_minus)):
+        support = model.plus.support
+        assert model.minus.support is support
+        gram = build(model.plus.kernel, support, support)
+        for w, norm in ((model.plus.u, model.plus.norm), (model.minus.u, model.minus.norm)):
             assert norm == np.sqrt(w[:-1] @ (gram @ w[:-1]))
+
+    def test_rbf_pair_builds_one_kernel_block(self, monkeypatch):
+        a, b = blob_rows(16, 6, 9, [1.5, 0.0])
+        model = solve_dual(TwsvmProblem(a, b, c1=1.0, c2=1.0,
+                                        kernel=KernelSpec("rbf", gamma=0.5)))
+        x = np.random.default_rng(17).standard_normal((12, 2))
+        own = [plane.distance(rows) for rows in (x, x[0]) for plane in (model.plus, model.minus)]
+        calls = []
+        build = twsvm.kernel_matrix
+        monkeypatch.setattr(twsvm, "kernel_matrix",
+                            lambda *args: calls.append(1) or build(*args))
+        # both planes score the one block, each as its own distance would
+        pair = [*twsvm_distances(model, x), *twsvm_distances(model, x[0])]
+        assert len(calls) == 2
+        assert [np.asarray(d).tobytes() for d in pair] == [np.asarray(d).tobytes() for d in own]
+        assert isinstance(pair[2], float) and isinstance(pair[3], float)
+
+    def test_rbf_plane_needs_its_gram_matrix(self):
+        support = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="Gram matrix"):
+            TwsvmPlane(np.ones(3), KernelSpec("rbf", gamma=0.5), support, 2)
 
     @pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf", gamma=0.5)])
     def test_plus_plane_alone_solves_one_dual(self, kernel, monkeypatch):
@@ -318,9 +344,9 @@ class TestSolveDual:
                             lambda m, c: solves.append(c) or solve(m, c))
         plane = twsvm.solve_plus(problem)
         assert solves == [0.5]  # the alpha dual only
-        assert plane.u.tobytes() == full.u.tobytes() and plane.norm == full.norm_plus
+        assert plane.u.tobytes() == full.plus.u.tobytes() and plane.norm == full.plus.norm
         x = np.random.default_rng(15).standard_normal((12, 2))
-        assert twsvm.plane_distance(plane, x).tobytes() == twsvm_distances(full, x)[0].tobytes()
+        assert plane.distance(x).tobytes() == twsvm_distances(full, x)[0].tobytes()
 
     def test_rbf_separates_ring_data(self):
         rng = np.random.default_rng(12)
@@ -355,7 +381,7 @@ class TestPredict:
         rng = np.random.default_rng(13)
         problem = random_problem(rng, c1=1.0, c2=1.0)
         model = solve_dual(problem)
-        w, bias = model.u[:-1], model.u[-1]
+        w, bias = model.plus.u[:-1], model.plus.u[-1]
         # construct a point exactly on the plus plane
         x = -bias * w / (w @ w)
         assert abs(float(x @ w + bias)) <= 1e-10
@@ -365,22 +391,22 @@ class TestPredict:
         rng = np.random.default_rng(14)
         model = solve_dual(random_problem(rng, c1=1.0, c2=1.0))
         scaled = TwsvmModel(
-            u=5.0 * model.u, v=model.v, alpha=model.alpha, beta=model.beta,
-            kernel=model.kernel, ridge_alpha=model.ridge_alpha,
-            ridge_beta=model.ridge_beta, n_features=model.n_features,
-            support=None, norm_plus=5.0 * model.norm_plus,
-            norm_minus=model.norm_minus,
+            plus=TwsvmPlane(5.0 * model.plus.u, model.plus.kernel, None,
+                            model.plus.n_features),
+            minus=model.minus, alpha=model.alpha, beta=model.beta,
+            ridge_alpha=model.ridge_alpha, ridge_beta=model.ridge_beta,
         )
+        assert scaled.plus.norm == pytest.approx(5.0 * model.plus.norm, rel=1e-15)
         x = rng.standard_normal((50, 2))
         np.testing.assert_array_equal(twsvm_predict(model, x),
                                       twsvm_predict(scaled, x))
 
     def test_zero_norm_plane_errors(self):
         model = TwsvmModel(
-            u=np.zeros(3), v=np.array([1.0, 0.0, 0.0]), alpha=np.zeros(1),
-            beta=np.zeros(1), kernel=KernelSpec("linear"), ridge_alpha=0.0,
-            ridge_beta=0.0, n_features=2, support=None,
-            norm_plus=0.0, norm_minus=1.0,
+            plus=TwsvmPlane(np.zeros(3), KernelSpec("linear"), None, 2),
+            minus=TwsvmPlane(np.array([1.0, 0.0, 0.0]), KernelSpec("linear"), None, 2),
+            alpha=np.zeros(1), beta=np.zeros(1), ridge_alpha=0.0, ridge_beta=0.0,
         )
+        assert model.plus.norm == 0.0 and model.minus.norm == 1.0
         with pytest.raises(ValueError, match="zero norm"):
             twsvm_predict(model, np.zeros(2))
