@@ -386,10 +386,9 @@ def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnse
 
 def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
     """(N, K) own-plane distances, one column per class, each the +1
-    distance of that class's binary model."""
-    rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    distance of that class's binary model; (1, K) for one sample (M,)."""
     distance = MODELS[ensemble.kind].own_plane.distance
-    return np.column_stack([distance(plane, rows) for plane in ensemble.planes])
+    return np.column_stack([distance(plane, features) for plane in ensemble.planes])
 
 
 def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:

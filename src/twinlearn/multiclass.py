@@ -172,9 +172,9 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
 
 
 def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:
-    """(N, K) matrix of per-class nearest-plane distances."""
-    rows = np.atleast_2d(features)
-    return np.column_stack([bank.distance(rows) for bank in model.banks])
+    """(N, K) matrix of per-class nearest-plane distances, (1, K) for one
+    sample (M,)."""
+    return np.column_stack([bank.distance(features) for bank in model.banks])
 
 
 def mc_predict(model: MulticlassTwinModel, features):

@@ -3,7 +3,8 @@
 All numeric code in the package works on plain float64 numpy arrays:
 matrices are 2-D row-major, vectors are 1-D.  The helpers here add the
 shape/finiteness validation and the error types the rest of the package
-relies on.  The RNG is a small xoshiro256** generator so that seeded
+relies on, and ``score_rows``, the row-block loop through which both plane
+types score a batch.  The RNG is a small xoshiro256** generator so that seeded
 streams are identical on every platform and numpy version, which keeps
 benchmark results reproducible bit for bit.
 """
@@ -19,6 +20,8 @@ __all__ = [
     "DivergenceError",
     "ConvergenceError",
     "as_matrix",
+    "SCORE_BLOCK",
+    "score_rows",
     "solve_spd",
     "default_ridge",
     "Rng",
@@ -70,6 +73,44 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericalError(f"{name} contains non-finite entries")
     return m
+
+
+# Rows per scoring block.  One block's temporaries stay near
+# 4096 * width * 8 bytes (256 KB per array at h = 8), and with one BLAS
+# thread blocked scoring agrees bit for bit with a whole-batch call on the
+# benchmark's scoring shapes (tests/test_scoring.py).
+SCORE_BLOCK = 4096
+
+
+def score_rows(x, n_features: int, score):
+    """``score`` applied to one sample (M,) or a batch (N, M) of rows; the
+    one input check of both plane types, ``TanhNet`` and ``TwsvmPlane``.
+
+    ShapeError unless x is 1-D or 2-D with M = ``n_features`` features.  A
+    sample, or a batch of at most one block (SCORE_BLOCK rows, or one more),
+    is one call ``score(x)``.  A larger batch is scored block by block into
+    one preallocated output, so the temporaries of ``score`` are those of
+    one block, not of the batch.  A one-row tail joins the block before it:
+    BLAS reduces a single row in another order (gemv, not gemm), so it
+    could differ from the same row in a whole-batch call in its last bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"expected one sample (M,) or a batch (N, M), got shape {x.shape}")
+    if x.shape[-1] != n_features:
+        raise ShapeError(f"expected {n_features} features, got {x.shape[-1]}")
+    n = x.shape[0]
+    if x.ndim == 1 or n <= SCORE_BLOCK + 1:
+        return score(x)
+    edges = [*range(0, n, SCORE_BLOCK), n]
+    if n - edges[-2] == 1:
+        del edges[-2]
+    first = score(x[:edges[1]])
+    out = np.empty((n, *first.shape[1:]), dtype=first.dtype)
+    out[:edges[1]] = first
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        out[lo:hi] = score(x[lo:hi])
+    return out
 
 
 def default_ridge(m: np.ndarray) -> float:

@@ -5,7 +5,8 @@ feature map phi(x) = tanh(W x + c) feeding p planes w_j.phi(x) + b_j.  A
 twin side and the rfnn baseline are one-plane nets; a multiclass bank
 is a p-plane net.  Each net's distance to a point is that of its nearest
 plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane norms computed
-once per net.
+once per net.  A batch is scored in blocks of rows (``numcore.score_rows``),
+so the memory a prediction needs beyond its output does not grow with N.
 
 Two independent one-plane nets are trained, one per class.  Each drives
 its own class onto its plane (pre-activation 0) while pushing the other
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import DivergenceError, Rng, ShapeError
+from .numcore import DivergenceError, Rng, ShapeError, score_rows
 from .data import Dataset, DataError
 
 __all__ = [
@@ -124,19 +125,28 @@ class TanhNet:
         return self.weights.shape[1]
 
     def planes(self, x) -> np.ndarray:
-        """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch.
-        This is the net's one input check: ShapeError unless x has M features."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n_features:
-            raise ShapeError(f"expected {self.n_features} features, got {x.shape[-1]}")
-        return np.tanh(x @ self.weights.T + self.biases) @ self.plane_weights.T + self.plane_biases
+        """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch
+        (N, M), scored in row blocks by ``numcore.score_rows``, which raises
+        ShapeError for any other shape."""
+        return score_rows(x, self.n_features, self._planes)
 
     def distance(self, x):
         """Nearest-plane distance min_j |w_j.phi(x) + b_j| / ||w_j||, on raw
         pre-activations, so it is invariant to positive rescaling of any
-        plane: a scalar for one sample (M,), (N,) for a batch."""
-        d = np.abs(self.planes(x))
-        d /= self.plane_norms  # in place: a large batch holds one array less
+        plane: a scalar for one sample (M,), (N,) for a batch (N, M).
+
+        A batch is scored in blocks of ``numcore.SCORE_BLOCK`` rows, so its
+        temporaries are O(block * h) whatever N is.  A row scored alone can
+        differ from the same row in a batch in its last bits (BLAS sums one
+        row and many rows in different orders)."""
+        return score_rows(x, self.n_features, self._distance)
+
+    def _planes(self, x) -> np.ndarray:
+        return np.tanh(x @ self.weights.T + self.biases) @ self.plane_weights.T + self.plane_biases
+
+    def _distance(self, x):
+        d = np.abs(self._planes(x))
+        d /= self.plane_norms
         return d.min(axis=-1)
 
 
@@ -315,10 +325,13 @@ def decision_values(model: TwinNNModel, x):
 
 
 def predict(model: TwinNNModel, x):
-    """Label +1 where the positive plane is at least as close, else -1."""
+    """Label +1 where the positive plane is at least as close, else -1: an
+    int for one sample (M,), int64 (N,) for a batch (N, M).  A batch is
+    scored in row blocks (see ``TanhNet.distance``); at a near-tie a row's
+    label can differ between a one-row call and a batch."""
     d_plus, d_minus = decision_values(model, x)
     labels = np.where(d_plus <= d_minus, 1, -1)
-    return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
+    return int(labels) if np.ndim(x) == 1 else labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,16 +347,18 @@ class RfnnModel:
 
 
 def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
-    """Raw network output for one sample or a batch."""
+    """Raw network output: a float for one sample (M,), (N,) for a batch
+    (N, M), scored in row blocks by ``TanhNet.planes``."""
     z = model.net.planes(x)[..., 0]
     return float(z) if np.ndim(x) == 1 else z
 
 
 def rfnn_predict(model: RfnnModel, x):
-    """Sign of the output; ties at exactly zero go to +1."""
+    """Sign of the output, ties at exactly zero going to +1: an int for one
+    sample (M,), int64 (N,) for a batch (N, M)."""
     z = rfnn_decision(model, x)
     labels = np.where(np.asarray(z) >= 0, 1, -1)
-    return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
+    return int(labels) if np.ndim(x) == 1 else labels
 
 
 def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):

@@ -20,6 +20,9 @@ points and keep those points as the expansion support.
 A solved model is two ``TwsvmPlane``s, as a twin network is two nets:
 each holds its [w; b], norm and kernel expansion, and measures its own
 distance |w.k(x) + b| / ||w||.  A point takes the nearer plane's class.
+A batch is scored in blocks of rows (``numcore.score_rows``), so a kernel
+expansion holds kernel rows for one block against the support at a time,
+never the whole batch's.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .numcore import (
     ShapeError,
     as_matrix,
     default_ridge,
+    score_rows,
     solve_spd,
 )
 
@@ -92,7 +96,9 @@ def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
     np.maximum(sq, 0.0, out=sq)
     if y is x:
         np.fill_diagonal(sq, 0.0)
-    return np.exp(-spec.gamma * sq)
+    # in place: at most two (N, S) arrays are alive at once, not three
+    sq *= -spec.gamma
+    return np.exp(sq, out=sq)
 
 
 def check_bounds(c1: float, c2: float, ridge: float | None) -> None:
@@ -157,26 +163,25 @@ class TwsvmPlane:
 
     def distance(self, x):
         """|w.k(x) + b| / norm: a scalar for one sample (M,), (N,) for a
-        batch (N, M).  ShapeError unless x has M features; ValueError if
-        the norm is zero."""
-        return self._score(self._basis(x), np.ndim(x) == 1)
+        batch (N, M), scored in row blocks by ``numcore.score_rows``, which
+        raises ShapeError for any other shape; ValueError if the norm is
+        zero.  A kernel expansion builds each block's kernel rows against
+        the support, so its temporaries are O(block * S), not O(N * S)."""
+        d = score_rows(x, self.n_features, lambda rows: self._score(self._basis(rows)))
+        return float(d[0]) if np.ndim(x) == 1 else d
 
-    def _basis(self, x) -> np.ndarray:
-        """The rows of x (N, M), or for a kernel expansion their kernel rows
-        against the support (N, S).  ShapeError unless x has M features,
-        the plane's one input check."""
-        rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if rows.shape[1] != self.n_features:
-            raise ShapeError(f"expected {self.n_features} features, got {rows.shape[1]}")
+    def _basis(self, rows) -> np.ndarray:
+        """The rows, as (N, M), or for a kernel expansion their kernel rows
+        against the support (N, S)."""
+        rows = np.atleast_2d(rows)
         return rows if self.kernel.kind == "linear" else kernel_matrix(self.kernel, rows,
                                                                        self.support)
 
-    def _score(self, basis: np.ndarray, single: bool):
-        """Distances of ``_basis`` rows, a scalar when ``single``."""
+    def _score(self, basis: np.ndarray) -> np.ndarray:
+        """Distances of ``_basis`` rows."""
         if self.norm == 0.0:
             raise ValueError("a plane has zero norm; distances are undefined")
-        d = np.abs(basis @ self.u[:-1] + self.u[-1]) / self.norm
-        return float(d[0]) if single else d
+        return np.abs(basis @ self.u[:-1] + self.u[-1]) / self.norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,15 +377,25 @@ def solve_plus(problem: TwsvmProblem) -> TwsvmPlane:
 
 
 def twsvm_distances(model: TwsvmModel, x):
-    """Normalized absolute distances to the two planes.  Both planes expand
-    over the same kernel and support, so the rows' basis is built once."""
-    basis = model.plus._basis(x)
-    single = np.ndim(x) == 1
-    return model.plus._score(basis, single), model.minus._score(basis, single)
+    """Normalized absolute distances to the two planes: two scalars for one
+    sample (M,), two (N,) arrays for a batch (N, M).  Both planes expand
+    over the same kernel and support, so the batch is scored in row blocks
+    (``numcore.score_rows``) and each block's basis is built once, for
+    both planes."""
+    def block(rows):
+        basis = model.plus._basis(rows)
+        return np.column_stack((model.plus._score(basis), model.minus._score(basis)))
+
+    d = score_rows(x, model.plus.n_features, block)
+    if np.ndim(x) == 1:
+        return float(d[0, 0]), float(d[0, 1])
+    return d[:, 0], d[:, 1]
 
 
 def twsvm_predict(model: TwsvmModel, x):
-    """+1 where the positive plane is at least as close, else -1."""
+    """+1 where the positive plane is at least as close, else -1: an int for
+    one sample (M,), int64 (N,) for a batch (N, M).  At a near-tie a row's
+    label can differ between a one-row call and a batch."""
     d_plus, d_minus = twsvm_distances(model, x)
     labels = np.where(np.asarray(d_plus) <= d_minus, 1, -1)
-    return int(labels) if np.ndim(x) == 1 else labels.astype(np.int64)
+    return int(labels) if np.ndim(x) == 1 else labels

@@ -51,6 +51,15 @@ def test_fit_roundtrip_predict(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batch_labels_are_int64(kind):
+    ds = _dataset(kind)
+    labels = MODELS[kind].predict(fit_model(kind, ds, PARAMS.get(kind, {}), seed=1),
+                                  ds.features)
+    assert labels.dtype == np.int64
+    assert labels.shape == (ds.features.shape[0],)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_cli_train_then_predict(tmp_path, kind):
     ds = _dataset(kind)
     data = str(tmp_path / "data.csv")
@@ -99,12 +108,23 @@ def test_cli_predict_refuses_the_wrong_width(tmp_path, capsys, kind):
     assert err == f"data error: expected {ds.n_features} features, got {ds.n_features + 1}\n"
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_takes_only_a_sample_or_a_batch(kind):
+    ds = _dataset(kind)
+    model = fit_model(kind, ds, PARAMS.get(kind, {}), seed=1)
+    for x in (np.float64(1.0), ds.features.reshape(2, -1, ds.n_features)):
+        with pytest.raises(ShapeError, match=r"^expected one sample \(M,\) or a batch"):
+            MODELS[kind].predict(model, x)
+
+
 @pytest.mark.parametrize("kind", BINARY_MODELS)
 def test_one_vs_rest_refuses_the_wrong_width(kind):
     ds = gaussian_blobs([(2, 0), (-2, 0), (0, 2)], [8, 8, 8], std=0.8, seed=4)
     ensemble = fit_onevsrest(ds, kind, PARAMS.get(kind, {}), seed=2)
     with pytest.raises(ShapeError, match="^expected 2 features, got 3$"):
         ovr_predict(ensemble, _wider(ds))
+    with pytest.raises(ShapeError, match=r"^expected one sample \(M,\) or a batch"):
+        ovr_predict(ensemble, ds.features.reshape(2, -1, 2))
 
 
 def _planes():
@@ -131,3 +151,18 @@ def test_one_sample_distance_is_a_batch_of_one(plane):
         assert np.ndim(one) == 0
         assert one == plane.distance(x[i:i + 1])[0]
         np.testing.assert_allclose(one, batch[i], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("plane", _planes(), ids=["net1", "net3", "linear", "rbf"])
+@pytest.mark.parametrize("shape", [(), (2, 5, 3), (2, 3, 5)])
+def test_distance_takes_only_a_sample_or_a_batch(plane, shape):
+    # a (2, 5, 3) array used to give (2, 5) net distances, a 0-d one an
+    # IndexError, and a (2, 3, 5) one a matmul ValueError from a twin SVM plane
+    with pytest.raises(ShapeError, match=r"^expected one sample \(M,\) or a batch \(N, M\), "
+                                         rf"got shape \({', '.join(map(str, shape))}\)$"):
+        plane.distance(np.ones(shape))
+
+
+@pytest.mark.parametrize("plane", _planes()[:3], ids=["net1", "net3", "linear"])
+def test_an_empty_batch_has_no_distances(plane):
+    assert plane.distance(np.empty((0, 3))).shape == (0,)
