@@ -104,39 +104,41 @@ def mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weigh
 
     ``params`` holds ``[[W | c], plane W (p, h), plane b (p,)]`` for each
     bank in order, ``design`` is ``_design(rows)`` and ``class_idx`` the
-    bank index of each row's class.  Gradients come in the layout of
-    ``params``; the min routes gradient to the argmin plane only.
+    bank index of each row's class.  Activations are held as (banks, p,
+    N), one column per sample, as the design is.  Gradients come in the
+    layout of ``params``; the min routes gradient to the argmin plane only.
     """
     nets = [params[i:i + 3] for i in range(0, len(params), 3)]
     phis, acts = [], []
     for net in nets:
         phi, z = _forward(net, design)
         phis.append(phi)
-        acts.append(np.tanh(z))
+        acts.append(np.tanh(z, out=z))
     acts = np.stack(acts)
     abs_acts = np.abs(acts)
-    n_banks, n, p = abs_acts.shape
+    n_banks, p, n = abs_acts.shape
     # own and foreign min |activation| per sample; argmins take the first
     # (lowest bank, then plane) index on ties
-    rows = np.arange(n)
-    own = abs_acts[class_idx, rows, :]
-    own_plane = own.argmin(axis=1)
-    own_min = own[rows, own_plane]
-    abs_acts[class_idx, rows, :] = np.inf
-    flat = abs_acts.transpose(1, 0, 2).reshape(n, n_banks * p)
-    other_flat = flat.argmin(axis=1)
+    cols = np.arange(n)
+    own_cells = class_idx, np.arange(p)[:, None], cols  # (p, N)
+    own = abs_acts[own_cells]
+    own_plane = own.argmin(axis=0)
+    own_min = own[own_plane, cols]
+    abs_acts[own_cells] = np.inf
+    flat = abs_acts.reshape(n_banks * p, n)
+    other_flat = flat.argmin(axis=0)
     other_bank = other_flat // p
     other_plane = other_flat % p
-    other_min = flat[rows, other_flat]
+    other_min = flat[other_flat, cols]
     loss = float(loss_from_mins(own_min, other_min, margin_weight).mean())
     deficit = np.maximum(1.0 - other_min, 0.0)
 
-    # each row's own-plane and foreign-plane terms, scattered into zeros
+    # each sample's own-plane and foreign-plane terms, scattered into zeros
     # with += so that a -0.0 term still lands as 0.0
     da = np.zeros_like(acts)
-    da[class_idx, rows, own_plane] += (2.0 * margin_weight / n) * acts[class_idx, rows, own_plane]
-    da[other_bank, rows, other_plane] += (
-        (-2.0 / n) * deficit * np.sign(acts[other_bank, rows, other_plane]))
+    da[class_idx, own_plane, cols] += (2.0 * margin_weight / n) * acts[class_idx, own_plane, cols]
+    da[other_bank, other_plane, cols] += (
+        (-2.0 / n) * deficit * np.sign(acts[other_bank, other_plane, cols]))
     grads = []
     for net, phi, a_k, da_k in zip(nets, phis, acts, da):
         grads += _backprop(net[1], design, phi, da_k * (1.0 - a_k * a_k))

@@ -26,12 +26,14 @@ Parameters have one layout, ``[[W | c], plane W (p, h), plane b (p,)]``:
 ``_init_net``, the one initializer, draws them in it, and the objectives
 (``side_objective``, ``rfnn_objective``, ``multiclass.mc_objective``)
 take it and return their gradients in it.  Each objective runs over a
-design matrix built once per fit: the rows (for a twin side ``[other;
-own]``) with a column of ones appended, so the hidden biases fold into
-the weights.  An epoch is one pass over the design,
-``phi = tanh(design @ [W | c].T)``, and one ``_backprop`` of the
-per-sample, per-plane output gradients.  The two sides are never stacked
-into one matrix, so each keeps its own row order.
+design matrix built once per fit and laid out feature-major: the rows
+(for a twin side ``[other; own]``) transposed to (M+1, N), with a row of
+ones last, so the hidden biases fold into the weights.  An epoch is one
+pass over the design, ``phi = tanh([W | c] @ design)`` with one (h,)
+column per sample, and one ``_backprop`` of the per-plane, per-sample
+output gradients (p, N).  The two sides are never stacked into one
+matrix, so each keeps its own row order.  Prediction takes rows (N, M)
+and scores them row-major (``TanhNet.planes``).
 """
 
 from __future__ import annotations
@@ -160,10 +162,15 @@ class TwinNNModel:
 
 
 def _design(*blocks: np.ndarray) -> np.ndarray:
-    """Row blocks stacked in order, with a column of ones appended so that
-    one product with ``[W | c]`` applies the hidden weights and biases."""
+    """Row blocks stacked in order and laid out feature-major: one
+    C-contiguous (M+1, N) array, the rows' transpose with a row of ones
+    last, so that one product ``[W | c] @ design`` applies the hidden
+    weights and biases to every sample."""
     rows = np.vstack(blocks)
-    return np.column_stack((rows, np.ones(rows.shape[0])))
+    design = np.empty((rows.shape[1] + 1, rows.shape[0]))
+    design[:-1] = rows.T
+    design[-1] = 1.0
+    return design
 
 
 def _net(params, final_loss: float | None = None) -> TanhNet:
@@ -174,29 +181,38 @@ def _net(params, final_loss: float | None = None) -> TanhNet:
 
 
 def _forward(params, design: np.ndarray):
-    """(phi, plane pre-activations (N, p)) of ``[[W | c], plane W, plane b]``
-    over a design with the ones column appended."""
+    """(phi (h, N), plane pre-activations (p, N)) of ``[[W | c], plane W,
+    plane b]`` over a feature-major design: phi = tanh([W | c] @ design),
+    one column per sample."""
     hidden, pw, pb = params
-    phi = design @ hidden.T
+    phi = hidden @ design
     np.tanh(phi, out=phi)
-    return phi, phi @ pw.T + pb
+    return phi, pw @ phi + pb[:, None]
 
 
 def _backprop(plane_w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: np.ndarray):
-    """Gradients [[W | c], plane W, plane b] of per-sample, per-plane output
-    gradients ``delta`` (N, p) pushed back through the planes ``plane_w``
-    and ``phi = tanh(design @ [W | c].T)``, which it overwrites.
+    """Gradients [[W | c], plane W, plane b] of per-plane, per-sample output
+    gradients ``delta`` (p, N) pushed back through the planes ``plane_w``
+    and ``phi = tanh([W | c] @ design)`` (h, N), which it overwrites with
+    (1 - phi^2) * (plane_w.T @ delta).
 
-    Working in place, an epoch allocates two (N, h) arrays (phi and
-    ``delta @ plane_w``) instead of six.  At a few thousand rows malloc can
-    hand such arrays back as fresh pages on every epoch, depending on what
-    else is on the heap, and a page fault per 4 KB then costs more than the
-    arithmetic."""
-    d_plane = delta.T @ phi
+    Every per-sample array runs along N, the long axis.  With one plane
+    (twin sides, rfnn) the product is two in-place broadcasts along N, not
+    a K = 1 matmul: numpy spends several times longer on an (N, 1) x (1, h)
+    product, or on a broadcast whose inner loop runs over the short h axis,
+    than on the arithmetic.  Working in place, an epoch allocates one
+    (h, N) array, phi, for a one-plane net; at a few thousand rows malloc
+    can hand such arrays back as fresh pages on every epoch, and a page
+    fault per 4 KB then costs more than the arithmetic."""
+    d_plane = delta @ phi.T
     phi *= phi
     np.subtract(1.0, phi, out=phi)
-    phi *= delta @ plane_w
-    return [phi.T @ design, d_plane, delta.sum(axis=0)]
+    if delta.shape[0] == 1:
+        phi *= delta
+        phi *= plane_w.T
+    else:
+        phi *= plane_w.T @ delta
+    return [phi @ design.T, d_plane, delta.sum(axis=1)]
 
 
 def side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
@@ -211,14 +227,14 @@ def side_objective(params, design: np.ndarray, n_other: int, c: float, target: f
     ``own`` rows, each halved.  Gradients come in the layout of ``params``.
     """
     phi, out = _forward(params, design)
-    out = out[:, 0]
+    out = out[0]
     y = np.tanh(out[:n_other])
     r = y - target
     z = out[n_other:]
-    n_own = design.shape[0] - n_other
+    n_own = design.shape[1] - n_other
     loss = float(r @ r) / (2.0 * n_other) + c * float(z @ z) / (2.0 * n_own)
     delta = np.concatenate((r * (1.0 - y * y) / n_other, (c / n_own) * z))
-    return loss, _backprop(params[1], design, phi, delta.reshape(-1, 1))
+    return loss, _backprop(params[1], design, phi, delta.reshape(1, -1))
 
 
 def _init_net(rng: Rng, n_features: int, hidden: int, planes: int) -> list:
@@ -372,11 +388,12 @@ def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
     """
     hidden, pw, _ = params
     phi, out = _forward(params, design)
-    r = out[:, 0] - targets
+    r = out[0] - targets
+    n = design.shape[1]
     hw = hidden[:, :-1]
     penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(np.vdot(pw, pw)))
-    loss = float(r @ r) / (2.0 * design.shape[0]) + penalty
-    dhidden, dw, db = _backprop(pw, design, phi, (r / design.shape[0]).reshape(-1, 1))
+    loss = float(r @ r) / (2.0 * n) + penalty
+    dhidden, dw, db = _backprop(pw, design, phi, (r / n).reshape(1, -1))
     dhidden[:, :-1] += l2 * hw
     return loss, [dhidden, dw + l2 * pw, db]
 

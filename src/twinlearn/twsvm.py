@@ -85,11 +85,19 @@ class KernelSpec:
 
 
 def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gram block K[i, j] = k(x_i, y_j)."""
+    """Gram block K[i, j] = k(x_i, y_j) of two non-empty, finite matrices
+    with the same feature count (ShapeError, NumericalError otherwise)."""
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
+    return _kernel(spec, x, y)
+
+
+def _kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``kernel_matrix`` without its input checks, for rows already
+    shape-checked: an empty x gives (0, S), and a row of x with a NaN gives
+    a row of NaN."""
     if spec.kind == "linear":
         return x @ y.T
     sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
@@ -172,10 +180,12 @@ class TwsvmPlane:
 
     def _basis(self, rows) -> np.ndarray:
         """The rows, as (N, M), or for a kernel expansion their kernel rows
-        against the support (N, S)."""
+        against the support (N, S).  Like the other plane types, an empty
+        batch scores as (0,) and a row with a NaN as NaN, so the rows that
+        ``score_rows`` passes are not checked again."""
         rows = np.atleast_2d(rows)
-        return rows if self.kernel.kind == "linear" else kernel_matrix(self.kernel, rows,
-                                                                       self.support)
+        return rows if self.kernel.kind == "linear" else _kernel(self.kernel, rows,
+                                                                 self.support)
 
     def _score(self, basis: np.ndarray) -> np.ndarray:
         """Distances of ``_basis`` rows."""

@@ -2,6 +2,7 @@
 memory bounded by one block, and the same bits as a whole-batch call
 where that is promised."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twinlearn.numcore import SCORE_BLOCK, score_rows
 from twinlearn.twin_nn import RfnnModel, TanhNet, rfnn_decision
@@ -163,6 +164,45 @@ class TestSameBits:
         x = np.random.default_rng(37).standard_normal((3 * B + 17, 5))
         for got, want in zip(twsvm_distances(model, x), _whole_twsvm(model, x)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+@functools.cache
+def _scorers():
+    """name -> batch distance function of one plane of each type on 3
+    features: a ``TanhNet``, a linear and an RBF ``TwsvmPlane``, and both
+    planes of each twin SVM through ``twsvm_distances``."""
+    scorers = {"tanh": _net(np.random.default_rng(38), 3, 4, 2).distance}
+    for name, kernel in (("linear", KernelSpec()), ("rbf", KernelSpec("rbf", 0.5))):
+        model = _twsvm(kernel, m=3)
+        scorers[name] = model.plus.distance
+        scorers[f"{name} pair"] = lambda x, model=model: np.stack(twsvm_distances(model, x))
+    return scorers
+
+
+class TestScoringContract:
+    """Every plane type scores an empty batch and NaN rows alike."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["tanh", "linear", "rbf", "linear pair", "rbf pair"]),
+           n=st.integers(0, 12), nan_rows=st.sets(st.integers(0, 11)),
+           seed=st.integers(0, 2**32 - 1))
+    # an RBF plane built its kernel rows through the checked kernel_matrix,
+    # so it raised ShapeError on an empty batch and NumericalError on a
+    # batch with one NaN row
+    @example(kind="rbf", n=0, nan_rows=set(), seed=0)
+    @example(kind="rbf", n=5, nan_rows={2}, seed=0)
+    @example(kind="rbf pair", n=0, nan_rows=set(), seed=0)
+    @example(kind="rbf pair", n=5, nan_rows={2}, seed=0)
+    def test_empty_batch_and_nan_rows(self, kind, n, nan_rows, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        bad = np.array(sorted(i for i in nan_rows if i < n), dtype=np.intp)
+        x[bad, rng.integers(0, 3, bad.size)] = np.nan  # one NaN cell per bad row
+        d = np.atleast_2d(_scorers()[kind](x))
+        assert d.dtype == np.float64 and d.shape[1:] == (n,)
+        for row in d:
+            np.testing.assert_array_equal(np.flatnonzero(np.isnan(row)), bad)
+            assert np.isfinite(np.delete(row, bad)).all()
 
 
 def stream_mismatches() -> list:

@@ -193,6 +193,50 @@ class TestFusedObjectives:
                                  two_block_rfnn_objective(params, rows, targets, l2))
 
 
+def general_backprop(plane_w, design, phi, delta):
+    """``_backprop``'s p-plane expression, with (1 - phi^2) * (plane_w.T @
+    delta) formed out of place."""
+    dpre = (1.0 - phi * phi) * (plane_w.T @ delta)
+    return [dpre @ design.T, delta @ phi.T, delta.sum(axis=1)], dpre
+
+
+class TestFeatureMajorLayout:
+    """Training runs on an (M+1, N) design with (h, N) activations."""
+
+    def test_design_is_feature_major_with_the_ones_row_last(self):
+        rng = np.random.default_rng(40)
+        other, own = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+        design = _design(other, own)
+        assert design.shape == (4, 7) and design.flags.c_contiguous
+        np.testing.assert_array_equal(design[:-1], np.vstack((other, own)).T)
+        np.testing.assert_array_equal(design[-1], np.ones(7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 80), m=st.integers(1, 8), h=st.integers(1, 16),
+           p=st.integers(1, 3), w_scale=st.floats(-3.0, 3.0), d_scale=st.floats(-6.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_plane_case_matches_the_general_form(self, n, m, h, p, w_scale, d_scale,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        design = _design(rng.standard_normal((n, m)))
+        phi = np.tanh(3.0 * rng.standard_normal((h, n)))
+        plane_w = rng.standard_normal((p, h)) * 10.0**w_scale
+        delta = rng.standard_normal((p, n)) * 10.0**d_scale
+        got = twin_nn._backprop(plane_w, design, phi.copy(), delta)
+        want, dpre = general_backprop(plane_w, design, phi, delta)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+        if p > 1:
+            np.testing.assert_array_equal(got[0], want[0])
+        else:
+            # two in-place broadcasts round (1 - phi^2) * delta * w in another
+            # order than the product; the sum over N then differs by a few
+            # ulps of its terms, so the scale is that of the terms, which
+            # cancellation can put far above the signed gradient's
+            scale = np.max(np.abs(dpre) @ np.abs(design).T)
+            assert np.max(np.abs(got[0] - want[0])) <= 1e-15 * scale
+
+
 class TestInitNet:
     def test_golden_values_pin_the_draw(self):
         # frozen from the one initializer's stream: W and c, each plane,

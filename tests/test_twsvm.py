@@ -319,10 +319,11 @@ class TestSolveDual:
         x = np.random.default_rng(17).standard_normal((12, 2))
         own = [plane.distance(rows) for rows in (x, x[0]) for plane in (model.plus, model.minus)]
         calls = []
-        build = twsvm.kernel_matrix
-        monkeypatch.setattr(twsvm, "kernel_matrix",
+        build = twsvm._kernel
+        monkeypatch.setattr(twsvm, "_kernel",
                             lambda *args: calls.append(1) or build(*args))
-        # both planes score the one block, each as its own distance would
+        # both planes score the one block's kernel rows, each as its own
+        # distance would
         pair = [*twsvm_distances(model, x), *twsvm_distances(model, x[0])]
         assert len(calls) == 2
         assert [np.asarray(d).tobytes() for d in pair] == [np.asarray(d).tobytes() for d in own]
