@@ -45,7 +45,7 @@ from .data import (
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
 from .models import BINARY_MODELS, MODEL_KINDS, MODELS, typed
-from .numcore import NumericalError, Rng, mix_seed
+from .numcore import NumericalError, Rng, mix_seed, nearest
 
 __all__ = [
     "ExperimentSpec",
@@ -392,9 +392,10 @@ def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
 
 
 def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
-    """Class whose model reports the smallest own-plane distance."""
-    d = ovr_distances(ensemble, features)
-    return ensemble.class_ids[d.argmin(axis=1)]
+    """Class whose model reports the smallest own-plane distance, ties
+    going to the lowest class id (``numcore.nearest``)."""
+    distance = MODELS[ensemble.kind].own_plane.distance
+    return ensemble.class_ids[nearest(distance(plane, features) for plane in ensemble.planes)]
 
 
 def run_onevsrest(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:

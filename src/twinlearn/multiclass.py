@@ -6,10 +6,13 @@ weights w and bias b.  Training drives the smallest absolute tanh plane
 activation toward 0 for the sample's own class and toward 1 for the
 nearest foreign plane, with no penalty once a foreign plane is further
 than the unit target.  Prediction picks the class whose bank is nearest,
-by ``TanhNet.distance``: the smallest normalized distance
-|w.phi(x)+b| / ||w|| over the bank's planes, computed on raw
+by the distance of ``TanhNet.distance``: the smallest normalized
+distance |w.phi(x)+b| / ||w|| over the bank's planes, computed on raw
 pre-activations so that labels are invariant to positive rescaling of
-any plane.
+any plane.  ``mc_predict`` makes one block loop over the rows: each
+block is scored feature-major by every bank, as (p, n) plane outputs,
+and the nearest bank is a running minimum along the block
+(``numcore.nearest``), with ties to the lowest class id.
 
 The min operator routes gradient only to the argmin plane of each group;
 ties break toward the lowest bank/plane index.  Training rows are
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import DivergenceError, Rng, ShapeError, mix_seed
+from .numcore import DivergenceError, Rng, ShapeError, mix_seed, nearest, score_rows
 from .data import Dataset, DataError
 from .twin_nn import TanhNet, _backprop, _design, _forward, _init_net, _net, descend
 
@@ -82,9 +85,10 @@ class MulticlassTwinModel:
     def __post_init__(self):
         ids = np.asarray(self.class_ids)
         if (ids.dtype.kind != "i" or ids.shape != (len(self.banks),) or ids.size < 2
-                or (np.diff(ids) <= 0).any()):
-            raise ShapeError("a multiclass model needs >= 2 banks, one per class id, "
-                             "with integer class ids in increasing order")
+                or (np.diff(ids) <= 0).any()
+                or len({bank.n_features for bank in self.banks}) != 1):
+            raise ShapeError("a multiclass model needs >= 2 banks of one input width, "
+                             "one per class id, with integer class ids in increasing order")
         object.__setattr__(self, "class_ids", ids.astype(np.int64))
 
 
@@ -180,7 +184,12 @@ def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:
 
 
 def mc_predict(model: MulticlassTwinModel, features):
-    """Class of the nearest plane group; ties go to the lowest class id."""
-    d = mc_distances(model, features)
-    labels = model.class_ids[d.argmin(axis=1)]
+    """Class of the nearest plane group, ties going to the lowest class id:
+    an int for one sample (M,), int64 (N,) for a batch (N, M).  One block
+    loop (``numcore.score_rows``) scores every bank of each block and
+    picks the nearest (``numcore.nearest``)."""
+    def block(rows):
+        return model.class_ids[nearest(bank._distance(rows) for bank in model.banks)]
+
+    labels = score_rows(features, model.banks[0].n_features, block)
     return int(labels[0]) if np.ndim(features) == 1 else labels

@@ -3,8 +3,9 @@
 All numeric code in the package works on plain float64 numpy arrays:
 matrices are 2-D row-major, vectors are 1-D.  The helpers here add the
 shape/finiteness validation and the error types the rest of the package
-relies on, and ``score_rows``, the row-block loop through which both plane
-types score a batch.  The RNG is a small xoshiro256** generator so that seeded
+relies on, ``score_rows``, the row-block loop through which both plane
+types score a batch, and ``nearest``, the nearest-of-K choice of the
+multiclass predicts.  The RNG is a small xoshiro256** generator so that seeded
 streams are identical on every platform and numpy version, which keeps
 benchmark results reproducible bit for bit.
 """
@@ -22,6 +23,7 @@ __all__ = [
     "as_matrix",
     "SCORE_BLOCK",
     "score_rows",
+    "nearest",
     "solve_spd",
     "default_ridge",
     "Rng",
@@ -75,9 +77,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-# Rows per scoring block.  One block's temporaries stay near
-# 4096 * width * 8 bytes (256 KB per array at h = 8), and with one BLAS
-# thread blocked scoring agrees bit for bit with a whole-batch call on the
+# Rows per scoring block.  A network scores a block feature-major, as
+# (h, 4096) activations and (p, 4096) plane outputs, so one block's
+# temporaries stay near 4096 * width * 8 bytes (256 KB per array at
+# h = 8).  With one BLAS thread blocked scoring agrees bit for bit with a
+# whole-batch call, and 64-row calls with a whole-stream call, on the
 # benchmark's scoring shapes (tests/test_scoring.py).
 SCORE_BLOCK = 4096
 
@@ -111,6 +115,26 @@ def score_rows(x, n_features: int, score):
     for lo, hi in zip(edges[1:-1], edges[2:]):
         out[lo:hi] = score(x[lo:hi])
     return out
+
+
+def nearest(distances) -> np.ndarray:
+    """Index of the smallest of K distance arrays, row by row: (N,) intp
+    for K arrays of shape (N,), each row's first minimum, so ties go to
+    the lowest index.
+
+    A running strict-< minimum along N: each array costs a comparison, a
+    masked store and an elementwise minimum, where an argmin over the
+    column-stacked (N, K) distances would run its inner loop over the
+    short K axis.  A row that is NaN in every array, as a NaN input row
+    scores, goes to index 0, as with argmin; a NaN stops a row's search,
+    so a row NaN in some arrays only keeps the index it had."""
+    distances = iter(distances)
+    best = np.array(next(distances), dtype=np.float64)
+    index = np.zeros(best.shape, dtype=np.intp)
+    for k, d in enumerate(distances, start=1):
+        index[d < best] = k
+        np.minimum(best, d, out=best)
+    return index
 
 
 def default_ridge(m: np.ndarray) -> float:

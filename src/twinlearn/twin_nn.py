@@ -33,7 +33,9 @@ pass over the design, ``phi = tanh([W | c] @ design)`` with one (h,)
 column per sample, and one ``_backprop`` of the per-plane, per-sample
 output gradients (p, N).  The two sides are never stacked into one
 matrix, so each keeps its own row order.  Prediction takes rows (N, M)
-and scores them row-major (``TanhNet.planes``).
+and scores each block of them feature-major too (``TanhNet._planes``):
+W @ rows.T gives (h, n) activations and (p, n) plane outputs, and a
+predict scores every net of its model in one block loop.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class TanhNet:
     plane_biases: np.ndarray  # (p,)
     final_loss: float | None = None
     plane_norms: np.ndarray = field(init=False, repr=False)
+    # c, plane b and the plane norms as (h, 1), (p, 1) and (p, 1) views,
+    # which scoring broadcasts along N; made once, not once per block
+    _columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         w, c, pw, pb = (np.asarray(a, dtype=np.float64) for a in
@@ -121,6 +126,7 @@ class TanhNet:
         for name, value in (("weights", w), ("biases", c), ("plane_weights", pw),
                             ("plane_biases", pb), ("plane_norms", norms)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_columns", (c[:, None], pb[:, None], norms[:, None]))
 
     @property
     def n_features(self) -> int:
@@ -130,26 +136,47 @@ class TanhNet:
         """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch
         (N, M), scored in row blocks by ``numcore.score_rows``, which raises
         ShapeError for any other shape."""
-        return score_rows(x, self.n_features, self._planes)
+        z = score_rows(x, self.n_features, lambda rows: self._planes(rows).T)
+        return z[0] if np.ndim(x) == 1 else z
 
     def distance(self, x):
         """Nearest-plane distance min_j |w_j.phi(x) + b_j| / ||w_j||, on raw
         pre-activations, so it is invariant to positive rescaling of any
-        plane: a scalar for one sample (M,), (N,) for a batch (N, M).
+        plane: a float for one sample (M,), (N,) for a batch (N, M).
 
         A batch is scored in blocks of ``numcore.SCORE_BLOCK`` rows, so its
-        temporaries are O(block * h) whatever N is.  A row scored alone can
-        differ from the same row in a batch in its last bits (BLAS sums one
-        row and many rows in different orders)."""
-        return score_rows(x, self.n_features, self._distance)
+        temporaries are O(block * h) whatever N is.  One sample is scored
+        as a block of one row, bit for bit; it can differ from the same row
+        in a larger batch in its last bits (BLAS sums one row and many rows
+        in different orders)."""
+        d = score_rows(x, self.n_features, self._distance)
+        return float(d[0]) if np.ndim(x) == 1 else d
 
-    def _planes(self, x) -> np.ndarray:
-        return np.tanh(x @ self.weights.T + self.biases) @ self.plane_weights.T + self.plane_biases
+    def _planes(self, rows) -> np.ndarray:
+        """Plane pre-activations (p, n) of a block of rows (n, M), one
+        sample (M,) as a block of one, computed feature-major: phi = W @
+        rows.T is (h, n), one column per row, and every step after the
+        products runs in place along n, the long axis.  BLAS reads the
+        transposed rows without a copy."""
+        biases, plane_biases, _ = self._columns
+        phi = self.weights @ (rows.T if rows.ndim == 2 else rows[:, None])
+        phi += biases
+        np.tanh(phi, out=phi)
+        z = self.plane_weights @ phi
+        z += plane_biases
+        return z
 
-    def _distance(self, x):
-        d = np.abs(self._planes(x))
-        d /= self.plane_norms
-        return d.min(axis=-1)
+    def _distance(self, rows) -> np.ndarray:
+        """Nearest-plane distances (n,) of a block of rows (see ``_planes``):
+        the elementwise minimum of p rows of normalized distances, taken
+        in place in the first row, so a one-plane net takes no minimum."""
+        d = self._planes(rows)
+        np.abs(d, out=d)
+        d /= self._columns[2]
+        closest = d[0]
+        for plane in d[1:]:
+            np.minimum(closest, plane, out=closest)
+        return closest
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +186,11 @@ class TwinNNModel:
     plus: TanhNet
     minus: TanhNet
     hyper: TwinHyper
+
+    def __post_init__(self):
+        if self.plus.n_features != self.minus.n_features:
+            raise ShapeError(f"the sides take {self.plus.n_features} and "
+                             f"{self.minus.n_features} features; a pair must agree")
 
 
 def _design(*blocks: np.ndarray) -> np.ndarray:
@@ -342,12 +374,12 @@ def decision_values(model: TwinNNModel, x):
 
 def predict(model: TwinNNModel, x):
     """Label +1 where the positive plane is at least as close, else -1: an
-    int for one sample (M,), int64 (N,) for a batch (N, M).  A batch is
-    scored in row blocks (see ``TanhNet.distance``); at a near-tie a row's
-    label can differ between a one-row call and a batch."""
-    d_plus, d_minus = decision_values(model, x)
-    labels = np.where(d_plus <= d_minus, 1, -1)
-    return int(labels) if np.ndim(x) == 1 else labels
+    int for one sample (M,), int64 (N,) for a batch (N, M).  One block loop
+    (``numcore.score_rows``) scores both sides of each block; at a near-tie
+    a row's label can differ between a one-row call and a batch."""
+    labels = score_rows(x, model.plus.n_features, lambda rows: np.where(
+        model.plus._distance(rows) <= model.minus._distance(rows), 1, -1))
+    return int(labels[0]) if np.ndim(x) == 1 else labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,10 +395,11 @@ class RfnnModel:
 
 
 def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
-    """Raw network output: a float for one sample (M,), (N,) for a batch
-    (N, M), scored in row blocks by ``TanhNet.planes``."""
-    z = model.net.planes(x)[..., 0]
-    return float(z) if np.ndim(x) == 1 else z
+    """Raw network output, the net's one plane: a float for one sample
+    (M,), (N,) for a batch (N, M), scored in row blocks by
+    ``numcore.score_rows``."""
+    z = score_rows(x, model.net.n_features, lambda rows: model.net._planes(rows)[0])
+    return float(z[0]) if np.ndim(x) == 1 else z
 
 
 def rfnn_predict(model: RfnnModel, x):

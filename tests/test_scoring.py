@@ -1,6 +1,7 @@
 """Batch scoring in row blocks (``numcore.score_rows``): the block plan,
-memory bounded by one block, and the same bits as a whole-batch call
-where that is promised."""
+memory bounded by one block, the same bits as a whole-batch call where
+that is promised, one block loop per predict, and each predict's choice
+among its model's distances."""
 
 import functools
 import os
@@ -12,9 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinlearn.numcore import SCORE_BLOCK, score_rows
-from twinlearn.twin_nn import RfnnModel, TanhNet, rfnn_decision
-from twinlearn.twsvm import KernelSpec, TwsvmProblem, kernel_matrix, solve_dual, twsvm_distances
+from twinlearn import multiclass, twin_nn
+from twinlearn.harness import OvrEnsemble, ovr_distances, ovr_predict
+from twinlearn.multiclass import MCHyper, MulticlassTwinModel, mc_distances, mc_predict
+from twinlearn.numcore import SCORE_BLOCK, ShapeError, score_rows
+from twinlearn.twin_nn import (RfnnModel, TanhNet, TwinHyper, TwinNNModel, decision_values,
+                               predict, rfnn_decision, rfnn_predict)
+from twinlearn.twsvm import (KernelSpec, TwsvmPlane, TwsvmProblem, kernel_matrix, solve_dual,
+                             twsvm_distances)
 
 B = SCORE_BLOCK
 
@@ -25,14 +31,37 @@ def _net(rng, m, h, p):
 
 
 def _whole_planes(net, x):
-    """The unblocked plane expression, the reference."""
-    return np.tanh(x @ net.weights.T + net.biases) @ net.plane_weights.T + net.plane_biases
+    """The unblocked feature-major plane expression, the reference: (N, p)."""
+    phi = net.weights @ x.T
+    phi += net.biases[:, None]
+    np.tanh(phi, out=phi)
+    z = net.plane_weights @ phi
+    z += net.plane_biases[:, None]
+    return z.T
 
 
 def _whole_distance(net, x):
-    d = np.abs(_whole_planes(net, x))
-    d /= net.plane_norms
-    return d.min(axis=-1)
+    d = np.abs(_whole_planes(net, x).T)
+    d /= net.plane_norms[:, None]
+    return d.min(axis=0)
+
+
+def _row_major_planes(net, x):
+    """The plane expression row by row, (N, h) activations, as the
+    benchmark's numpy reference labels compute it."""
+    return np.tanh(x @ net.weights.T + net.biases) @ net.plane_weights.T + net.plane_biases
+
+
+def _row_major_distance(net, x):
+    return (np.abs(_row_major_planes(net, x)) / net.plane_norms).min(axis=1)
+
+
+def _close_to_row_major(net, x):
+    """Feature-major and row-major scoring sum in other orders, so they
+    agree to rounding only."""
+    np.testing.assert_allclose(net.planes(x), _row_major_planes(net, x), rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(net.distance(x), _row_major_distance(net, x),
+                               rtol=1e-12, atol=1e-13)
 
 
 def _twsvm(kernel: KernelSpec, n_plus=20, n_minus=40, m=2):
@@ -124,6 +153,7 @@ class TestSameBits:
             net = _net(rng, 5, 6, p)
             np.testing.assert_array_equal(net.planes(x), _whole_planes(net, x))
             np.testing.assert_array_equal(net.distance(x), _whole_distance(net, x))
+            _close_to_row_major(net, x)
         for kernel in (KernelSpec(), KernelSpec("rbf", 0.5)):
             model = _twsvm(kernel, m=5)
             for got, want in zip(twsvm_distances(model, x), _whole_twsvm(model, x)):
@@ -156,6 +186,7 @@ class TestSameBits:
         np.testing.assert_allclose(net.distance(x), _whole_distance(net, x),
                                    rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(net.planes(x), _whole_planes(net, x), rtol=1e-12, atol=1e-13)
+        _close_to_row_major(net, x)
 
     @pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf", 0.5)],
                              ids=["linear", "rbf"])
@@ -168,23 +199,26 @@ class TestSameBits:
 
 @functools.cache
 def _scorers():
-    """name -> batch distance function of one plane of each type on 3
-    features: a ``TanhNet``, a linear and an RBF ``TwsvmPlane``, and both
-    planes of each twin SVM through ``twsvm_distances``."""
+    """name -> distance function of one plane of each type on 3 features:
+    a ``TanhNet``, a linear and an RBF ``TwsvmPlane``, and both planes of
+    each twin SVM through ``twsvm_distances``, which gives two results."""
     scorers = {"tanh": _net(np.random.default_rng(38), 3, 4, 2).distance}
     for name, kernel in (("linear", KernelSpec()), ("rbf", KernelSpec("rbf", 0.5))):
         model = _twsvm(kernel, m=3)
         scorers[name] = model.plus.distance
-        scorers[f"{name} pair"] = lambda x, model=model: np.stack(twsvm_distances(model, x))
+        scorers[f"{name} pair"] = functools.partial(twsvm_distances, model)
     return scorers
 
 
+KINDS = ["tanh", "linear", "rbf", "linear pair", "rbf pair"]
+
+
 class TestScoringContract:
-    """Every plane type scores an empty batch and NaN rows alike."""
+    """Every plane type scores an empty batch, NaN rows and one sample
+    alike."""
 
     @settings(max_examples=100, deadline=None)
-    @given(kind=st.sampled_from(["tanh", "linear", "rbf", "linear pair", "rbf pair"]),
-           n=st.integers(0, 12), nan_rows=st.sets(st.integers(0, 11)),
+    @given(kind=st.sampled_from(KINDS), n=st.integers(0, 12), nan_rows=st.sets(st.integers(0, 11)),
            seed=st.integers(0, 2**32 - 1))
     # an RBF plane built its kernel rows through the checked kernel_matrix,
     # so it raised ShapeError on an empty batch and NumericalError on a
@@ -195,21 +229,149 @@ class TestScoringContract:
     @example(kind="rbf pair", n=5, nan_rows={2}, seed=0)
     def test_empty_batch_and_nan_rows(self, kind, n, nan_rows, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, 3))
-        bad = np.array(sorted(i for i in nan_rows if i < n), dtype=np.intp)
-        x[bad, rng.integers(0, 3, bad.size)] = np.nan  # one NaN cell per bad row
+        x, bad = _rows(rng, n, 3, nan_rows)
         d = np.atleast_2d(_scorers()[kind](x))
         assert d.dtype == np.float64 and d.shape[1:] == (n,)
         for row in d:
             np.testing.assert_array_equal(np.flatnonzero(np.isnan(row)), bad)
             assert np.isfinite(np.delete(row, bad)).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # feature-major scoring adds the (h,) hidden biases as a column; on an
+    # (h,) activation of one sample that broadcast would give (h, h)
+    @example(kind="tanh", nan=False, seed=0)
+    @example(kind="tanh", nan=True, seed=0)
+    def test_one_sample_is_a_scalar_like_a_one_row_batch(self, kind, nan, seed):
+        x, _ = _rows(np.random.default_rng(seed), 1, 3, {0} if nan else set())
+        one, row = _scorers()[kind](x[0]), _scorers()[kind](x)
+        pair = kind.endswith("pair")
+        for got, want in zip(one if pair else (one,), row if pair else (row,)):
+            assert isinstance(got, float) and want.shape == (1,)
+            np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=0)
+            assert np.isnan(got) == nan
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_one_sample_has_p_planes(self, p):
+        net = _net(np.random.default_rng(39), 3, 4, p)
+        x = np.random.default_rng(40).standard_normal(3)
+        assert net.planes(x).shape == (p,)
+        np.testing.assert_allclose(net.planes(x), net.planes(x[None])[0], rtol=1e-12, atol=0)
+
+
+def _rows(rng, n: int, m: int, nan_rows):
+    """(n, m) standard normal rows with one NaN cell in each of the
+    ``nan_rows`` below n, and the indices of those rows."""
+    x = rng.standard_normal((n, m))
+    bad = np.array(sorted(i for i in nan_rows if i < n), dtype=np.intp)
+    x[bad, rng.integers(0, m, bad.size)] = np.nan
+    return x, bad
+
+
+def _pool(rng, kind: str) -> list:
+    """Three own planes of a binary kind on 3 features, drawn at random."""
+    nets = [_net(rng, 3, 4, 1) for _ in range(3)]
+    if kind == "twin_nn":
+        return nets
+    if kind == "rfnn":
+        return [RfnnModel(net, 1e-4, 0.05, 1, 0) for net in nets]
+    return [TwsvmPlane(rng.standard_normal(4), KernelSpec(), None, 3) for _ in range(3)]
+
+
+PICKS = st.lists(st.integers(0, 2), min_size=2, max_size=4)
+ROWS = {"n": st.integers(0, 20), "nan_rows": st.sets(st.integers(0, 19)),
+        "seed": st.integers(0, 2**32 - 1)}
+
+
+class TestPredicts:
+    """Each predict is the nearest of its model's distances, ties and NaN
+    rows included: the pools repeat a net, so equal picks tie exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=PICKS, **ROWS)
+    @example(picks=[1, 0, 1], n=8, nan_rows=set(), seed=0)  # classes 0 and 2 tie
+    @example(picks=[2, 2], n=8, nan_rows={0, 5}, seed=0)  # every row ties
+    def test_mc_predict_is_the_argmin_of_mc_distances(self, picks, n, nan_rows, seed):
+        rng = np.random.default_rng(seed)
+        pool = [_net(rng, 3, 4, 2) for _ in range(3)]
+        ids = np.sort(rng.choice(100, len(picks), replace=False))
+        model = MulticlassTwinModel(ids, tuple(pool[i] for i in picks),
+                                    MCHyper(subnet_features=4, planes=2))
+        x, _ = _rows(rng, n, 3, nan_rows)
+        want = model.class_ids[np.argmin(mc_distances(model, x), axis=1)]
+        np.testing.assert_array_equal(mc_predict(model, x), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["twin_nn", "rfnn", "twsvm_linear"]), picks=PICKS, **ROWS)
+    @example(kind="twin_nn", picks=[0, 1, 0], n=8, nan_rows=set(), seed=0)
+    @example(kind="rfnn", picks=[1, 1, 1], n=8, nan_rows={3}, seed=0)
+    @example(kind="twsvm_linear", picks=[2, 0, 2], n=8, nan_rows={0, 7}, seed=0)
+    def test_ovr_predict_is_the_argmin_of_ovr_distances(self, kind, picks, n, nan_rows, seed):
+        rng = np.random.default_rng(seed)
+        pool = _pool(rng, kind)
+        ensemble = OvrEnsemble(kind, np.arange(len(picks)) * 3 + 1, [pool[i] for i in picks])
+        x, _ = _rows(rng, n, 3, nan_rows)
+        want = ensemble.class_ids[np.argmin(ovr_distances(ensemble, x), axis=1)]
+        np.testing.assert_array_equal(ovr_predict(ensemble, x), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sides=st.tuples(st.integers(0, 2), st.integers(0, 2)), **ROWS)
+    @example(sides=(1, 1), n=8, nan_rows=set(), seed=0)  # a tie everywhere goes to +1
+    @example(sides=(0, 2), n=8, nan_rows={2, 3}, seed=0)  # NaN rows go to -1
+    def test_twin_predict_compares_decision_values(self, sides, n, nan_rows, seed):
+        rng = np.random.default_rng(seed)
+        pool = [_net(rng, 3, 4, 1) for _ in range(3)]
+        model = TwinNNModel(pool[sides[0]], pool[sides[1]], TwinHyper(hidden=4))
+        x, _ = _rows(rng, n, 3, nan_rows)
+        d_plus, d_minus = decision_values(model, x)
+        np.testing.assert_array_equal(predict(model, x), np.where(d_plus <= d_minus, 1, -1))
+
+
+class TestOneBlockLoop:
+    @pytest.mark.parametrize("n", [None, B + 2], ids=["sample", "two blocks"])
+    def test_each_predict_makes_one_score_rows_call(self, monkeypatch, n):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return score_rows(*args)
+
+        monkeypatch.setattr(twin_nn, "score_rows", counted)
+        monkeypatch.setattr(multiclass, "score_rows", counted)
+        twin, rfnn, mc = _models(np.random.default_rng(41), 3)
+        x = np.random.default_rng(42).standard_normal((n or 1, 3))
+        for predict_fn, model in ((predict, twin), (rfnn_predict, rfnn), (mc_predict, mc)):
+            calls.clear()
+            predict_fn(model, x[0] if n is None else x)
+            assert len(calls) == 1, predict_fn.__name__
+
+    def test_a_model_takes_one_input_width(self):
+        # the one block loop checks the rows against the first net's width
+        rng = np.random.default_rng(43)
+        with pytest.raises(ShapeError, match="the sides take 3 and 4 features"):
+            TwinNNModel(_net(rng, 3, 8, 1), _net(rng, 4, 8, 1), TwinHyper(hidden=8))
+        with pytest.raises(ShapeError, match="banks of one input width"):
+            MulticlassTwinModel([0, 1], (_net(rng, 3, 6, 2), _net(rng, 4, 6, 2)), MCHyper())
+
+
+def _models(rng, m: int):
+    """A twin pair (h = 8), an rfnn net (h = 8) and a 3-bank multiclass
+    model (h = 6, two planes) on m features, drawn at random."""
+    twin = TwinNNModel(_net(rng, m, 8, 1), _net(rng, m, 8, 1), TwinHyper(hidden=8))
+    rfnn = RfnnModel(_net(rng, m, 8, 1), 1e-4, 0.05, 1, 0)
+    mc = MulticlassTwinModel([0, 1, 2], tuple(_net(rng, m, 6, 2) for _ in range(3)),
+                             MCHyper(subnet_features=6, planes=2))
+    return twin, rfnn, mc
+
 
 def stream_mismatches() -> list:
-    """The (hidden, planes, rows) cases of the benchmark's scoring stream
-    whose blocked distances differ from the whole-batch expression: 8
-    features, a twin side or rfnn net (h = 8, one plane) and a multiclass
-    bank (h = 6, two planes), over 400,000 and 400,003 rows."""
+    """The cases of the benchmark's scoring stream, 8 features over
+    400,000 and 400,003 rows, where blocked scoring differs from a whole
+    call: per net, the blocked distances of a twin side or rfnn net (h =
+    8, one plane) and of a multiclass bank (h = 6, two planes) against the
+    whole-batch expression; per model, the labels of a twin pair, an rfnn
+    net and a 3-bank multiclass model in 64-row calls against one
+    whole-stream call."""
     rng = np.random.default_rng(36)
     bad = []
     for hidden, planes in ((8, 1), (6, 2)):
@@ -218,4 +380,12 @@ def stream_mismatches() -> list:
             x = rng.normal(0.0, 1.5, (n, 8))
             if not np.array_equal(net.distance(x), _whole_distance(net, x)):
                 bad.append((hidden, planes, n))
+    models = dict(zip(("twin_nn", "rfnn", "twin_nn_mc"), _models(rng, 8)))
+    for n in (400_000, 400_003):
+        x = rng.normal(0.0, 1.5, (n, 8))
+        for name, model in models.items():
+            fn = {"twin_nn": predict, "rfnn": rfnn_predict, "twin_nn_mc": mc_predict}[name]
+            batched = np.concatenate([fn(model, x[i:i + 64]) for i in range(0, n, 64)])
+            if not np.array_equal(batched, fn(model, x)):
+                bad.append((name, n))
     return bad
