@@ -45,7 +45,7 @@ from .data import (
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
 from .models import BINARY_MODELS, MODEL_KINDS, MODELS, typed
-from .numcore import NumericalError, Rng, mix_seed, nearest
+from .numcore import NumericalError, Rng, mix_seed, nearest, score_rows
 
 __all__ = [
     "ExperimentSpec",
@@ -386,16 +386,21 @@ def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnse
 
 def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
     """(N, K) own-plane distances, one column per class, each the +1
-    distance of that class's binary model; (1, K) for one sample (M,)."""
-    distance = MODELS[ensemble.kind].own_plane.distance
-    return np.column_stack([distance(plane, features) for plane in ensemble.planes])
+    distance of that class's binary model; (1, K) for one sample (M,).
+    One block loop (``numcore.score_rows``) scores all K planes."""
+    n_features, score = MODELS[ensemble.kind].own_plane.scorer(ensemble.planes)
+    return score_rows(features, n_features, lambda rows: score(rows).T)
 
 
 def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
     """Class whose model reports the smallest own-plane distance, ties
-    going to the lowest class id (``numcore.nearest``)."""
-    distance = MODELS[ensemble.kind].own_plane.distance
-    return ensemble.class_ids[nearest(distance(plane, features) for plane in ensemble.planes)]
+    going to the lowest class id (``numcore.nearest``): one label for one
+    sample (M,), (N,) for a batch (N, M), all K planes scored in one
+    block loop (``numcore.score_rows``)."""
+    n_features, score = MODELS[ensemble.kind].own_plane.scorer(ensemble.planes)
+    labels = score_rows(features, n_features,
+                        lambda rows: ensemble.class_ids[nearest(score(rows))])
+    return labels[0] if np.ndim(features) == 1 else labels
 
 
 def run_onevsrest(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:

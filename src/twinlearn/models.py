@@ -40,13 +40,38 @@ def typed(params: dict) -> dict:
 class OwnPlane(NamedTuple):
     """The +1 class's own plane of a binary kind, fitted alone:
     ``fit(dataset, params, seed)`` on {+1,-1} labels returns the part of the
-    full model that the plane needs, and ``distance(part, x)`` is that
-    plane's distance to the rows of x, as the full model measures it.  For
-    the twin kinds the part is a plane type (a twin side's ``TanhNet``, a
-    ``TwsvmPlane``) and the distance is its own ``distance``."""
+    full model that the plane needs.  ``scorer(parts)`` takes K such parts,
+    one per class, and returns ``(M, score)``: ``score(rows)`` gives the K
+    planes' distances (K, n) to a block of rows (n, M), each as its full
+    model measures it, so one block loop scores them all.  For the twin
+    kinds the part is a plane type (a twin side's ``TanhNet``, a
+    ``TwsvmPlane``) and the distance is its own: the K nets score as one
+    ``TanhBank``."""
 
     fit: Callable
-    distance: Callable
+    scorer: Callable
+
+
+def _side_scorer(nets):
+    """``OwnPlane.scorer`` of K twin sides' nets: their distances, scored
+    as one ``TanhBank``."""
+    bank = twin_nn.TanhBank(nets)
+    return bank.n_features, lambda rows: bank.distances(rows)
+
+
+def _rfnn_scorer(models):
+    """``OwnPlane.scorer`` of K rfnn models, scored as one ``TanhBank``.
+    An rfnn net has no plane distance: its negated output stands in
+    (largest output = nearest)."""
+    bank = twin_nn.TanhBank([model.net for model in models])
+    return bank.n_features, lambda rows: -bank.planes(rows)[:, 0]
+
+
+def _twsvm_scorer(planes):
+    """``OwnPlane.scorer`` of K twin SVM planes: each builds its own basis,
+    since an RBF plane's support is its own fit's training rows."""
+    return planes[0].n_features, lambda rows: np.stack(
+        [plane._score(plane._basis(rows)) for plane in planes])
 
 
 @dataclass(frozen=True)
@@ -255,7 +280,7 @@ def _twsvm_kind(name: str, kernel: str) -> ModelKind:
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
         own_plane=OwnPlane(
             lambda ds, params, seed: twsvm.solve_plus(_twsvm_problem(kernel, ds, params)),
-            lambda plane, x: plane.distance(x)),
+            _twsvm_scorer),
         to_dict=_twsvm_to_dict, from_dict=_twsvm_from_dict,
         params=_names(TwsvmProblem, "a", "b", "kernel")
         | (_names(KernelSpec, "kind") if kernel == "rbf" else frozenset()),
@@ -282,7 +307,7 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
         own_plane=OwnPlane(
             lambda ds, params, seed: twin_nn.train_side(ds, TwinHyper(seed=seed, **params),
                                                         "plus"),
-            lambda net, x: net.distance(x)),
+            _side_scorer),
         to_dict=_twin_to_dict, from_dict=_twin_from_dict,
         params=_names(TwinHyper),
     ),
@@ -291,9 +316,8 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
         fit=_fit_rfnn,
         check=_check_rfnn,
         predict=lambda model, x: twin_nn.rfnn_predict(model, x),
-        # one net, so the whole model; no plane: the negated output stands
-        # in (largest output = nearest)
-        own_plane=OwnPlane(_fit_rfnn, lambda model, x: -twin_nn.rfnn_decision(model, x)),
+        # one net, so the whole model
+        own_plane=OwnPlane(_fit_rfnn, _rfnn_scorer),
         to_dict=_rfnn_to_dict, from_dict=_rfnn_from_dict,
         params=_names(twin_nn.train_rfnn_baseline, "data"),
     ),

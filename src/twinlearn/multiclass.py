@@ -9,9 +9,10 @@ than the unit target.  Prediction picks the class whose bank is nearest,
 by the distance of ``TanhNet.distance``: the smallest normalized
 distance |w.phi(x)+b| / ||w|| over the bank's planes, computed on raw
 pre-activations so that labels are invariant to positive rescaling of
-any plane.  ``mc_predict`` makes one block loop over the rows: each
-block is scored feature-major by every bank, as (p, n) plane outputs,
-and the nearest bank is a running minimum along the block
+any plane.  A model stacks its class banks into one ``twin_nn.TanhBank``
+once, and ``mc_predict`` makes one block loop over the rows with one
+kernel call per block: (K, p, n) plane outputs and (K, n) distances for
+all classes, of which the nearest is a running minimum along the block
 (``numcore.nearest``), with ties to the lowest class id.
 
 The min operator routes gradient only to the argmin plane of each group;
@@ -22,23 +23,27 @@ ordered in the input.
 
 Training goes through ``twin_nn.descend``, the loop shared by all three
 networks, with one forward pass per epoch over a design matrix built
-once per fit, and the banks' gradients come from the shared
+once per fit, and the gradients come from the shared
 ``twin_nn._backprop``; unlike the binary twin sides it never stops
-early, since it takes no ``tol``.  Each bank starts from the one
-initializer, ``twin_nn._init_net`` with p planes, and ``mc_objective``
-takes and returns the one layout, ``[[W | c], plane W, plane b]`` per
-bank, over that design.
+early, since it takes no ``tol``.  Each class's bank starts from the one
+initializer, ``twin_nn._init_net`` with p planes, and the K banks are
+joined into one along their leading axes, so ``mc_objective`` runs one
+forward pass and one backprop for all classes.  The design holds the
+rows sorted by class, so each class's own-plane cells are a column slice
+of its bank's activations, and each sample's gradient terms land at
+linear indices into the (K, p, N) activations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numcore import DivergenceError, Rng, ShapeError, mix_seed, nearest, score_rows
 from .data import Dataset, DataError
-from .twin_nn import TanhNet, _backprop, _design, _forward, _init_net, _net, descend
+from .twin_nn import (TanhBank, TanhNet, _backprop, _design, _forward, _init_net, _nets,
+                      descend)
 
 __all__ = [
     "MCHyper",
@@ -81,6 +86,8 @@ class MulticlassTwinModel:
     class_ids: np.ndarray
     banks: tuple[TanhNet, ...]
     hyper: MCHyper
+    # every class's bank stacked into one, which scores them all in one pass
+    _bank: TanhBank = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.asarray(self.class_ids)
@@ -90,6 +97,7 @@ class MulticlassTwinModel:
             raise ShapeError("a multiclass model needs >= 2 banks of one input width, "
                              "one per class id, with integer class ids in increasing order")
         object.__setattr__(self, "class_ids", ids.astype(np.int64))
+        object.__setattr__(self, "_bank", TanhBank(self.banks))
 
 
 def loss_from_mins(own_min, other_min, margin_weight: float):
@@ -103,50 +111,55 @@ def loss_from_mins(own_min, other_min, margin_weight: float):
     return margin_weight * own_min * own_min + deficit * deficit
 
 
-def mc_objective(params, design: np.ndarray, class_idx: np.ndarray, margin_weight: float):
+def mc_objective(params, design: np.ndarray, counts, margin_weight: float):
     """Mean per-sample loss and its subgradients, from one forward pass.
 
-    ``params`` holds ``[[W | c], plane W (p, h), plane b (p,)]`` for each
-    bank in order, ``design`` is ``_design(rows)`` and ``class_idx`` the
-    bank index of each row's class.  Activations are held as (banks, p,
-    N), one column per sample, as the design is.  Gradients come in the
-    layout of ``params``; the min routes gradient to the argmin plane only.
+    ``params`` is every class's bank stacked into one, ``[[W | c], plane
+    W (K, p, h), plane b (K, p)]`` in class order, and ``design`` is
+    ``_design(rows)`` with the rows sorted by class: of the ints
+    ``counts``, the first ``counts[0]`` columns are class 0's, the next
+    ``counts[1]`` class 1's, and so on.  A class's own-plane cells are
+    then a column slice of its bank's (p, N) activations.  Activations are
+    held as (K, p, N), one column per sample, as the design is.  Gradients
+    come in the layout of ``params``; the min routes gradient to the
+    argmin plane only.
     """
-    nets = [params[i:i + 3] for i in range(0, len(params), 3)]
-    phis, acts = [], []
-    for net in nets:
-        phi, z = _forward(net, design)
-        phis.append(phi)
-        acts.append(np.tanh(z, out=z))
-    acts = np.stack(acts)
+    phi, acts = _forward(params, design)
+    np.tanh(acts, out=acts)
     abs_acts = np.abs(acts)
     n_banks, p, n = abs_acts.shape
+    own_cells, lo = [], 0
+    for k, count in enumerate(counts):
+        own_cells.append((k, slice(None), slice(lo, lo + count)))
+        lo += count
     # own and foreign min |activation| per sample; argmins take the first
     # (lowest bank, then plane) index on ties
-    cols = np.arange(n)
-    own_cells = class_idx, np.arange(p)[:, None], cols  # (p, N)
-    own = abs_acts[own_cells]
+    own = np.concatenate([abs_acts[cell] for cell in own_cells], axis=1)  # (p, N)
     own_plane = own.argmin(axis=0)
-    own_min = own[own_plane, cols]
-    abs_acts[own_cells] = np.inf
-    flat = abs_acts.reshape(n_banks * p, n)
-    other_flat = flat.argmin(axis=0)
-    other_bank = other_flat // p
-    other_plane = other_flat % p
-    other_min = flat[other_flat, cols]
+    for cell in own_cells:
+        abs_acts[cell] = np.inf
+    other_flat = abs_acts.reshape(n_banks * p, n).argmin(axis=0)
+    # each sample's own-plane and foreign-plane cell as a linear index into
+    # the (K, p, N) activations
+    cols = np.arange(n)
+    own_at = (np.repeat(np.arange(n_banks) * p, counts) + own_plane) * n + cols
+    other_at = other_flat * n + cols
+    flat_acts, flat_abs = acts.reshape(-1), abs_acts.reshape(-1)
+    own_min = np.abs(flat_acts[own_at])
+    other_min = flat_abs[other_at]
     loss = float(loss_from_mins(own_min, other_min, margin_weight).mean())
     deficit = np.maximum(1.0 - other_min, 0.0)
 
     # each sample's own-plane and foreign-plane terms, scattered into zeros
     # with += so that a -0.0 term still lands as 0.0
-    da = np.zeros_like(acts)
-    da[class_idx, own_plane, cols] += (2.0 * margin_weight / n) * acts[class_idx, own_plane, cols]
-    da[other_bank, other_plane, cols] += (
-        (-2.0 / n) * deficit * np.sign(acts[other_bank, other_plane, cols]))
-    grads = []
-    for net, phi, a_k, da_k in zip(nets, phis, acts, da):
-        grads += _backprop(net[1], design, phi, da_k * (1.0 - a_k * a_k))
-    return loss, grads
+    delta = np.zeros(acts.size)
+    delta[own_at] += (2.0 * margin_weight / n) * flat_acts[own_at]
+    delta[other_at] += (-2.0 / n) * deficit * np.sign(flat_acts[other_at])
+    delta = delta.reshape(acts.shape)
+    acts *= acts
+    np.subtract(1.0, acts, out=acts)
+    delta *= acts
+    return loss, _backprop(params[1], design, phi, delta)
 
 
 def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
@@ -159,17 +172,18 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
 
     order = np.argsort(data.labels, kind="stable")
     design = _design(data.features[order])
-    class_idx = np.searchsorted(class_ids, data.labels[order])
+    counts = np.bincount(np.searchsorted(class_ids, data.labels),
+                         minlength=class_ids.size).tolist()
+    inits = [_init_net(Rng(mix_seed(hyper.seed, c)), data.n_features, hyper.subnet_features,
+                       hyper.planes) for c in class_ids]
     params, _ = descend(
-        [arr for c in class_ids
-         for arr in _init_net(Rng(mix_seed(hyper.seed, c)), data.n_features,
-                              hyper.subnet_features, hyper.planes)],
-        lambda params: mc_objective(params, design, class_idx, hyper.margin_weight),
+        [np.concatenate(arrays) for arrays in zip(*inits)],
+        lambda params: mc_objective(params, design, counts, hyper.margin_weight),
         hyper.lr, hyper.epochs, 0.0, "multiclass training", None)
     # the loss is built from tanh outputs and stays finite while the
     # weights run away; a net rejects non-finite weights and plane norms
     try:
-        banks = tuple(_net(params[i:i + 3]) for i in range(0, len(params), 3))
+        banks = tuple(_nets(params))
     except ValueError:
         raise DivergenceError(f"multiclass training diverged by epoch {hyper.epochs}: "
                               "a weight or plane norm is non-finite",
@@ -179,17 +193,16 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
 
 def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:
     """(N, K) matrix of per-class nearest-plane distances, (1, K) for one
-    sample (M,)."""
-    return np.column_stack([bank.distance(features) for bank in model.banks])
+    sample (M,), every bank scored in one pass per block of rows."""
+    return score_rows(features, model._bank.n_features,
+                      lambda rows: model._bank.distances(rows).T)
 
 
 def mc_predict(model: MulticlassTwinModel, features):
     """Class of the nearest plane group, ties going to the lowest class id:
     an int for one sample (M,), int64 (N,) for a batch (N, M).  One block
-    loop (``numcore.score_rows``) scores every bank of each block and
-    picks the nearest (``numcore.nearest``)."""
-    def block(rows):
-        return model.class_ids[nearest(bank._distance(rows) for bank in model.banks)]
-
-    labels = score_rows(features, model.banks[0].n_features, block)
+    loop (``numcore.score_rows``) scores every bank of each block in one
+    pass of the stacked bank and picks the nearest (``numcore.nearest``)."""
+    labels = score_rows(features, model._bank.n_features,
+                        lambda rows: model.class_ids[nearest(model._bank.distances(rows))])
     return int(labels[0]) if np.ndim(features) == 1 else labels

@@ -77,10 +77,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-# Rows per scoring block.  A network scores a block feature-major, as
-# (h, 4096) activations and (p, 4096) plane outputs, so one block's
-# temporaries stay near 4096 * width * 8 bytes (256 KB per array at
-# h = 8).  With one BLAS thread blocked scoring agrees bit for bit with a
+# Rows per scoring block.  A bank of K networks scores a block
+# feature-major, as (K*h, 4096) activations and (K, p, 4096) plane
+# outputs, so one block's temporaries stay near 4096 * width * 8 bytes
+# (512 KB for the activations of a twin pair at h = 8).  With one BLAS thread blocked scoring agrees bit for bit with a
 # whole-batch call, and 64-row calls with a whole-stream call, on the
 # benchmark's scoring shapes (tests/test_scoring.py).
 SCORE_BLOCK = 4096

@@ -5,8 +5,7 @@ feature map phi(x) = tanh(W x + c) feeding p planes w_j.phi(x) + b_j.  A
 twin side and the rfnn baseline are one-plane nets; a multiclass bank
 is a p-plane net.  Each net's distance to a point is that of its nearest
 plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane norms computed
-once per net.  A batch is scored in blocks of rows (``numcore.score_rows``),
-so the memory a prediction needs beyond its output does not grow with N.
+once per net.
 
 Two independent one-plane nets are trained, one per class.  Each drives
 its own class onto its plane (pre-activation 0) while pushing the other
@@ -20,22 +19,33 @@ plane is oriented by the side's margin target, which makes the two side
 losses exact mirror images.  Swapping class labels together with
 (c_plus, c_minus) therefore flips every prediction bit for bit.
 
-All networks train through ``descend``, one full-batch gradient step and
-one forward pass per epoch; only the twin sides stop early, on ``tol``.
-Parameters have one layout, ``[[W | c], plane W (p, h), plane b (p,)]``:
-``_init_net``, the one initializer, draws them in it, and the objectives
-(``side_objective``, ``rfnn_objective``, ``multiclass.mc_objective``)
-take it and return their gradients in it.  Each objective runs over a
-design matrix built once per fit and laid out feature-major: the rows
-(for a twin side ``[other; own]``) transposed to (M+1, N), with a row of
-ones last, so the hidden biases fold into the weights.  An epoch is one
-pass over the design, ``phi = tanh([W | c] @ design)`` with one (h,)
-column per sample, and one ``_backprop`` of the per-plane, per-sample
-output gradients (p, N).  The two sides are never stacked into one
-matrix, so each keeps its own row order.  Prediction takes rows (N, M)
-and scores each block of them feature-major too (``TanhNet._planes``):
-W @ rows.T gives (h, n) activations and (p, n) plane outputs, and a
-predict scores every net of its model in one block loop.
+K nets of one shape form a bank, stacked along a leading bank axis; a
+net alone is a bank of one.  Training and scoring both work on banks,
+so one product, one tanh and one batched plane product serve all K
+nets.  All networks train through ``descend``, one full-batch gradient
+step and one forward pass per epoch; only the twin sides stop early, on
+``tol``.  Parameters have one layout, that of a bank, ``[[W | c] (K*h,
+M+1), plane W (K, p, h), plane b (K, p)]``: ``_init_net``, the one
+initializer, draws one net as a bank of one, banks join along their
+leading axes, and the objectives (``side_objective`` and ``rfnn_objective`` on a bank of
+one, ``multiclass.mc_objective`` on all K classes' banks) take it and
+return their gradients in it.  Each objective runs over a design matrix
+built once per fit and laid out feature-major: the rows (for a twin side
+``[other; own]``) transposed to (M+1, N), with a row of ones last, so
+the hidden biases fold into the weights.  An epoch is one pass over the
+design, ``phi = tanh([W | c] @ design)`` with one (K*h,) column per
+sample, and one ``_backprop`` of the per-plane, per-sample output
+gradients (K, p, N).  The two twin sides are trained apart, each over
+its own design and row order.
+
+Prediction takes rows (N, M) in blocks (``numcore.score_rows``), so the
+memory it needs beyond its output does not grow with N, and scores each
+block with the one kernel, ``TanhBank.planes``: W @ rows.T gives (K*h,
+n) activations and (K, p, n) plane outputs, and ``TanhBank.distances``
+the (K, n) nearest-plane distances.  A model builds its bank once
+(``TanhNet``: itself, ``TwinNNModel``: both sides,
+``multiclass.MulticlassTwinModel``: every class), and each predict makes
+one kernel call per block for all of its nets.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .data import Dataset, DataError
 __all__ = [
     "TwinHyper",
     "TanhNet",
+    "TanhBank",
     "TwinNNModel",
     "descend",
     "side_objective",
@@ -104,9 +115,8 @@ class TanhNet:
     plane_biases: np.ndarray  # (p,)
     final_loss: float | None = None
     plane_norms: np.ndarray = field(init=False, repr=False)
-    # c, plane b and the plane norms as (h, 1), (p, 1) and (p, 1) views,
-    # which scoring broadcasts along N; made once, not once per block
-    _columns: tuple = field(init=False, repr=False)
+    # the net as a bank of one, which scores it; made once, not per block
+    _bank: TanhBank = field(init=False, repr=False)
 
     def __post_init__(self):
         w, c, pw, pb = (np.asarray(a, dtype=np.float64) for a in
@@ -126,7 +136,7 @@ class TanhNet:
         for name, value in (("weights", w), ("biases", c), ("plane_weights", pw),
                             ("plane_biases", pb), ("plane_norms", norms)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_columns", (c[:, None], pb[:, None], norms[:, None]))
+        object.__setattr__(self, "_bank", TanhBank((self,)))
 
     @property
     def n_features(self) -> int:
@@ -136,7 +146,7 @@ class TanhNet:
         """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch
         (N, M), scored in row blocks by ``numcore.score_rows``, which raises
         ShapeError for any other shape."""
-        z = score_rows(x, self.n_features, lambda rows: self._planes(rows).T)
+        z = score_rows(x, self.n_features, lambda rows: self._bank.planes(rows)[0].T)
         return z[0] if np.ndim(x) == 1 else z
 
     def distance(self, x):
@@ -149,33 +159,60 @@ class TanhNet:
         as a block of one row, bit for bit; it can differ from the same row
         in a larger batch in its last bits (BLAS sums one row and many rows
         in different orders)."""
-        d = score_rows(x, self.n_features, self._distance)
+        d = score_rows(x, self.n_features, lambda rows: self._bank.distances(rows)[0])
         return float(d[0]) if np.ndim(x) == 1 else d
 
-    def _planes(self, rows) -> np.ndarray:
-        """Plane pre-activations (p, n) of a block of rows (n, M), one
+
+class TanhBank:
+    """K tanh nets of one shape stacked along a leading bank axis, the one
+    form in which nets are scored: their W as one (K*h, M) matrix and
+    their c as a (K*h, 1) column, plane weights (K, p, h), and plane biases
+    and norms as (K, p, 1) columns.  One product, one tanh and one batched
+    plane product then score a block of rows for all K nets.  A net is a
+    bank of one; a twin pair is a bank of two; a multiclass model is a
+    bank of K.  ShapeError unless the nets share M, h and p."""
+
+    __slots__ = ("n_features", "weights", "biases", "plane_weights", "plane_biases",
+                 "plane_norms")
+
+    def __init__(self, nets):
+        shapes = [(net.n_features, *net.plane_weights.shape[::-1]) for net in nets]
+        if len(set(shapes)) != 1:
+            raise ShapeError(f"nets of (M, h, p) {sorted(set(shapes))} cannot share a bank: "
+                             "their input widths, hidden widths and plane counts must agree")
+        self.n_features = shapes[0][0]
+        self.weights = np.vstack([net.weights for net in nets])
+        self.biases = np.concatenate([net.biases for net in nets])[:, None]
+        self.plane_weights = np.stack([net.plane_weights for net in nets])
+        self.plane_biases = np.stack([net.plane_biases for net in nets])[:, :, None]
+        self.plane_norms = np.stack([net.plane_norms for net in nets])[:, :, None]
+
+    def planes(self, rows) -> np.ndarray:
+        """Plane pre-activations (K, p, n) of a block of rows (n, M), one
         sample (M,) as a block of one, computed feature-major: phi = W @
-        rows.T is (h, n), one column per row, and every step after the
+        rows.T is (K*h, n), one column per row, and every step after the
         products runs in place along n, the long axis.  BLAS reads the
-        transposed rows without a copy."""
-        biases, plane_biases, _ = self._columns
+        transposed rows without a copy, and the plane product is one
+        batched matmul over the K nets' (h, n) slices of phi."""
         phi = self.weights @ (rows.T if rows.ndim == 2 else rows[:, None])
-        phi += biases
+        phi += self.biases
         np.tanh(phi, out=phi)
-        z = self.plane_weights @ phi
-        z += plane_biases
+        k, p, h = self.plane_weights.shape
+        z = self.plane_weights @ phi.reshape(k, h, phi.shape[1])
+        z += self.plane_biases
         return z
 
-    def _distance(self, rows) -> np.ndarray:
-        """Nearest-plane distances (n,) of a block of rows (see ``_planes``):
-        the elementwise minimum of p rows of normalized distances, taken
-        in place in the first row, so a one-plane net takes no minimum."""
-        d = self._planes(rows)
+    def distances(self, rows) -> np.ndarray:
+        """Nearest-plane distances (K, n) of a block of rows (see
+        ``planes``): the elementwise minimum over each net's p rows of
+        normalized distances, taken in place in its first row, so a
+        one-plane net takes no minimum."""
+        d = self.planes(rows)
         np.abs(d, out=d)
-        d /= self._columns[2]
-        closest = d[0]
-        for plane in d[1:]:
-            np.minimum(closest, plane, out=closest)
+        d /= self.plane_norms
+        closest = d[:, 0]
+        for plane in range(1, d.shape[1]):
+            np.minimum(closest, d[:, plane], out=closest)
         return closest
 
 
@@ -186,11 +223,14 @@ class TwinNNModel:
     plus: TanhNet
     minus: TanhNet
     hyper: TwinHyper
+    # plus and minus as one bank of two, which scores both in one pass
+    _bank: TanhBank = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.plus.n_features != self.minus.n_features:
             raise ShapeError(f"the sides take {self.plus.n_features} and "
                              f"{self.minus.n_features} features; a pair must agree")
+        object.__setattr__(self, "_bank", TanhBank((self.plus, self.minus)))
 
 
 def _design(*blocks: np.ndarray) -> np.ndarray:
@@ -205,87 +245,94 @@ def _design(*blocks: np.ndarray) -> np.ndarray:
     return design
 
 
-def _net(params, final_loss: float | None = None) -> TanhNet:
-    """The net of trained ``[[W | c], plane W, plane b]``."""
+def _nets(params, final_loss: float | None = None) -> list[TanhNet]:
+    """The K nets of a trained bank ``[[W | c], plane W, plane b]``, in
+    bank order."""
     hidden, pw, pb = params
-    return TanhNet(np.ascontiguousarray(hidden[:, :-1]), hidden[:, -1].copy(), pw, pb,
-                   final_loss)
+    return [TanhNet(np.ascontiguousarray(w[:, :-1]), w[:, -1].copy(), pw_k, pb_k, final_loss)
+            for w, pw_k, pb_k in zip(np.split(hidden, len(pw)), pw, pb)]
 
 
 def _forward(params, design: np.ndarray):
-    """(phi (h, N), plane pre-activations (p, N)) of ``[[W | c], plane W,
-    plane b]`` over a feature-major design: phi = tanh([W | c] @ design),
-    one column per sample."""
+    """(phi (K, h, N), plane pre-activations (K, p, N)) of a bank ``[[W |
+    c], plane W, plane b]`` over a feature-major design: phi = tanh([W |
+    c] @ design), one product for all K nets and one column per sample,
+    then one batched plane product over the nets' (h, N) slices."""
     hidden, pw, pb = params
     phi = hidden @ design
     np.tanh(phi, out=phi)
-    return phi, pw @ phi + pb[:, None]
+    k, _, h = pw.shape
+    phi = phi.reshape(k, h, design.shape[1])
+    return phi, pw @ phi + pb[:, :, None]
 
 
 def _backprop(plane_w: np.ndarray, design: np.ndarray, phi: np.ndarray, delta: np.ndarray):
-    """Gradients [[W | c], plane W, plane b] of per-plane, per-sample output
-    gradients ``delta`` (p, N) pushed back through the planes ``plane_w``
-    and ``phi = tanh([W | c] @ design)`` (h, N), which it overwrites with
-    (1 - phi^2) * (plane_w.T @ delta).
+    """Gradients [[W | c], plane W, plane b] of a bank's per-plane,
+    per-sample output gradients ``delta`` (K, p, N) pushed back through
+    its planes ``plane_w`` (K, p, h) and ``phi = tanh([W | c] @ design)``
+    (K, h, N), which it overwrites with (1 - phi^2) * (plane_w.T @ delta)
+    net by net.  The hidden gradient of all K nets is one product.
 
     Every per-sample array runs along N, the long axis.  With one plane
     (twin sides, rfnn) the product is two in-place broadcasts along N, not
     a K = 1 matmul: numpy spends several times longer on an (N, 1) x (1, h)
     product, or on a broadcast whose inner loop runs over the short h axis,
     than on the arithmetic.  Working in place, an epoch allocates one
-    (h, N) array, phi, for a one-plane net; at a few thousand rows malloc
-    can hand such arrays back as fresh pages on every epoch, and a page
-    fault per 4 KB then costs more than the arithmetic."""
-    d_plane = delta @ phi.T
+    (K, h, N) array, phi, for one-plane nets; at a few thousand rows
+    malloc can hand such arrays back as fresh pages on every epoch, and a
+    page fault per 4 KB then costs more than the arithmetic."""
+    d_plane = delta @ phi.transpose(0, 2, 1)
     phi *= phi
     np.subtract(1.0, phi, out=phi)
-    if delta.shape[0] == 1:
+    plane_t = plane_w.transpose(0, 2, 1)
+    if delta.shape[1] == 1:
         phi *= delta
-        phi *= plane_w.T
+        phi *= plane_t
     else:
-        phi *= plane_w.T @ delta
-    return [phi @ design.T, d_plane, delta.sum(axis=1)]
+        phi *= plane_t @ delta
+    return [phi.reshape(-1, design.shape[1]) @ design.T, d_plane, delta.sum(axis=2)]
 
 
 def side_objective(params, design: np.ndarray, n_other: int, c: float, target: float):
     """Loss and gradients of one side, from one forward pass over its design.
 
-    ``params`` is a one-plane net's ``[[W | c], plane W (1, h), plane b
-    (1,)]`` and ``design`` is ``_design(other, own)``, whose first
-    ``n_other`` rows are the other class's.  The loss is the margin term,
-    the mean squared gap between tanh outputs on ``other`` rows and
+    ``params`` is a bank of one one-plane net, ``[[W | c], plane W (1, 1,
+    h), plane b (1, 1)]``, and ``design`` is ``_design(other, own)``, whose
+    first ``n_other`` rows are the other class's.  The loss is the margin
+    term, the mean squared gap between tanh outputs on ``other`` rows and
     ``target`` (-1 for the positive side, +1 for the negative side), plus
     the proximal term, ``c`` times the mean squared pre-activation on
     ``own`` rows, each halved.  Gradients come in the layout of ``params``.
     """
     phi, out = _forward(params, design)
-    out = out[0]
+    out = out[0, 0]
     y = np.tanh(out[:n_other])
     r = y - target
     z = out[n_other:]
     n_own = design.shape[1] - n_other
     loss = float(r @ r) / (2.0 * n_other) + c * float(z @ z) / (2.0 * n_own)
     delta = np.concatenate((r * (1.0 - y * y) / n_other, (c / n_own) * z))
-    return loss, _backprop(params[1], design, phi, delta.reshape(1, -1))
+    return loss, _backprop(params[1], design, phi, delta.reshape(1, 1, -1))
 
 
 def _init_net(rng: Rng, n_features: int, hidden: int, planes: int) -> list:
-    """Initial ``[[W | c], plane W (p, h), plane b (p,)]`` of a net, drawn
-    in this order: W then c uniform in +-1/sqrt(M), each plane's weights
-    uniform in +-1/sqrt(h) and redrawn until their norm is non-zero, then
-    the plane biases, also in +-1/sqrt(h).  Every trained model starts
-    from this stream, so the order must not change."""
+    """Initial parameters of one net as a bank of one, ``[[W | c] (h,
+    M+1), plane W (1, p, h), plane b (1, p)]``, drawn in this order: W then
+    c uniform in +-1/sqrt(M), each plane's weights uniform in +-1/sqrt(h)
+    and redrawn until their norm is non-zero, then the plane biases, also
+    in +-1/sqrt(h).  Every trained model starts from this stream, so the
+    order must not change."""
     bound = 1.0 / np.sqrt(n_features)
     w = rng.uniform(-bound, bound, hidden * n_features).reshape(hidden, n_features)
     c = rng.uniform(-bound, bound, hidden)
     bound = 1.0 / np.sqrt(hidden)
-    plane_w = np.empty((planes, hidden))
+    plane_w = np.empty((1, planes, hidden))
     for j in range(planes):
         while True:
-            plane_w[j] = rng.uniform(-bound, bound, hidden)
-            if np.linalg.norm(plane_w[j]) > 0:
+            plane_w[0, j] = rng.uniform(-bound, bound, hidden)
+            if np.linalg.norm(plane_w[0, j]) > 0:
                 break
-    return [np.column_stack((w, c)), plane_w, rng.uniform(-bound, bound, planes)]
+    return [np.column_stack((w, c)), plane_w, rng.uniform(-bound, bound, planes)[None]]
 
 
 def descend(params, objective, lr: float, epochs: int, tol: float, who: str,
@@ -353,7 +400,7 @@ def train_side(data: Dataset, hyper: TwinHyper, side: str) -> TanhNet:
         [hidden, -target * plane_w, -target * plane_b],
         lambda params: side_objective(params, design, other.shape[0], c, target),
         hyper.lr, hyper.epochs, hyper.tol, f"{side} side", side)
-    return _net(params, final)
+    return _nets(params, final)[0]
 
 
 def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
@@ -368,17 +415,25 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
 
 def decision_values(model: TwinNNModel, x):
     """Per-side absolute normalized plane distances |w.phi(x)+b| / ||w||
-    for one sample (M,) or a batch (N, M)."""
-    return model.plus.distance(x), model.minus.distance(x)
+    for one sample (M,) (two floats) or a batch (N, M) (two (N,) arrays),
+    both sides scored in one pass per block of rows."""
+    d = score_rows(x, model.plus.n_features, lambda rows: model._bank.distances(rows).T)
+    if np.ndim(x) == 1:
+        return float(d[0, 0]), float(d[0, 1])
+    return d[:, 0], d[:, 1]
 
 
 def predict(model: TwinNNModel, x):
     """Label +1 where the positive plane is at least as close, else -1: an
     int for one sample (M,), int64 (N,) for a batch (N, M).  One block loop
-    (``numcore.score_rows``) scores both sides of each block; at a near-tie
-    a row's label can differ between a one-row call and a batch."""
-    labels = score_rows(x, model.plus.n_features, lambda rows: np.where(
-        model.plus._distance(rows) <= model.minus._distance(rows), 1, -1))
+    (``numcore.score_rows``) scores both sides of each block in one pass
+    of their bank; at a near-tie a row's label can differ between a
+    one-row call and a batch."""
+    def block(rows):
+        d_plus, d_minus = model._bank.distances(rows)
+        return np.where(d_plus <= d_minus, 1, -1)
+
+    labels = score_rows(x, model.plus.n_features, block)
     return int(labels[0]) if np.ndim(x) == 1 else labels
 
 
@@ -398,7 +453,7 @@ def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
     """Raw network output, the net's one plane: a float for one sample
     (M,), (N,) for a batch (N, M), scored in row blocks by
     ``numcore.score_rows``."""
-    z = score_rows(x, model.net.n_features, lambda rows: model.net._planes(rows)[0])
+    z = score_rows(x, model.net.n_features, lambda rows: model.net._bank.planes(rows)[0, 0])
     return float(z[0]) if np.ndim(x) == 1 else z
 
 
@@ -413,20 +468,21 @@ def rfnn_predict(model: RfnnModel, x):
 def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
     """Loss and gradients of the baseline from one forward pass.
 
-    ``params`` is a one-plane net's ``[[W | c], plane W (1, h), plane b
-    (1,)]`` and ``design`` is ``_design(rows)``.  The loss is half the mean
-    squared error to ``targets`` plus l2/2 times the squared weight norms.
-    Biases are not penalized, so under extreme l2 the output collapses to
-    the target mean.  Gradients come in the layout of ``params``.
+    ``params`` is a bank of one one-plane net, ``[[W | c], plane W (1, 1,
+    h), plane b (1, 1)]``, and ``design`` is ``_design(rows)``.  The loss
+    is half the mean squared error to ``targets`` plus l2/2 times the
+    squared weight norms.  Biases are not penalized, so under extreme l2
+    the output collapses to the target mean.  Gradients come in the layout
+    of ``params``.
     """
     hidden, pw, _ = params
     phi, out = _forward(params, design)
-    r = out[0] - targets
+    r = out[0, 0] - targets
     n = design.shape[1]
     hw = hidden[:, :-1]
     penalty = 0.5 * l2 * (float(np.sum(hw**2)) + float(np.vdot(pw, pw)))
     loss = float(r @ r) / (2.0 * n) + penalty
-    dhidden, dw, db = _backprop(pw, design, phi, (r / n).reshape(1, -1))
+    dhidden, dw, db = _backprop(pw, design, phi, (r / n).reshape(1, 1, -1))
     dhidden[:, :-1] += l2 * hw
     return loss, [dhidden, dw + l2 * pw, db]
 
@@ -453,4 +509,4 @@ def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
         _init_net(Rng(seed), data.n_features, hidden, 1),
         lambda params: rfnn_objective(params, design, targets, l2),
         lr, epochs, 0.0, "rfnn", "rfnn")
-    return RfnnModel(_net(params, final), l2, lr, epochs, seed)
+    return RfnnModel(_nets(params, final)[0], l2, lr, epochs, seed)

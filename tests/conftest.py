@@ -30,21 +30,24 @@ def flatten(arrays):
 
 
 def params_from_flat(vec, hidden_width, n_features):
-    """One-plane net ``[[W | c], plane W (1, h), plane b (1,)]`` from a flat
-    vector read in hidden W, hidden c, head w, head b order."""
+    """One one-plane net as a bank of one, ``[[W | c], plane W (1, 1, h),
+    plane b (1, 1)]``, from a flat vector read in hidden W, hidden c, head
+    w, head b order."""
     h, m = hidden_width, n_features
     hw = vec[: h * m].reshape(h, m)
     hb = vec[h * m : h * m + h]
     w = vec[h * m + h : h * m + 2 * h]
-    return [np.column_stack((hw, hb)), w.reshape(1, h), vec[-1:].copy()]
+    return [np.column_stack((hw, hb)), w.reshape(1, 1, h), vec[-1:].reshape(1, 1)]
 
 
 def flatten_nets(arrays):
-    """Flat vector of ``[[W | c], plane W, plane b]`` per net, read per net
-    in W, c, plane W, plane b order: the order ``params_from_flat`` reads."""
+    """Flat vector of a bank ``[[W | c], plane W (K, p, h), plane b (K,
+    p)]``, read net by net in W, c, plane W, plane b order: the order
+    ``params_from_flat`` reads."""
+    hidden, pw, pb = arrays
     parts = []
-    for hidden, pw, pb in zip(arrays[0::3], arrays[1::3], arrays[2::3], strict=True):
-        parts += [np.ravel(hidden[:, :-1]), hidden[:, -1], np.ravel(pw), np.ravel(pb)]
+    for w, pw_k, pb_k in zip(np.split(hidden, len(pw)), pw, pb, strict=True):
+        parts += [np.ravel(w[:, :-1]), w[:, -1], np.ravel(pw_k), np.ravel(pb_k)]
     return np.concatenate(parts)
 
 
@@ -65,9 +68,9 @@ def max_relative_error(analytic, numeric, floor=1e-8):
 
 
 def _split(net):
-    """(W, c, w, b) of a one-plane net's ``[[W | c], plane W, plane b]``."""
+    """(W, c, w, b) of a bank of one one-plane net."""
     hidden, pw, pb = net
-    return hidden[:, :-1], hidden[:, -1], pw[0], pb[0]
+    return hidden[:, :-1], hidden[:, -1], pw[0, 0], pb[0, 0]
 
 
 def _two_block_backprop(w, rows, phi, delta):
@@ -76,8 +79,9 @@ def _two_block_backprop(w, rows, phi, delta):
 
 
 def _join(dhw, dhb, dw, db):
-    """Gradients (W, c, w, b) of a one-plane net in its parameter layout."""
-    return [np.column_stack((dhw, dhb)), dw.reshape(1, -1), np.array([db])]
+    """Gradients (W, c, w, b) of a one-plane net in the layout of a bank
+    of one."""
+    return [np.column_stack((dhw, dhb)), dw.reshape(1, 1, -1), np.array([[db]])]
 
 
 def two_block_side_objective(params, own, other, c, target):
@@ -108,12 +112,13 @@ def two_block_rfnn_objective(params, rows, targets, l2):
 
 
 def two_block_mc_objective(params, rows, class_idx, margin_weight):
-    """Reference multiclass objective over ``[[W | c], plane W, plane b]``
-    per bank, with the subnet bias added apart from the weights' product
-    and each bank backpropagated inline."""
+    """Reference multiclass objective over the nets of a bank ``[[W | c],
+    plane W, plane b]``, one class per net and rows in any class order,
+    with the subnet bias added apart from the weights' product and each
+    net backpropagated inline; gradients in the layout of ``params``."""
+    nets = list(zip(np.split(params[0], len(params[1])), params[1], params[2]))
     phis, acts = [], []
-    for i in range(0, len(params), 3):
-        hidden, pw, pb = params[i:i + 3]
+    for hidden, pw, pb in nets:
         phis.append(np.tanh(rows @ hidden[:, :-1].T + hidden[:, -1]))
         acts.append(np.tanh(phis[-1] @ pw.T + pb))
     acts = np.stack(acts)
@@ -132,7 +137,7 @@ def two_block_mc_objective(params, rows, class_idx, margin_weight):
     loss = float((margin_weight * own_min * own_min + deficit * deficit).mean())
 
     grads = []
-    for k, (phi, a_k) in enumerate(zip(phis, acts)):
+    for k, (phi, a_k, net) in enumerate(zip(phis, acts, nets)):
         da = np.zeros_like(a_k)
         own_rows = np.flatnonzero(class_idx == k)
         if own_rows.size:
@@ -143,10 +148,11 @@ def two_block_mc_objective(params, rows, class_idx, margin_weight):
             cols = other_plane[routed]
             da[routed, cols] += (-2.0 / n) * deficit[routed] * np.sign(a_k[routed, cols])
         dz = da * (1.0 - a_k * a_k)
-        dpre = (dz @ params[3 * k + 1]) * (1.0 - phi * phi)
-        grads += [np.column_stack((dpre.T @ rows, dpre.sum(axis=0))), dz.T @ phi,
-                  dz.sum(axis=0)]
-    return loss, grads
+        dpre = (dz @ net[1]) * (1.0 - phi * phi)
+        grads.append((np.column_stack((dpre.T @ rows, dpre.sum(axis=0))), dz.T @ phi,
+                      dz.sum(axis=0)))
+    hidden, pw, pb = zip(*grads)
+    return loss, [np.vstack(hidden), np.stack(pw), np.stack(pb)]
 
 
 def assert_matches_reference(result, reference):

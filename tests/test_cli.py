@@ -111,6 +111,17 @@ def _set(path, value):
     return mutate
 
 
+def _one_hidden_unit_less(d, net):
+    """``d`` with the last hidden unit of ``net``, one of its nets, taken
+    out: its hidden weights and bias and its weight in every plane."""
+    for key in ("hidden_w", "hidden_b", "subnet_w", "subnet_b", "w"):
+        if key in net:
+            net[key] = net[key][:-1]
+    for plane in net.get("planes", []):
+        plane["w"] = plane["w"][:-1]
+    return d
+
+
 class TestKnnK:
     """An imputation neighbour count below 1 is a usage error raised
     before any data is loaded, whatever the data."""
@@ -189,6 +200,25 @@ class TestModelFiles:
         model_path.write_text(content if isinstance(content, str) else json.dumps(content))
         assert main(["predict", "--data", data, "--model-file", str(model_path)]) == 3
         assert f"data error: model file {model_path}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind, mutate", [
+        ("twin_nn", lambda d: _one_hidden_unit_less(d, d["minus"])),
+        ("twin_nn_mc", lambda d: _one_hidden_unit_less(d, d["banks"][1])),
+        ("twin_nn_mc", lambda d: d["banks"][2]["planes"].append(
+            dict(d["banks"][2]["planes"][0])) or d),
+    ], ids=["twin-hidden-width", "mc-hidden-width", "mc-plane-count"])
+    def test_nets_of_another_shape_exit_3_on_one_line(self, tmp_path, saved, capsys, kind,
+                                                      mutate):
+        # the file has one h (and p) for all its nets, and a model scores
+        # them as one bank, which refuses nets of another shape
+        data, models = saved
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(mutate(json.loads(json.dumps(models[kind])))))
+        assert main(["predict", "--data", data, "--model-file", str(model_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: model file {model_path}: malformed {kind} model: ")
+        assert "cannot share a bank" in err and err.count("\n") == 1
 
 
 class TestCv:

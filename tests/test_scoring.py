@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twinlearn import multiclass, twin_nn
+from twinlearn import harness, multiclass, twin_nn
 from twinlearn.harness import OvrEnsemble, ovr_distances, ovr_predict
 from twinlearn.multiclass import MCHyper, MulticlassTwinModel, mc_distances, mc_predict
 from twinlearn.numcore import SCORE_BLOCK, ShapeError, score_rows
-from twinlearn.twin_nn import (RfnnModel, TanhNet, TwinHyper, TwinNNModel, decision_values,
-                               predict, rfnn_decision, rfnn_predict)
+from twinlearn.twin_nn import (RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel,
+                               decision_values, predict, rfnn_decision, rfnn_predict)
 from twinlearn.twsvm import (KernelSpec, TwsvmPlane, TwsvmProblem, kernel_matrix, solve_dual,
                              twsvm_distances)
 
@@ -134,6 +134,17 @@ class TestMemory:
         out, peak = _traced_peak(lambda x: rfnn_decision(model, x), rng.standard_normal((N, 8)))
         assert out.shape == (N,)
         assert peak <= _bound(out.nbytes, 8)
+
+    @pytest.mark.parametrize("predict_fn, nets", [(predict, 2), (mc_predict, 3)],
+                             ids=["twin pair", "multiclass"])
+    def test_a_bank_of_nets(self, predict_fn, nets):
+        # a model's nets score as one bank: (K*h, block) activations
+        twin, _, mc = _models(np.random.default_rng(47), 8)
+        model = twin if nets == 2 else mc
+        out, peak = _traced_peak(lambda x: predict_fn(model, x),
+                                 np.random.default_rng(48).standard_normal((N, 8)))
+        assert out.shape == (N,)
+        assert peak <= _bound(out.nbytes, nets * 8)
 
     def test_rbf_twsvm_distances(self):
         model = _twsvm(KernelSpec("rbf", 0.5))
@@ -336,14 +347,32 @@ class TestOneBlockLoop:
             calls.append(args)
             return score_rows(*args)
 
-        monkeypatch.setattr(twin_nn, "score_rows", counted)
-        monkeypatch.setattr(multiclass, "score_rows", counted)
-        twin, rfnn, mc = _models(np.random.default_rng(41), 3)
+        for module in (twin_nn, multiclass, harness):
+            monkeypatch.setattr(module, "score_rows", counted)
         x = np.random.default_rng(42).standard_normal((n or 1, 3))
-        for predict_fn, model in ((predict, twin), (rfnn_predict, rfnn), (mc_predict, mc)):
+        for predict_fn, model, _ in _predicts(np.random.default_rng(41)):
             calls.clear()
             predict_fn(model, x[0] if n is None else x)
-            assert len(calls) == 1, predict_fn.__name__
+            assert len(calls) == 1, predict_fn
+
+    @pytest.mark.parametrize("n, blocks", [(None, 1), (64, 1), (B + 2, 2)],
+                             ids=["sample", "64 rows", "two blocks"])
+    def test_each_predict_makes_one_kernel_call_per_block(self, monkeypatch, n, blocks):
+        # every net of a model is scored in the one pass of its bank, not
+        # one pass per net
+        calls = []
+        kernel = TanhBank.planes
+
+        def counted(bank, rows):
+            calls.append(len(bank.plane_weights))
+            return kernel(bank, rows)
+
+        monkeypatch.setattr(TanhBank, "planes", counted)
+        x = np.random.default_rng(44).standard_normal((n or 1, 3))
+        for predict_fn, model, nets in _predicts(np.random.default_rng(45)):
+            calls.clear()
+            predict_fn(model, x[0] if n is None else x)
+            assert calls == ([nets] * blocks if nets else []), predict_fn
 
     def test_a_model_takes_one_input_width(self):
         # the one block loop checks the rows against the first net's width
@@ -352,6 +381,73 @@ class TestOneBlockLoop:
             TwinNNModel(_net(rng, 3, 8, 1), _net(rng, 4, 8, 1), TwinHyper(hidden=8))
         with pytest.raises(ShapeError, match="banks of one input width"):
             MulticlassTwinModel([0, 1], (_net(rng, 3, 6, 2), _net(rng, 4, 6, 2)), MCHyper())
+
+    @pytest.mark.parametrize("shapes", [((8, 1), (6, 1)), ((8, 1), (8, 2))],
+                             ids=["hidden width", "plane count"])
+    def test_a_model_takes_one_net_shape(self, shapes):
+        # a model's nets are scored as one bank, which needs one (h, p)
+        rng = np.random.default_rng(46)
+        first, second = (_net(rng, 3, h, p) for h, p in shapes)
+        with pytest.raises(ShapeError, match=r"cannot share a bank"):
+            TwinNNModel(first, second, TwinHyper(hidden=8))
+        with pytest.raises(ShapeError, match=r"cannot share a bank"):
+            MulticlassTwinModel([0, 1, 2], (first, first, second), MCHyper())
+
+
+class TestBankKernel:
+    """One ``TanhBank`` scores K nets of one shape in one pass: each net's
+    slice of its scores is that net's own, and the labels of every predict
+    are the nearest of the stacked distances."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(picks=st.lists(st.integers(0, 2), min_size=1, max_size=4), p=st.integers(1, 3),
+           h=st.integers(1, 16), m=st.integers(1, 12), n=st.sampled_from([1, 64, B + 2]),
+           nan_rows=st.sets(st.integers(0, 70), max_size=5), seed=st.integers(0, 2**32 - 1))
+    @example(picks=[1, 0, 1], p=2, h=6, m=8, n=64, nan_rows=set(), seed=0)  # banks 0, 2 tie
+    @example(picks=[2, 2], p=1, h=8, m=8, n=64, nan_rows={0, 63}, seed=0)  # every row ties
+    @example(picks=[0, 1, 2, 0], p=3, h=4, m=3, n=B + 2, nan_rows={1, 5}, seed=1)
+    @example(picks=[0], p=2, h=5, m=3, n=1, nan_rows={0}, seed=2)
+    def test_each_net_scores_as_alone_and_labels_are_the_argmin(self, picks, p, h, m, n,
+                                                                nan_rows, seed):
+        rng = np.random.default_rng(seed)
+        pool = [_net(rng, m, h, p) for _ in range(3)]
+        nets = [pool[i] for i in picks]
+        bank = TanhBank(nets)
+        x, bad = _rows(rng, n, m, nan_rows)
+        planes = score_rows(x, m, lambda rows: bank.planes(rows).transpose(2, 0, 1))
+        distances = score_rows(x, m, lambda rows: bank.distances(rows).T)
+        assert planes.shape == (n, len(nets), p) and distances.shape == (n, len(nets))
+        for k, net in enumerate(nets):
+            np.testing.assert_allclose(planes[:, k], _whole_planes(net, x),
+                                       rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(distances[:, k], _whole_distance(net, x),
+                                       rtol=1e-12, atol=1e-13)
+        nearest = np.argmin(distances, axis=1)
+        ids = np.arange(len(nets)) * 3 + 1
+        ensemble = OvrEnsemble("twin_nn", ids, nets)
+        np.testing.assert_array_equal(ovr_predict(ensemble, x), ids[nearest])
+        if len(nets) >= 2:
+            model = MulticlassTwinModel(ids, tuple(nets), MCHyper(subnet_features=h, planes=p))
+            np.testing.assert_array_equal(mc_predict(model, x), ids[nearest])
+        if len(nets) == 2:
+            # a NaN row is no nearer to the plus plane, so it goes to -1
+            plus = (nearest == 0) & ~np.isin(np.arange(n), bad)
+            np.testing.assert_array_equal(predict(TwinNNModel(*nets, TwinHyper(hidden=h)), x),
+                                          np.where(plus, 1, -1))
+
+
+def _predicts(rng):
+    """(predict, model, nets) for every predict that scores tanh nets, and
+    for one-vs-rest over each binary kind's own planes, on 3 features:
+    ``nets`` is the number of tanh nets the model scores (0 for twin SVM
+    planes)."""
+    twin, rfnn, mc = _models(rng, 3)
+    ovr = [(OvrEnsemble(kind, np.array([1, 4, 7]), _pool(rng, kind)), nets)
+           for kind, nets in (("twin_nn", 3), ("rfnn", 3), ("twsvm_linear", 0))]
+    return [(predict, twin, 2), (decision_values, twin, 2), (rfnn_predict, rfnn, 1),
+            (rfnn_decision, rfnn, 1), (mc_predict, mc, 3), (mc_distances, mc, 3),
+            *((fn, ensemble, nets) for fn in (ovr_predict, ovr_distances)
+              for ensemble, nets in ovr)]
 
 
 def _models(rng, m: int):

@@ -22,7 +22,7 @@ from twinlearn.twin_nn import (
     TwinHyper,
     _design,
     _init_net,
-    _net,
+    _nets,
     decision_values,
     predict,
     rfnn_decision,
@@ -44,7 +44,7 @@ def random_params(rng, hidden, n_features, scale=0.7):
 
 
 def random_side(rng, hidden, n_features):
-    return _net(random_params(rng, hidden, n_features))
+    return _nets(random_params(rng, hidden, n_features))[0]
 
 
 def plus_objective(params, a, b, c):
@@ -73,7 +73,7 @@ class TestLosses:
         b = rng.standard_normal((5, 2))
         params = random_params(rng, 3, 2)
         hidden, w, head_b = params
-        r = np.tanh(np.tanh(b @ hidden[:, :-1].T + hidden[:, -1]) @ w[0] + head_b[0]) + 1.0
+        r = np.tanh(np.tanh(b @ hidden[:, :-1].T + hidden[:, -1]) @ w[0, 0] + head_b[0, 0]) + 1.0
         loss, grads = plus_objective(params, a, b, 0.0)
         assert loss == float(r @ r) / (2.0 * len(b))
         # with c = 0 the own rows leave no trace in the gradient either
@@ -86,7 +86,7 @@ class TestLosses:
         a = rng.standard_normal((4, m))
         b = rng.standard_normal((4, m))
         params = random_params(rng, h, m)
-        hw, hb, w, head_b = params[0][:, :-1], params[0][:, -1], params[1][0], params[2][0]
+        hw, hb, w, head_b = params[0][:, :-1], params[0][:, -1], params[1][0, 0], params[2][0, 0]
         c = 0.7
 
         def phi(x):
@@ -113,8 +113,8 @@ class TestGradients:
         g = plus_objective(params, a, b, 1.0)[1]
         # hidden map is zero at zero parameters, so dw vanishes; the
         # proximal gradient is zero and the margin residual is +1
-        np.testing.assert_array_equal(g[1], np.zeros((1, 3)))
-        assert g[2][0] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(g[1], np.zeros((1, 1, 3)))
+        assert g[2][0, 0] == pytest.approx(1.0, abs=1e-15)
         for with_c, without_c in zip(g, plus_objective(params, a, b, 0.0)[1]):
             np.testing.assert_array_equal(with_c, without_c)
 
@@ -142,11 +142,11 @@ class TestGradients:
         params = random_params(rng, 4, 3)
         # a head bias of 30 saturates tanh on every row, so the margin
         # term's gradient is exactly zero and only the proximal one is left
-        params[2] = np.array([30.0])
+        params[2] = np.array([[30.0]])
         b = rng.standard_normal((3, 3))
         g1 = plus_objective(params, a, b, 0.65)[1]
         g2 = plus_objective(params, a, b, 1.3)[1]
-        assert g1[2][0] != 0.0
+        assert g1[2][0, 0] != 0.0
         for x1, x2 in zip(g1, g2):
             np.testing.assert_array_equal(x2, 2.0 * x1)
 
@@ -173,7 +173,7 @@ class TestFusedObjectives:
         own = rng.standard_normal((n_own, m))
         other = rng.standard_normal((n_other, m))
         params = random_params(rng, h, m)
-        params[2] = np.array([head_bias])
+        params[2] = np.array([[head_bias]])
         assert_matches_reference(side_objective(params, _design(other, own), n_other, c, target),
                                  two_block_side_objective(params, own, other, c, target))
 
@@ -188,20 +188,21 @@ class TestFusedObjectives:
         rows = rng.standard_normal((n, m))
         targets = rng.choice([-1.0, 1.0], size=n)
         params = random_params(rng, h, m)
-        params[2] = np.array([head_bias])
+        params[2] = np.array([[head_bias]])
         assert_matches_reference(rfnn_objective(params, _design(rows), targets, l2),
                                  two_block_rfnn_objective(params, rows, targets, l2))
 
 
 def general_backprop(plane_w, design, phi, delta):
-    """``_backprop``'s p-plane expression, with (1 - phi^2) * (plane_w.T @
-    delta) formed out of place."""
-    dpre = (1.0 - phi * phi) * (plane_w.T @ delta)
-    return [dpre @ design.T, delta @ phi.T, delta.sum(axis=1)], dpre
+    """``_backprop``'s p-plane expression net by net, with (1 - phi^2) *
+    (plane_w.T @ delta) formed out of place."""
+    dpre = np.stack([(1.0 - f * f) * (w.T @ d) for w, f, d in zip(plane_w, phi, delta)])
+    return [np.vstack(dpre) @ design.T, np.stack([d @ f.T for f, d in zip(phi, delta)]),
+            delta.sum(axis=2)], dpre
 
 
 class TestFeatureMajorLayout:
-    """Training runs on an (M+1, N) design with (h, N) activations."""
+    """Training runs on an (M+1, N) design with (K, h, N) activations."""
 
     def test_design_is_feature_major_with_the_ones_row_last(self):
         rng = np.random.default_rng(40)
@@ -213,15 +214,15 @@ class TestFeatureMajorLayout:
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 80), m=st.integers(1, 8), h=st.integers(1, 16),
-           p=st.integers(1, 3), w_scale=st.floats(-3.0, 3.0), d_scale=st.floats(-6.0, 2.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_plane_case_matches_the_general_form(self, n, m, h, p, w_scale, d_scale,
+           p=st.integers(1, 3), k=st.integers(1, 3), w_scale=st.floats(-3.0, 3.0),
+           d_scale=st.floats(-6.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_one_plane_case_matches_the_general_form(self, n, m, h, p, k, w_scale, d_scale,
                                                      seed):
         rng = np.random.default_rng(seed)
         design = _design(rng.standard_normal((n, m)))
-        phi = np.tanh(3.0 * rng.standard_normal((h, n)))
-        plane_w = rng.standard_normal((p, h)) * 10.0**w_scale
-        delta = rng.standard_normal((p, n)) * 10.0**d_scale
+        phi = np.tanh(3.0 * rng.standard_normal((k, h, n)))
+        plane_w = rng.standard_normal((k, p, h)) * 10.0**w_scale
+        delta = rng.standard_normal((k, p, n)) * 10.0**d_scale
         got = twin_nn._backprop(plane_w, design, phi.copy(), delta)
         want, dpre = general_backprop(plane_w, design, phi, delta)
         np.testing.assert_array_equal(got[1], want[1])
@@ -233,7 +234,7 @@ class TestFeatureMajorLayout:
             # order than the product; the sum over N then differs by a few
             # ulps of its terms, so the scale is that of the terms, which
             # cancellation can put far above the signed gradient's
-            scale = np.max(np.abs(dpre) @ np.abs(design).T)
+            scale = np.max(np.abs(np.vstack(dpre)) @ np.abs(design).T)
             assert np.max(np.abs(got[0] - want[0])) <= 1e-15 * scale
 
 
@@ -245,13 +246,13 @@ class TestInitNet:
                   [0.2546198336919083, 0.6006065231233384, 0.38146920325330647]]
         one = _init_net(Rng(42), 2, 2, 1)
         assert [a.tolist() for a in one] == [
-            hidden, [[0.31007845450158555, 0.4949866883240004]], [0.3696391944752233]]
+            hidden, [[[0.31007845450158555, 0.4949866883240004]]], [[0.3696391944752233]]]
         two = _init_net(Rng(42), 2, 2, 2)
         assert [a.tolist() for a in two] == [
             hidden,
-            [[0.31007845450158555, 0.4949866883240004],
-             [0.3696391944752233, 0.11787372424506593]],
-            [0.2580273226999147, -0.29602634821930146]]
+            [[[0.31007845450158555, 0.4949866883240004],
+              [0.3696391944752233, 0.11787372424506593]]],
+            [[0.2580273226999147, -0.29602634821930146]]]
 
 
 def separable_blobs(seed=0, n=20):
@@ -352,7 +353,7 @@ class TestTrain:
         assert model.plus.final_loss <= losses[0]
         # with tol = 0 training takes exactly these steps
         np.testing.assert_array_equal(model.plus.weights, params[0][:, :-1])
-        assert model.plus.plane_biases[0] == params[2][0]
+        assert model.plus.plane_biases[0] == params[2][0, 0]
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_objective_call_per_epoch(self, epochs, monkeypatch):
