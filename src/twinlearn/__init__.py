@@ -10,7 +10,7 @@ from .numcore import Rng, mix_seed
 from .data import Dataset, load_csv, load_libsvm, fit_scaling, apply_scaling
 from .data import knn_impute, make_folds, make_imbalanced
 from .twin_nn import TwinHyper, TwinNNModel, train, predict, decision_values
-from .twin_nn import train_rfnn_baseline, rfnn_predict
+from .twin_nn import RfnnHyper, train_rfnn_baseline, rfnn_predict
 from .multiclass import MCHyper, MulticlassTwinModel, mc_train, mc_predict
 from .twsvm import KernelSpec, TwsvmProblem, TwsvmModel, solve_dual, twsvm_predict
 from .evalstats import ConfusionMatrix, MetricReport, confusion, metrics
@@ -36,6 +36,7 @@ __all__ = [
     "train",
     "predict",
     "decision_values",
+    "RfnnHyper",
     "train_rfnn_baseline",
     "rfnn_predict",
     "MCHyper",

@@ -11,7 +11,6 @@ below plus the ``version`` and ``kind`` fields added by ``serialize``.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import multiclass, twin_nn, twsvm
 from .multiclass import MCHyper, MulticlassTwinModel
-from .twin_nn import RfnnModel, TanhNet, TwinHyper, TwinNNModel
+from .twin_nn import RfnnHyper, RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel
 from .twsvm import KernelSpec, TwsvmModel, TwsvmPlane, TwsvmProblem
 
 __all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS",
@@ -77,9 +76,10 @@ def _twsvm_scorer(planes):
 @dataclass(frozen=True)
 class ModelKind:
     """``fit(dataset, params, seed)`` takes typed hyperparameters (binary
-    kinds: {+1,-1} labels); ``check(params)`` raises ValueError where a
-    typed hyperparameter is out of range, by the fit's own checks and
-    without data; ``predict(model, x)`` raises ShapeError when x has the
+    kinds: {+1,-1} labels); ``check(**params)`` raises ValueError where a
+    typed hyperparameter is out of range or not finite, by the fit's own
+    check (a network's hyperparameter type) and without data;
+    ``predict(model, x)`` raises ShapeError when x has the
     wrong width, by the check its plane type (``TanhNet`` or
     ``TwsvmPlane``) makes; ``own_plane`` fits and measures the +1 class's
     own plane and nothing else, which is all one-vs-rest reads (binary
@@ -114,15 +114,13 @@ class ModelKind:
                     raise ValueError(f"{self.name} hyperparameter {name!r} must be "
                                      f"an integer, got {value!r}")
         for point in itertools.product(*candidates.values()):
-            self.check(typed(dict(zip(candidates, point))))
+            self.check(**typed(dict(zip(candidates, point))))
 
 
-def _names(source, *excluded: str) -> frozenset:
-    """Field names of a dataclass or parameter names of a function, less
-    ``excluded``; the seed always comes from the run, never the grid."""
-    names = ([f.name for f in fields(source)] if isinstance(source, type)
-             else list(inspect.signature(source).parameters))
-    return frozenset(names) - {"seed", *excluded}
+def _names(source: type, *excluded: str) -> frozenset:
+    """Field names of a dataclass, less ``excluded``; the seed always comes
+    from the run, never the grid."""
+    return frozenset(f.name for f in fields(source)) - {"seed", *excluded}
 
 
 def _net_to_dict(net: TanhNet) -> dict:
@@ -139,11 +137,15 @@ def _net_from_dict(d: dict) -> TanhNet:
     return TanhNet(d["hidden_w"], d["hidden_b"], [d["w"]], [d["b"]])
 
 
-def _check_width(n_features, nets) -> None:
-    """ValueError unless every net takes the file's ``M`` features."""
-    widths = sorted({net.n_features for net in nets})
-    if widths != [n_features]:
-        raise ValueError(f"M is {n_features!r} but the weights take {widths} features")
+def _check_sizes(bank: TanhBank, **sizes) -> None:
+    """ValueError unless each size that a file gives for its bank of nets
+    (field name -> value) is that of their weights, as ``have`` names them."""
+    k, p, h = bank.plane_weights.shape
+    have = {"K": k, "M": bank.n_features, "h": h, "hidden": h, "n": h,
+            "subnet_features": h, "p": p, "planes": p}
+    for name, value in sizes.items():
+        if value != have[name]:
+            raise ValueError(f"{name} is {value!r} but the weights have {have[name]}")
 
 
 def _twin_to_dict(model: TwinNNModel) -> dict:
@@ -157,25 +159,25 @@ def _twin_to_dict(model: TwinNNModel) -> dict:
 
 
 def _twin_from_dict(d: dict) -> TwinNNModel:
-    plus, minus = _net_from_dict(d["plus"]), _net_from_dict(d["minus"])
-    _check_width(d["M"], (plus, minus))
-    return TwinNNModel(plus, minus, TwinHyper(**d["hyper"]))
+    model = TwinNNModel(_net_from_dict(d["plus"]), _net_from_dict(d["minus"]),
+                        TwinHyper(**d["hyper"]))
+    _check_sizes(model._bank, M=d["M"], h=d["h"], hidden=model.hyper.hidden)
+    return model
 
 
 def _rfnn_to_dict(model: RfnnModel) -> dict:
     return {
         "M": model.net.n_features,
-        "h": model.net.weights.shape[0],
-        "hyper": {"l2": model.l2, "lr": model.lr,
-                  "epochs": model.epochs, "seed": model.seed},
+        "h": model.hyper.hidden,
+        "hyper": {name: getattr(model.hyper, name) for name in ("l2", "lr", "epochs", "seed")},
         **_net_to_dict(model.net),
     }
 
 
 def _rfnn_from_dict(d: dict) -> RfnnModel:
-    net = _net_from_dict(d)
-    _check_width(d["M"], (net,))
-    return RfnnModel(net, **d["hyper"])
+    model = RfnnModel(_net_from_dict(d), RfnnHyper(hidden=d["h"], **d["hyper"]))
+    _check_sizes(model.net._bank, M=d["M"], h=d["h"])
+    return model
 
 
 def _mc_to_dict(model: MulticlassTwinModel) -> dict:
@@ -205,9 +207,11 @@ def _mc_from_dict(d: dict) -> MulticlassTwinModel:
                 [plane["b"] for plane in bank["planes"]])
         for bank in d["banks"]
     )
-    _check_width(d["M"], banks)
-    return MulticlassTwinModel([bank["class_id"] for bank in d["banks"]], banks,
-                               MCHyper(**d["hyper"]))
+    model = MulticlassTwinModel([bank["class_id"] for bank in d["banks"]], banks,
+                                MCHyper(**d["hyper"]))
+    _check_sizes(model._bank, K=d["K"], M=d["M"], n=d["n"], p=d["p"],
+                 subnet_features=model.hyper.subnet_features, planes=model.hyper.planes)
+    return model
 
 
 def _twsvm_to_dict(model: TwsvmModel) -> dict:
@@ -276,7 +280,7 @@ def _twsvm_kind(name: str, kernel: str) -> ModelKind:
     return ModelKind(
         name, "binary", TwsvmModel, "twsvm",
         fit=lambda ds, params, seed: twsvm.solve_dual(_twsvm_problem(kernel, ds, params)),
-        check=lambda params: _twsvm_settings(kernel, params),
+        check=lambda **params: _twsvm_settings(kernel, params),
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
         own_plane=OwnPlane(
             lambda ds, params, seed: twsvm.solve_plus(_twsvm_problem(kernel, ds, params)),
@@ -291,17 +295,11 @@ def _fit_rfnn(ds, params: dict, seed: int) -> RfnnModel:
     return twin_nn.train_rfnn_baseline(ds, seed=seed, **params)
 
 
-def _check_rfnn(params: dict) -> None:
-    defaults = inspect.signature(twin_nn.train_rfnn_baseline).parameters
-    twin_nn.check_rfnn_hyper(*(params.get(name, defaults[name].default)
-                               for name in ("hidden", "lr", "l2")))
-
-
 MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
     ModelKind(
         "twin_nn", "binary", TwinNNModel, "twin_nn",
         fit=lambda ds, params, seed: twin_nn.train(ds, TwinHyper(seed=seed, **params)),
-        check=lambda params: TwinHyper(**params),
+        check=TwinHyper,
         predict=lambda model, x: twin_nn.predict(model, x),
         # the plus side's net alone; TwinHyper still checks c_minus
         own_plane=OwnPlane(
@@ -314,19 +312,19 @@ MODELS: dict[str, ModelKind] = {kind.name: kind for kind in (
     ModelKind(
         "rfnn", "binary", RfnnModel, "rfnn",
         fit=_fit_rfnn,
-        check=_check_rfnn,
+        check=RfnnHyper,
         predict=lambda model, x: twin_nn.rfnn_predict(model, x),
         # one net, so the whole model
         own_plane=OwnPlane(_fit_rfnn, _rfnn_scorer),
         to_dict=_rfnn_to_dict, from_dict=_rfnn_from_dict,
-        params=_names(twin_nn.train_rfnn_baseline, "data"),
+        params=_names(RfnnHyper),
     ),
     _twsvm_kind("twsvm_linear", "linear"),
     _twsvm_kind("twsvm_rbf", "rbf"),
     ModelKind(
         "twin_nn_mc", "multiclass", MulticlassTwinModel, "twin_nn_mc",
         fit=lambda ds, params, seed: multiclass.mc_train(ds, MCHyper(seed=seed, **params)),
-        check=lambda params: MCHyper(**params),
+        check=MCHyper,
         predict=lambda model, x: multiclass.mc_predict(model, x),
         own_plane=None,
         to_dict=_mc_to_dict, from_dict=_mc_from_dict,

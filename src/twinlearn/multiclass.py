@@ -42,8 +42,8 @@ import numpy as np
 
 from .numcore import DivergenceError, Rng, ShapeError, mix_seed, nearest, score_rows
 from .data import Dataset, DataError
-from .twin_nn import (TanhBank, TanhNet, _backprop, _design, _forward, _init_net, _nets,
-                      descend)
+from .twin_nn import (TanhBank, TanhNet, _backprop, _check_ranges, _design, _forward,
+                      _init_net, _nets, descend)
 
 __all__ = [
     "MCHyper",
@@ -67,16 +67,8 @@ class MCHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if self.subnet_features < 1:
-            raise ValueError(f"subnet_features must be >= 1, got {self.subnet_features}")
-        if self.planes < 1:
-            raise ValueError(f"planes must be >= 1, got {self.planes}")
-        if self.margin_weight < 0:
-            raise ValueError(f"margin_weight must be >= 0, got {self.margin_weight}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        _check_ranges(self, at_least_one=("subnet_features", "planes"), positive=("lr",),
+                      non_negative=("margin_weight", "epochs"))
 
 
 @dataclass(frozen=True, eq=False)

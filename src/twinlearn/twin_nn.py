@@ -5,7 +5,8 @@ feature map phi(x) = tanh(W x + c) feeding p planes w_j.phi(x) + b_j.  A
 twin side and the rfnn baseline are one-plane nets; a multiclass bank
 is a p-plane net.  Each net's distance to a point is that of its nearest
 plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane norms computed
-once per net.
+once per net.  Each network kind has one frozen hyperparameter type,
+which checks all its fields with one call of ``_check_ranges``.
 
 Two independent one-plane nets are trained, one per class.  Each drives
 its own class onto its plane (pre-activation 0) while pushing the other
@@ -50,6 +51,7 @@ one kernel call per block for all of its nets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +61,7 @@ from .data import Dataset, DataError
 
 __all__ = [
     "TwinHyper",
+    "RfnnHyper",
     "TanhNet",
     "TanhBank",
     "TwinNNModel",
@@ -70,11 +73,23 @@ __all__ = [
     "decision_values",
     "RfnnModel",
     "rfnn_objective",
-    "check_rfnn_hyper",
     "train_rfnn_baseline",
     "rfnn_decision",
     "rfnn_predict",
 ]
+
+
+def _check_ranges(hyper, at_least_one=(), positive=(), non_negative=()) -> None:
+    """ValueError naming the first field of ``hyper`` that is not a finite
+    number >= 1 (``at_least_one``), > 0 (``positive``) or >= 0."""
+    for names, op, bound in ((at_least_one, ">=", 1), (positive, ">", 0),
+                             (non_negative, ">=", 0)):
+        for name in names:
+            value = getattr(hyper, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not (value > bound if op == ">" else value >= bound):
+                raise ValueError(f"{name} must be {op} {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,16 +105,23 @@ class TwinHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c_plus < 0 or self.c_minus < 0:
-            raise ValueError("c_plus and c_minus must be non-negative")
-        if self.hidden < 1:
-            raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        _check_ranges(self, at_least_one=("hidden",), positive=("lr",),
+                      non_negative=("c_plus", "c_minus", "epochs", "tol"))
+
+
+@dataclass(frozen=True)
+class RfnnHyper:
+    """Training hyperparameters for the regularized feed-forward baseline."""
+
+    hidden: int = 10
+    lr: float = 0.05
+    epochs: int = 2000
+    l2: float = 1e-4
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_ranges(self, at_least_one=("hidden",), positive=("lr",),
+                      non_negative=("epochs", "l2"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,13 +462,10 @@ def predict(model: TwinNNModel, x):
 @dataclass(frozen=True, eq=False)
 class RfnnModel:
     """One-hidden-layer tanh network with a linear output, the one plane
-    of ``net``, L2-regularized."""
+    of ``net``, trained L2-regularized under ``hyper``."""
 
     net: TanhNet
-    l2: float
-    lr: float
-    epochs: int
-    seed: int
+    hyper: RfnnHyper
 
 
 def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
@@ -487,26 +506,16 @@ def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
     return loss, [dhidden, dw + l2 * pw, db]
 
 
-def check_rfnn_hyper(hidden: int, lr: float, l2: float) -> None:
-    """ValueError unless the baseline's hyperparameters are in range."""
-    if hidden < 1:
-        raise ValueError(f"hidden width must be >= 1, got {hidden}")
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if l2 < 0:
-        raise ValueError(f"l2 must be non-negative, got {l2}")
-
-
-def train_rfnn_baseline(data: Dataset, hidden: int = 10, lr: float = 0.05,
-                        epochs: int = 2000, l2: float = 1e-4,
-                        seed: int = 0) -> RfnnModel:
+def train_rfnn_baseline(data: Dataset, hidden: int = RfnnHyper.hidden,
+                        lr: float = RfnnHyper.lr, epochs: int = RfnnHyper.epochs,
+                        l2: float = RfnnHyper.l2, seed: int = RfnnHyper.seed) -> RfnnModel:
     """Train the regularized feed-forward baseline on {+1,-1} labels."""
     class_rows(data)  # validates binary +-1 labels and completeness
-    check_rfnn_hyper(hidden, lr, l2)
+    hyper = RfnnHyper(hidden, lr, epochs, l2, seed)
     design = _design(data.features)
     targets = data.labels.astype(np.float64)
     params, final = descend(
         _init_net(Rng(seed), data.n_features, hidden, 1),
         lambda params: rfnn_objective(params, design, targets, l2),
         lr, epochs, 0.0, "rfnn", "rfnn")
-    return RfnnModel(_nets(params, final)[0], l2, lr, epochs, seed)
+    return RfnnModel(_nets(params, final)[0], hyper)

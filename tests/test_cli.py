@@ -17,7 +17,7 @@ from twinlearn.data import Dataset, load_csv, save_csv
 from twinlearn.models import MODELS
 from twinlearn.multiclass import MCHyper, mc_train
 from twinlearn.serialize import model_to_dict
-from twinlearn.twin_nn import TwinHyper, train
+from twinlearn.twin_nn import TwinHyper, train, train_rfnn_baseline
 
 
 @pytest.fixture
@@ -165,6 +165,7 @@ class TestModelFiles:
         binary = gaussian_blobs([(2, 0, 0), (-2, 0, 0)], [5, 15], seed=4, labels=[1, -1])
         return str(path), {
             "twin_nn": model_to_dict(train(binary, TwinHyper(hidden=3, epochs=5))),
+            "rfnn": model_to_dict(train_rfnn_baseline(binary, hidden=3, epochs=5)),
             "twin_nn_mc": model_to_dict(mc_train(ds, MCHyper(subnet_features=3, epochs=5))),
             "twsvm_linear": model_to_dict(MODELS["twsvm_linear"].fit(binary, {}, 0)),
             "twsvm_rbf": model_to_dict(MODELS["twsvm_rbf"].fit(binary, {"gamma": 0.5}, 0)),
@@ -219,6 +220,44 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: model file {model_path}: malformed {kind} model: ")
         assert "cannot share a bank" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        # a hyper block is checked by the kind's hyperparameter type, as a
+        # grid value is
+        ("twin_nn", ["hyper", "lr"], float("nan"), "lr must be finite, got nan"),
+        ("twin_nn", ["hyper", "c_plus"], float("nan"), "c_plus must be finite, got nan"),
+        ("twin_nn", ["hyper", "tol"], -1.0, "tol must be >= 0, got -1.0"),
+        ("rfnn", ["hyper", "l2"], float("nan"), "l2 must be finite, got nan"),
+        ("rfnn", ["hyper", "epochs"], -1, "epochs must be >= 0, got -1"),
+        ("twin_nn_mc", ["hyper", "margin_weight"], float("nan"),
+         "margin_weight must be finite, got nan"),
+        ("twin_nn_mc", ["hyper", "epochs"], -1, "epochs must be >= 0, got -1"),
+        # every size field, the hyper's widths included, is that of the weights
+        ("twin_nn", ["h"], 99, "h is 99 but the weights have 3"),
+        ("twin_nn", ["hyper", "hidden"], 99, "hidden is 99 but the weights have 3"),
+        ("twin_nn", ["hyper", "hidden"], 3.5, "hidden is 3.5 but the weights have 3"),
+        ("rfnn", ["h"], 99, "h is 99 but the weights have 3"),
+        ("rfnn", ["M"], 5, "M is 5 but the weights have 3"),
+        ("twin_nn_mc", ["K"], 4, "K is 4 but the weights have 3"),
+        ("twin_nn_mc", ["M"], 5, "M is 5 but the weights have 3"),
+        ("twin_nn_mc", ["n"], 99, "n is 99 but the weights have 3"),
+        ("twin_nn_mc", ["p"], 9, "p is 9 but the weights have 2"),
+        ("twin_nn_mc", ["hyper", "subnet_features"], 99,
+         "subnet_features is 99 but the weights have 3"),
+        ("twin_nn_mc", ["hyper", "planes"], 9, "planes is 9 but the weights have 2"),
+    ], ids=["twin-nan-lr", "twin-nan-c-plus", "twin-negative-tol", "rfnn-nan-l2",
+            "rfnn-negative-epochs", "mc-nan-margin-weight", "mc-negative-epochs",
+            "twin-h", "twin-hidden", "twin-fractional-hidden", "rfnn-h", "rfnn-M", "mc-K",
+            "mc-M", "mc-n", "mc-p", "mc-subnet-features", "mc-planes"])
+    def test_a_refused_hyper_value_or_size_exits_3_on_one_line(self, tmp_path, saved, capsys,
+                                                               kind, path, value, message):
+        data, models = saved
+        model_path = tmp_path / "model.json"
+        mutated = _set(path, value)(json.loads(json.dumps(models[kind])))
+        model_path.write_text(json.dumps(mutated))
+        assert main(["predict", "--data", data, "--model-file", str(model_path)]) == 3
+        assert capsys.readouterr().err == (f"data error: model file {model_path}: "
+                                           f"malformed {kind} model: {message}\n")
 
 
 class TestCv:
@@ -292,7 +331,8 @@ class TestCv:
 
     @pytest.mark.parametrize("model, grid", [
         ("twsvm_linear", "c1=0"), ("twin_nn", "hidden=0"), ("rfnn", "l2=-1"),
-        ("twsvm_rbf", "gamma=-1"), ("twin_nn", "hidden=4,0"),
+        ("twsvm_rbf", "gamma=-1"), ("twin_nn", "hidden=4,0"), ("rfnn", "epochs=-1"),
+        ("twin_nn_mc", "epochs=-1"),
     ])
     @pytest.mark.parametrize("command", ["train", "cv", "bench"])
     def test_out_of_range_value_exits_2_before_any_fold(self, tmp_path, monkeypatch,

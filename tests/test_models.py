@@ -1,6 +1,10 @@
 """Every entry of the model-kind table fits, saves, reloads and predicts,
-and refuses input of the wrong width through its plane type's one check."""
+and refuses input of the wrong width through its plane type's one check.
+Each network kind checks its hyperparameters with its one hyperparameter
+type, in the table and in the fit alike."""
 
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -10,10 +14,11 @@ from conftest import gaussian_blobs
 from twinlearn.cli import main
 from twinlearn.data import Dataset, save_csv
 from twinlearn.harness import BINARY_MODELS, MODEL_KINDS, fit_model, fit_onevsrest, ovr_predict
-from twinlearn.models import MODELS
+from twinlearn.models import INT_PARAMS, MODELS, typed
+from twinlearn.multiclass import MCHyper
 from twinlearn.numcore import ShapeError
 from twinlearn.serialize import model_from_dict, model_to_dict
-from twinlearn.twin_nn import TanhNet
+from twinlearn.twin_nn import RfnnHyper, TanhNet, TwinHyper, train_rfnn_baseline
 from twinlearn.twsvm import KernelSpec, TwsvmProblem, solve_plus
 
 # small budgets keep the fits fast; kinds not listed train with defaults
@@ -75,6 +80,79 @@ def test_cli_train_then_predict(tmp_path, kind):
     expected = MODELS[kind].predict(fit_model(kind, ds, PARAMS.get(kind, {}), seed=1),
                                     ds.features)
     assert [int(line) for line in open(preds_path)] == expected.tolist()
+
+
+NETWORK_HYPERS = {"twin_nn": TwinHyper, "rfnn": RfnnHyper, "twin_nn_mc": MCHyper}
+
+# the range of every network hyperparameter but the seed; each must also
+# be finite
+RANGES = {"hidden": (">=", 1), "subnet_features": (">=", 1), "planes": (">=", 1),
+          "lr": (">", 0), "epochs": (">=", 0), "l2": (">=", 0), "c_plus": (">=", 0),
+          "c_minus": (">=", 0), "tol": (">=", 0), "margin_weight": (">=", 0)}
+
+
+def _fields(hyper) -> set:
+    return {f.name for f in dataclasses.fields(hyper)} - {"seed"}
+
+
+@pytest.mark.parametrize("kind", NETWORK_HYPERS)
+def test_a_network_kind_checks_with_its_hyper_type(kind):
+    hyper = NETWORK_HYPERS[kind]
+    assert MODELS[kind].check is hyper
+    assert MODELS[kind].params == _fields(hyper)
+
+
+def test_every_network_hyperparameter_has_a_stated_range():
+    assert set().union(*map(_fields, NETWORK_HYPERS.values())) == set(RANGES)
+
+
+@pytest.mark.parametrize("hyper, name", [(hyper, name) for hyper in NETWORK_HYPERS.values()
+                                         for name in sorted(_fields(hyper))])
+def test_every_field_is_a_finite_number_in_its_range(hyper, name):
+    op, bound = RANGES[name]
+    step = 1 if name in INT_PARAMS else np.nextafter(float(bound), np.inf) - bound
+    lowest = bound if op == ">=" else bound + step
+    assert getattr(hyper(**{name: lowest}), name) == lowest
+    with pytest.raises(ValueError, match=f"^{name} must be {op} {bound}, got "):
+        hyper(**{name: lowest - step})
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            hyper(**{name: value})
+
+
+@pytest.mark.parametrize("kind, name, value, message", [
+    ("twin_nn", "hidden", 0, "hidden must be >= 1, got 0"),
+    ("twin_nn", "lr", 0.0, "lr must be > 0, got 0.0"),
+    ("twin_nn", "lr", np.nan, "lr must be finite, got nan"),
+    ("twin_nn", "c_minus", -1.0, "c_minus must be >= 0, got -1.0"),
+    ("twin_nn", "tol", np.inf, "tol must be finite, got inf"),
+    ("rfnn", "hidden", 0, "hidden must be >= 1, got 0"),
+    ("rfnn", "epochs", -1, "epochs must be >= 0, got -1"),
+    ("rfnn", "l2", np.nan, "l2 must be finite, got nan"),
+    ("twin_nn_mc", "planes", 0, "planes must be >= 1, got 0"),
+    ("twin_nn_mc", "epochs", -1, "epochs must be >= 0, got -1"),
+    ("twin_nn_mc", "margin_weight", np.nan, "margin_weight must be finite, got nan"),
+])
+def test_the_table_and_the_fit_refuse_alike(kind, name, value, message):
+    ds, params = _dataset(kind), {**PARAMS[kind], name: value}
+    for refuse in (lambda: MODELS[kind].check_params(params),
+                   lambda: fit_model(kind, ds, params, seed=1),
+                   lambda: MODELS[kind].fit(ds, typed(params), 1)):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        assert str(refused.value) == message
+
+
+def test_the_rfnn_fit_takes_its_hyper_type_by_keyword():
+    # callers pass the rfnn hyperparameters by keyword, and a layer trace
+    # reads the bound epochs
+    signature = inspect.signature(train_rfnn_baseline)
+    defaults = {name: p.default for name, p in signature.parameters.items() if name != "data"}
+    assert defaults == dataclasses.asdict(RfnnHyper())
+    ds = _dataset("rfnn")
+    assert signature.bind(ds, hidden=3, epochs=5).arguments["epochs"] == 5
+    model = train_rfnn_baseline(ds, hidden=3, epochs=5, l2=0.0, seed=2)
+    assert model.hyper == RfnnHyper(hidden=3, epochs=5, l2=0.0, seed=2)
 
 
 def _wider(ds):

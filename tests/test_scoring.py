@@ -17,7 +17,7 @@ from twinlearn import harness, multiclass, twin_nn
 from twinlearn.harness import OvrEnsemble, ovr_distances, ovr_predict
 from twinlearn.multiclass import MCHyper, MulticlassTwinModel, mc_distances, mc_predict
 from twinlearn.numcore import SCORE_BLOCK, ShapeError, score_rows
-from twinlearn.twin_nn import (RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel,
+from twinlearn.twin_nn import (RfnnHyper, RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel,
                                decision_values, predict, rfnn_decision, rfnn_predict)
 from twinlearn.twsvm import (KernelSpec, TwsvmPlane, TwsvmProblem, kernel_matrix, solve_dual,
                              twsvm_distances)
@@ -130,7 +130,7 @@ class TestMemory:
 
     def test_rfnn_decision(self):
         rng = np.random.default_rng(32)
-        model = RfnnModel(_net(rng, 8, 8, 1), 1e-4, 0.05, 1, 0)
+        model = RfnnModel(_net(rng, 8, 8, 1), RfnnHyper(hidden=8, epochs=1))
         out, peak = _traced_peak(lambda x: rfnn_decision(model, x), rng.standard_normal((N, 8)))
         assert out.shape == (N,)
         assert peak <= _bound(out.nbytes, 8)
@@ -285,7 +285,7 @@ def _pool(rng, kind: str) -> list:
     if kind == "twin_nn":
         return nets
     if kind == "rfnn":
-        return [RfnnModel(net, 1e-4, 0.05, 1, 0) for net in nets]
+        return [RfnnModel(net, RfnnHyper(hidden=4, epochs=1)) for net in nets]
     return [TwsvmPlane(rng.standard_normal(4), KernelSpec(), None, 3) for _ in range(3)]
 
 
@@ -454,7 +454,7 @@ def _models(rng, m: int):
     """A twin pair (h = 8), an rfnn net (h = 8) and a 3-bank multiclass
     model (h = 6, two planes) on m features, drawn at random."""
     twin = TwinNNModel(_net(rng, m, 8, 1), _net(rng, m, 8, 1), TwinHyper(hidden=8))
-    rfnn = RfnnModel(_net(rng, m, 8, 1), 1e-4, 0.05, 1, 0)
+    rfnn = RfnnModel(_net(rng, m, 8, 1), RfnnHyper(hidden=8, epochs=1))
     mc = MulticlassTwinModel([0, 1, 2], tuple(_net(rng, m, 6, 2) for _ in range(3)),
                              MCHyper(subnet_features=6, planes=2))
     return twin, rfnn, mc
