@@ -12,7 +12,7 @@ from .data import knn_impute, make_folds, make_imbalanced
 from .twin_nn import TwinHyper, TwinNNModel, train, predict, decision_values
 from .twin_nn import RfnnHyper, train_rfnn_baseline, rfnn_predict
 from .multiclass import MCHyper, MulticlassTwinModel, mc_train, mc_predict
-from .twsvm import KernelSpec, TwsvmProblem, TwsvmModel, solve_dual, twsvm_predict
+from .twsvm import TwsvmHyper, KernelSpec, TwsvmProblem, TwsvmModel, solve_dual, twsvm_predict
 from .evalstats import ConfusionMatrix, MetricReport, confusion, metrics
 from .evalstats import wilcoxon_signed_ranks, friedman
 from .harness import ExperimentSpec, RunResult, run_experiment, run_onevsrest
@@ -43,6 +43,7 @@ __all__ = [
     "MulticlassTwinModel",
     "mc_train",
     "mc_predict",
+    "TwsvmHyper",
     "KernelSpec",
     "TwsvmProblem",
     "TwsvmModel",

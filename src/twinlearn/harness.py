@@ -27,7 +27,6 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
-from functools import partial
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .data import (
     make_imbalanced,
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
-from .models import BINARY_MODELS, MODEL_KINDS, MODELS, typed
+from .models import BINARY_MODELS, MODEL_KINDS, MODELS
 from .numcore import NumericalError, Rng, mix_seed, nearest, score_rows
 
 __all__ = [
@@ -163,10 +162,6 @@ def expand_grid(grid: dict) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def _fit(kind: str, ds: Dataset, params: dict, seed: int):
-    return MODELS[kind].fit(ds, typed(params), seed)
-
-
 def fit_model(kind: str, dataset: Dataset, params: dict, seed: int,
               positive_class: int | None = None):
     """Fit one model of ``kind`` with hyperparameters ``params``.
@@ -178,7 +173,7 @@ def fit_model(kind: str, dataset: Dataset, params: dict, seed: int,
     MODELS[kind].check_params(params)
     if MODELS[kind].task == "binary":
         dataset = _as_binary(dataset, positive_class)
-    return _fit(kind, dataset, params, seed)
+    return MODELS[kind].fit(dataset, params, seed)
 
 
 def prepare_fold(dataset: Dataset, train_idx, test_idx, knn_k: int = 5):
@@ -357,7 +352,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunR
         dataset = _as_binary(dataset, spec.positive_class)
     elif dataset.class_ids.size < 2:
         raise DataError("multiclass run needs at least 2 classes")
-    return _cross_validate(dataset, spec, kind.task, partial(_fit, spec.model), kind.predict)
+    return _cross_validate(dataset, spec, kind.task, kind.fit, kind.predict)
 
 
 @dataclass(eq=False)
@@ -375,10 +370,12 @@ def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnse
     """Fit each class's +1 own plane against the rest, and nothing else:
     no twin network's minus side, no twin SVM's beta dual.  Each fit is
     bit-identical to the +1 side of that class's full binary fit, and it
-    fails only where that side itself fails."""
+    fails only where that side itself fails.  ``params`` is checked as
+    ``fit_model`` checks it."""
     if kind not in BINARY_MODELS:
         raise ValueError(f"one-vs-rest needs a binary model kind, got {kind!r}")
-    fit, params = MODELS[kind].own_plane.fit, typed(params)
+    MODELS[kind].check_params(params)
+    fit = MODELS[kind].own_plane.fit
     planes = [fit(make_imbalanced(train, int(c)), params, mix_seed(seed, _OVR_TAG, int(c)))
               for c in train.class_ids]
     return OvrEnsemble(kind, train.class_ids.copy(), planes)
@@ -392,15 +389,15 @@ def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
     return score_rows(features, n_features, lambda rows: score(rows).T)
 
 
-def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
+def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray):
     """Class whose model reports the smallest own-plane distance, ties
-    going to the lowest class id (``numcore.nearest``): one label for one
-    sample (M,), (N,) for a batch (N, M), all K planes scored in one
-    block loop (``numcore.score_rows``)."""
+    going to the lowest class id (``numcore.nearest``): an int for one
+    sample (M,), (N,) for a batch (N, M), as every predict gives, all K
+    planes scored in one block loop (``numcore.score_rows``)."""
     n_features, score = MODELS[ensemble.kind].own_plane.scorer(ensemble.planes)
     labels = score_rows(features, n_features,
                         lambda rows: ensemble.class_ids[nearest(score(rows))])
-    return labels[0] if np.ndim(features) == 1 else labels
+    return int(labels[0]) if np.ndim(features) == 1 else labels
 
 
 def run_onevsrest(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:

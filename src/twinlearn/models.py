@@ -20,20 +20,9 @@ import numpy as np
 from . import multiclass, twin_nn, twsvm
 from .multiclass import MCHyper, MulticlassTwinModel
 from .twin_nn import RfnnHyper, RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel
-from .twsvm import KernelSpec, TwsvmModel, TwsvmPlane, TwsvmProblem
+from .twsvm import KernelSpec, TwsvmHyper, TwsvmModel, TwsvmPlane, TwsvmProblem
 
-__all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "INT_PARAMS",
-           "typed", "kind_of"]
-
-
-# hyperparameters that count something; fits take them as ints
-INT_PARAMS = frozenset({"hidden", "epochs", "subnet_features", "planes"})
-
-
-def typed(params: dict) -> dict:
-    """Hyperparameter values as fits take them: ints for ``INT_PARAMS``,
-    floats for the rest."""
-    return {k: int(v) if k in INT_PARAMS else float(v) for k, v in params.items()}
+__all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "kind_of"]
 
 
 class OwnPlane(NamedTuple):
@@ -75,11 +64,10 @@ def _twsvm_scorer(planes):
 
 @dataclass(frozen=True)
 class ModelKind:
-    """``fit(dataset, params, seed)`` takes typed hyperparameters (binary
-    kinds: {+1,-1} labels); ``check(**params)`` raises ValueError where a
-    typed hyperparameter is out of range or not finite, by the fit's own
-    check (a network's hyperparameter type) and without data;
-    ``predict(model, x)`` raises ShapeError when x has the
+    """``check`` is the kind's frozen hyperparameter type, whose
+    ``check(**params)`` raises ValueError naming a bad field, and
+    ``fit(dataset, params, seed)`` (binary kinds: {+1,-1} labels) trains
+    from it; ``predict(model, x)`` raises ShapeError when x has the
     wrong width, by the check its plane type (``TanhNet`` or
     ``TwsvmPlane``) makes; ``own_plane`` fits and measures the +1 class's
     own plane and nothing else, which is all one-vs-rest reads (binary
@@ -99,22 +87,16 @@ class ModelKind:
 
     def check_params(self, params: dict) -> None:
         """ValueError unless every name in ``params`` (name -> a value or a
-        list of candidate values) is a hyperparameter of this kind, every
-        value of an integer hyperparameter is integral, and every
-        combination of values is in range."""
+        list of candidate values) is a hyperparameter of this kind and the
+        kind's hyperparameter type takes every combination of values."""
         unknown = sorted(set(params) - self.params)
         if unknown:
             raise ValueError(f"{self.name} takes no hyperparameter {unknown}; "
                              f"choose from {sorted(self.params)}")
         candidates = {name: value if isinstance(value, (list, tuple)) else [value]
                       for name, value in sorted(params.items())}
-        for name in sorted(INT_PARAMS & set(params)):
-            for value in candidates[name]:
-                if not float(value).is_integer():
-                    raise ValueError(f"{self.name} hyperparameter {name!r} must be "
-                                     f"an integer, got {value!r}")
         for point in itertools.product(*candidates.values()):
-            self.check(**typed(dict(zip(candidates, point))))
+            self.check(**dict(zip(candidates, point)))
 
 
 def _names(source: type, *excluded: str) -> frozenset:
@@ -262,17 +244,10 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
     return TwsvmModel(plus, minus, alpha, beta, d["ridge_alpha"], d["ridge_beta"])
 
 
-def _twsvm_settings(kernel: str, params: dict) -> dict:
-    """``TwsvmProblem``'s arguments other than the rows, checked as the
-    problem and its kernel check them."""
-    gamma = params.get("gamma", 1.0) if kernel == "rbf" else None
-    c1, c2, ridge = params.get("c1", 1.0), params.get("c2", 1.0), params.get("ridge")
-    twsvm.check_bounds(c1, c2, ridge)
-    return {"c1": c1, "c2": c2, "kernel": KernelSpec(kernel, gamma), "ridge": ridge}
-
-
 def _twsvm_problem(kernel: str, ds, params: dict) -> TwsvmProblem:
-    return TwsvmProblem(*twin_nn.class_rows(ds), **_twsvm_settings(kernel, params))
+    hyper = TwsvmHyper(**params)
+    spec = KernelSpec(kernel, hyper.gamma if kernel == "rbf" else None)
+    return TwsvmProblem(*twin_nn.class_rows(ds), hyper.c1, hyper.c2, spec, hyper.ridge)
 
 
 def _twsvm_kind(name: str, kernel: str) -> ModelKind:
@@ -280,14 +255,13 @@ def _twsvm_kind(name: str, kernel: str) -> ModelKind:
     return ModelKind(
         name, "binary", TwsvmModel, "twsvm",
         fit=lambda ds, params, seed: twsvm.solve_dual(_twsvm_problem(kernel, ds, params)),
-        check=lambda **params: _twsvm_settings(kernel, params),
+        check=TwsvmHyper,
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
         own_plane=OwnPlane(
             lambda ds, params, seed: twsvm.solve_plus(_twsvm_problem(kernel, ds, params)),
             _twsvm_scorer),
         to_dict=_twsvm_to_dict, from_dict=_twsvm_from_dict,
-        params=_names(TwsvmProblem, "a", "b", "kernel")
-        | (_names(KernelSpec, "kind") if kernel == "rbf" else frozenset()),
+        params=_names(TwsvmHyper, *(() if kernel == "rbf" else ("gamma",))),
     )
 
 

@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import DivergenceError, Rng, ShapeError, mix_seed, nearest, score_rows
+from .numcore import DivergenceError, Rng, ShapeError, check_fields, mix_seed, nearest, score_rows
 from .data import Dataset, DataError
-from .twin_nn import (TanhBank, TanhNet, _backprop, _check_ranges, _design, _forward,
-                      _init_net, _nets, descend)
+from .twin_nn import TanhBank, TanhNet, _backprop, _design, _forward, _init_net, _nets, descend
 
 __all__ = [
     "MCHyper",
@@ -67,8 +66,8 @@ class MCHyper:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ranges(self, at_least_one=("subnet_features", "planes"), positive=("lr",),
-                      non_negative=("margin_weight", "epochs"))
+        check_fields(self, at_least_one=("subnet_features", "planes"), positive=("lr",),
+                     non_negative=("margin_weight", "epochs"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +83,9 @@ class MulticlassTwinModel:
     def __post_init__(self):
         ids = np.asarray(self.class_ids)
         if (ids.dtype.kind != "i" or ids.shape != (len(self.banks),) or ids.size < 2
-                or (np.diff(ids) <= 0).any()
-                or len({bank.n_features for bank in self.banks}) != 1):
-            raise ShapeError("a multiclass model needs >= 2 banks of one input width, "
-                             "one per class id, with integer class ids in increasing order")
+                or (np.diff(ids) <= 0).any()):
+            raise ShapeError("a multiclass model needs >= 2 banks, one per class id, "
+                             "with integer class ids in increasing order")
         object.__setattr__(self, "class_ids", ids.astype(np.int64))
         object.__setattr__(self, "_bank", TanhBank(self.banks))
 
@@ -124,13 +122,12 @@ def mc_objective(params, design: np.ndarray, counts, margin_weight: float):
     for k, count in enumerate(counts):
         own_cells.append((k, slice(None), slice(lo, lo + count)))
         lo += count
-    # own and foreign min |activation| per sample; argmins take the first
-    # (lowest bank, then plane) index on ties
-    own = np.concatenate([abs_acts[cell] for cell in own_cells], axis=1)  # (p, N)
-    own_plane = own.argmin(axis=0)
+    # own and foreign min |activation| per sample; ``nearest`` takes the
+    # first (lowest bank, then plane) index on ties
+    own_plane = nearest(np.concatenate([abs_acts[cell] for cell in own_cells], axis=1))
     for cell in own_cells:
         abs_acts[cell] = np.inf
-    other_flat = abs_acts.reshape(n_banks * p, n).argmin(axis=0)
+    other_flat = nearest(abs_acts.reshape(n_banks * p, n))
     # each sample's own-plane and foreign-plane cell as a linear index into
     # the (K, p, N) activations
     cols = np.arange(n)

@@ -3,14 +3,19 @@
 All numeric code in the package works on plain float64 numpy arrays:
 matrices are 2-D row-major, vectors are 1-D.  The helpers here add the
 shape/finiteness validation and the error types the rest of the package
-relies on, ``score_rows``, the row-block loop through which both plane
-types score a batch, and ``nearest``, the nearest-of-K choice of the
-multiclass predicts.  The RNG is a small xoshiro256** generator so that seeded
+relies on, ``check_fields``, the one check of every hyperparameter type,
+``score_rows``, the row-block loop through which both plane types score
+a batch, and ``nearest``, the nearest-of-K choice of the multiclass
+predicts and training.  The RNG is a small xoshiro256** generator so that seeded
 streams are identical on every platform and numpy version, which keeps
 benchmark results reproducible bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,6 +26,7 @@ __all__ = [
     "DivergenceError",
     "ConvergenceError",
     "as_matrix",
+    "check_fields",
     "SCORE_BLOCK",
     "score_rows",
     "nearest",
@@ -75,6 +81,38 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericalError(f"{name} contains non-finite entries")
     return m
+
+
+def check_fields(hyper, at_least_one=(), positive=(), non_negative=()) -> None:
+    """The one check of every frozen hyperparameter type, made by its
+    ``__post_init__``: ValueError naming the first field that is not a
+    number (a bool or a string included; None is allowed only where the
+    field is declared ``float | None``), not finite, not integral where it
+    is declared ``int``, or not >= 1 (``at_least_one``), > 0 (``positive``)
+    or >= 0 (``non_negative``).  Each field is stored as its declared
+    ``int`` or ``float``, read from an annotation string or a type."""
+    bounds = {**dict.fromkeys(at_least_one, (">=", 1)), **dict.fromkeys(positive, (">", 0)),
+              **dict.fromkeys(non_negative, (">=", 0))}
+    for f in fields(hyper):
+        name, value = f.name, getattr(hyper, f.name)
+        declared = f.type.__name__ if isinstance(f.type, type) else str(f.type)
+        if value is None and declared.endswith("| None"):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        integral = declared.startswith("int")
+        try:
+            number = int(value) if integral else float(value)
+        except (OverflowError, ValueError):  # nan or inf as an int, an int past float range
+            number = math.nan
+        if not -math.inf < number < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
+        if integral and number != value:
+            raise ValueError(f"{name} must be an integer, got {value}")
+        op, bound = bounds.get(name, (">=", -math.inf))
+        if not (number > bound if op == ">" else number >= bound):
+            raise ValueError(f"{name} must be {op} {bound}, got {number}")
+        object.__setattr__(hyper, name, number)
 
 
 # Rows per scoring block.  A bank of K networks scores a block

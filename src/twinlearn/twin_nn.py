@@ -6,7 +6,7 @@ twin side and the rfnn baseline are one-plane nets; a multiclass bank
 is a p-plane net.  Each net's distance to a point is that of its nearest
 plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane norms computed
 once per net.  Each network kind has one frozen hyperparameter type,
-which checks all its fields with one call of ``_check_ranges``.
+which checks all its fields with one call of ``numcore.check_fields``.
 
 Two independent one-plane nets are trained, one per class.  Each drives
 its own class onto its plane (pre-activation 0) while pushing the other
@@ -51,12 +51,11 @@ one kernel call per block for all of its nets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import DivergenceError, Rng, ShapeError, score_rows
+from .numcore import DivergenceError, Rng, ShapeError, check_fields, score_rows
 from .data import Dataset, DataError
 
 __all__ = [
@@ -79,19 +78,6 @@ __all__ = [
 ]
 
 
-def _check_ranges(hyper, at_least_one=(), positive=(), non_negative=()) -> None:
-    """ValueError naming the first field of ``hyper`` that is not a finite
-    number >= 1 (``at_least_one``), > 0 (``positive``) or >= 0."""
-    for names, op, bound in ((at_least_one, ">=", 1), (positive, ">", 0),
-                             (non_negative, ">=", 0)):
-        for name in names:
-            value = getattr(hyper, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if not (value > bound if op == ">" else value >= bound):
-                raise ValueError(f"{name} must be {op} {bound}, got {value}")
-
-
 @dataclass(frozen=True)
 class TwinHyper:
     """Training hyperparameters for the binary twin network."""
@@ -105,8 +91,8 @@ class TwinHyper:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ranges(self, at_least_one=("hidden",), positive=("lr",),
-                      non_negative=("c_plus", "c_minus", "epochs", "tol"))
+        check_fields(self, at_least_one=("hidden",), positive=("lr",),
+                     non_negative=("c_plus", "c_minus", "epochs", "tol"))
 
 
 @dataclass(frozen=True)
@@ -120,8 +106,8 @@ class RfnnHyper:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ranges(self, at_least_one=("hidden",), positive=("lr",),
-                      non_negative=("epochs", "l2"))
+        check_fields(self, at_least_one=("hidden",), positive=("lr",),
+                     non_negative=("epochs", "l2"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +235,6 @@ class TwinNNModel:
     _bank: TanhBank = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.plus.n_features != self.minus.n_features:
-            raise ShapeError(f"the sides take {self.plus.n_features} and "
-                             f"{self.minus.n_features} features; a pair must agree")
         object.__setattr__(self, "_bank", TanhBank((self.plus, self.minus)))
 
 
@@ -509,13 +492,14 @@ def rfnn_objective(params, design: np.ndarray, targets: np.ndarray, l2: float):
 def train_rfnn_baseline(data: Dataset, hidden: int = RfnnHyper.hidden,
                         lr: float = RfnnHyper.lr, epochs: int = RfnnHyper.epochs,
                         l2: float = RfnnHyper.l2, seed: int = RfnnHyper.seed) -> RfnnModel:
-    """Train the regularized feed-forward baseline on {+1,-1} labels."""
-    class_rows(data)  # validates binary +-1 labels and completeness
+    """Train the regularized feed-forward baseline on {+1,-1} labels, from
+    the ``RfnnHyper`` that its keyword arguments make."""
     hyper = RfnnHyper(hidden, lr, epochs, l2, seed)
+    class_rows(data)  # validates binary +-1 labels and completeness
     design = _design(data.features)
     targets = data.labels.astype(np.float64)
     params, final = descend(
-        _init_net(Rng(seed), data.n_features, hidden, 1),
-        lambda params: rfnn_objective(params, design, targets, l2),
-        lr, epochs, 0.0, "rfnn", "rfnn")
+        _init_net(Rng(hyper.seed), data.n_features, hyper.hidden, 1),
+        lambda params: rfnn_objective(params, design, targets, hyper.l2),
+        hyper.lr, hyper.epochs, 0.0, "rfnn", "rfnn")
     return RfnnModel(_nets(params, final)[0], hyper)

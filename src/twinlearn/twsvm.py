@@ -35,17 +35,18 @@ from .numcore import (
     ConvergenceError,
     ShapeError,
     as_matrix,
+    check_fields,
     default_ridge,
     score_rows,
     solve_spd,
 )
 
 __all__ = [
+    "TwsvmHyper",
     "KernelSpec",
     "TwsvmProblem",
     "TwsvmModel",
     "TwsvmPlane",
-    "check_bounds",
     "kernel_matrix",
     "dual_matrices",
     "dual_objective",
@@ -68,8 +69,25 @@ POLISH_EVERY = 16
 
 
 @dataclass(frozen=True)
+class TwsvmHyper:
+    """Twin SVM hyperparameters: the dual box bounds c1 and c2, the Gram
+    ridge (None: 1e-6*trace/dim per Gram matrix) and the RBF bandwidth
+    gamma, which the linear kernel ignores.  ``TwsvmProblem`` and an RBF
+    ``KernelSpec`` check their values through it."""
+
+    c1: float = 1.0
+    c2: float = 1.0
+    ridge: float | None = None
+    gamma: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self, positive=("c1", "c2", "gamma"), non_negative=("ridge",))
+
+
+@dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice: "linear" or "rbf" with bandwidth gamma."""
+    """Kernel choice: "linear" or "rbf" with bandwidth gamma, checked and
+    stored as ``TwsvmHyper`` checks it."""
 
     kind: str = "linear"
     gamma: float | None = None
@@ -78,8 +96,7 @@ class KernelSpec:
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError(f"rbf kernel needs gamma > 0, got {self.gamma!r}")
+            object.__setattr__(self, "gamma", TwsvmHyper(gamma=self.gamma).gamma)
         elif self.gamma is not None:
             raise ValueError("gamma is only meaningful for the rbf kernel")
 
@@ -109,22 +126,13 @@ def _kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def check_bounds(c1: float, c2: float, ridge: float | None) -> None:
-    """ValueError unless both box bounds are positive and a given ridge is
-    non-negative."""
-    if not (c1 > 0 and c2 > 0):
-        raise ValueError(f"box bounds c1 and c2 must be positive, got {c1}, {c2}")
-    if ridge is not None and ridge < 0:
-        raise ValueError(f"ridge must be non-negative, got {ridge}")
-
-
 @dataclass(frozen=True, eq=False)
 class TwsvmProblem:
     """Training data and hyperparameters for one twin SVM fit.
 
     ``a`` holds the class +1 rows, ``b`` the class -1 rows; c1/c2 are the
     dual box bounds.  ``ridge=None`` selects 1e-6*trace/dim per Gram
-    matrix.
+    matrix.  ``TwsvmHyper`` checks c1, c2 and the ridge.
     """
 
     a: np.ndarray
@@ -139,9 +147,10 @@ class TwsvmProblem:
         b = as_matrix(self.b, "class -1 rows")
         if a.shape[1] != b.shape[1]:
             raise ShapeError("class blocks have different feature counts")
-        check_bounds(self.c1, self.c2, self.ridge)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        hyper = TwsvmHyper(self.c1, self.c2, self.ridge)
+        for name, value in (("a", a), ("b", b), ("c1", hyper.c1), ("c2", hyper.c2),
+                            ("ridge", hyper.ridge)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -235,7 +235,7 @@ class TestModelFiles:
         # every size field, the hyper's widths included, is that of the weights
         ("twin_nn", ["h"], 99, "h is 99 but the weights have 3"),
         ("twin_nn", ["hyper", "hidden"], 99, "hidden is 99 but the weights have 3"),
-        ("twin_nn", ["hyper", "hidden"], 3.5, "hidden is 3.5 but the weights have 3"),
+        ("twin_nn", ["hyper", "hidden"], 3.5, "hidden must be an integer, got 3.5"),
         ("rfnn", ["h"], 99, "h is 99 but the weights have 3"),
         ("rfnn", ["M"], 5, "M is 5 but the weights have 3"),
         ("twin_nn_mc", ["K"], 4, "K is 4 but the weights have 3"),

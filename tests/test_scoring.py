@@ -377,9 +377,9 @@ class TestOneBlockLoop:
     def test_a_model_takes_one_input_width(self):
         # the one block loop checks the rows against the first net's width
         rng = np.random.default_rng(43)
-        with pytest.raises(ShapeError, match="the sides take 3 and 4 features"):
+        with pytest.raises(ShapeError, match="cannot share a bank"):
             TwinNNModel(_net(rng, 3, 8, 1), _net(rng, 4, 8, 1), TwinHyper(hidden=8))
-        with pytest.raises(ShapeError, match="banks of one input width"):
+        with pytest.raises(ShapeError, match="cannot share a bank"):
             MulticlassTwinModel([0, 1], (_net(rng, 3, 6, 2), _net(rng, 4, 6, 2)), MCHyper())
 
     @pytest.mark.parametrize("shapes", [((8, 1), (6, 1)), ((8, 1), (8, 2))],

@@ -155,7 +155,7 @@ class TestSolveDual:
         # distances are undefined
         rng = np.random.default_rng(6)
         for c1, c2 in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (-1.0, 0.5)):
-            with pytest.raises(ValueError, match="must be positive"):
+            with pytest.raises(ValueError, match="^c[12] must be > 0, got "):
                 random_problem(rng, c1=c1, c2=c2)
 
     @pytest.mark.parametrize("seed", [39, 68])
