@@ -12,6 +12,7 @@ below plus the ``version`` and ``kind`` fields added by ``serialize``.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import multiclass, twin_nn, twsvm
 from .multiclass import MCHyper, MulticlassTwinModel
-from .twin_nn import RfnnHyper, RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel
+from .twin_nn import RfnnHyper, RfnnModel, TanhBank, TwinHyper, TwinNNModel
 from .twsvm import KernelSpec, TwsvmHyper, TwsvmModel, TwsvmPlane, TwsvmProblem
 
 __all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "kind_of"]
@@ -32,18 +33,18 @@ class OwnPlane(NamedTuple):
     one per class, and returns ``(M, score)``: ``score(rows)`` gives the K
     planes' distances (K, n) to a block of rows (n, M), each as its full
     model measures it, so one block loop scores them all.  For the twin
-    kinds the part is a plane type (a twin side's ``TanhNet``, a
+    kinds the part is a plane type (a twin side's ``TanhBank`` of one, a
     ``TwsvmPlane``) and the distance is its own: the K nets score as one
-    ``TanhBank``."""
+    ``TanhBank``, joined once."""
 
     fit: Callable
     scorer: Callable
 
 
-def _side_scorer(nets):
-    """``OwnPlane.scorer`` of K twin sides' nets: their distances, scored
-    as one ``TanhBank``."""
-    bank = twin_nn.TanhBank(nets)
+def _side_scorer(sides):
+    """``OwnPlane.scorer`` of K twin sides, each a bank of one: their
+    distances, scored as one ``TanhBank``."""
+    bank = TanhBank.join(sides)
     return bank.n_features, lambda rows: bank.distances(rows)
 
 
@@ -51,7 +52,7 @@ def _rfnn_scorer(models):
     """``OwnPlane.scorer`` of K rfnn models, scored as one ``TanhBank``.
     An rfnn net has no plane distance: its negated output stands in
     (largest output = nearest)."""
-    bank = twin_nn.TanhBank([model.net for model in models])
+    bank = TanhBank.join([model.bank for model in models])
     return bank.n_features, lambda rows: -bank.planes(rows)[:, 0]
 
 
@@ -68,7 +69,7 @@ class ModelKind:
     ``check(**params)`` raises ValueError naming a bad field, and
     ``fit(dataset, params, seed)`` (binary kinds: {+1,-1} labels) trains
     from it; ``predict(model, x)`` raises ShapeError when x has the
-    wrong width, by the check its plane type (``TanhNet`` or
+    wrong width, by the check its plane type (``TanhBank`` or
     ``TwsvmPlane``) makes; ``own_plane`` fits and measures the +1 class's
     own plane and nothing else, which is all one-vs-rest reads (binary
     kinds only); ``codec`` is the kind saved in files."""
@@ -105,18 +106,40 @@ def _names(source: type, *excluded: str) -> frozenset:
     return frozenset(f.name for f in fields(source)) - {"seed", *excluded}
 
 
-def _net_to_dict(net: TanhNet) -> dict:
+def _finite_array(value, name: str, ndim: int) -> np.ndarray:
+    """The one reader of a file's parameter arrays: ``value`` as float64,
+    or ValueError naming ``name`` unless it is a non-empty ``ndim``-D array
+    (a number for 0) of finite numbers, none of them a string, a bool or
+    null, which numpy would convert."""
+    a = np.asarray(value, dtype=object)
+    numeric = all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, a.flat)))
+    a = a.astype(np.float64) if numeric else np.full(a.shape, np.nan)
+    if a.ndim != ndim or 0 in a.shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be " + ("a finite number" if ndim == 0 else
+                                               f"a non-empty {ndim}-D array of finite numbers"))
+    return a
+
+
+def _net_arrays(bank: TanhBank):
+    """Each net of a bank, in order, as the arrays a file stores for it:
+    (W (h, M), c (h,), plane W (p, h), plane b (p,))."""
+    k = len(bank.plane_weights)
+    return zip(np.split(bank.weights, k), np.split(bank.biases[:, 0], k), bank.plane_weights,
+               bank.plane_biases[:, :, 0])
+
+
+def _net_to_dict(w, c, pw, pb) -> dict:
     """A one-plane net (a twin side, rfnn) under its file keys."""
-    return {
-        "hidden_w": net.weights.tolist(),
-        "hidden_b": net.biases.tolist(),
-        "w": net.plane_weights[0].tolist(),
-        "b": float(net.plane_biases[0]),
-    }
+    return {"hidden_w": w.tolist(), "hidden_b": c.tolist(), "w": pw[0].tolist(),
+            "b": float(pb[0])}
 
 
-def _net_from_dict(d: dict) -> TanhNet:
-    return TanhNet(d["hidden_w"], d["hidden_b"], [d["w"]], [d["b"]])
+def _net_from_dict(d: dict) -> TanhBank:
+    """A one-plane net read from its file keys, as a bank of one."""
+    return TanhBank(_finite_array(d["hidden_w"], "hidden_w", 2),
+                    _finite_array(d["hidden_b"], "hidden_b", 1),
+                    _finite_array(d["w"], "w", 1)[None, None],
+                    _finite_array(d["b"], "b", 0)[None, None])
 
 
 def _check_sizes(bank: TanhBank, **sizes) -> None:
@@ -131,67 +154,67 @@ def _check_sizes(bank: TanhBank, **sizes) -> None:
 
 
 def _twin_to_dict(model: TwinNNModel) -> dict:
+    plus, minus = _net_arrays(model.bank)
     return {
-        "M": model.plus.n_features,
+        "M": model.bank.n_features,
         "h": model.hyper.hidden,
         "hyper": asdict(model.hyper),
-        "plus": _net_to_dict(model.plus),
-        "minus": _net_to_dict(model.minus),
+        "plus": _net_to_dict(*plus),
+        "minus": _net_to_dict(*minus),
     }
 
 
 def _twin_from_dict(d: dict) -> TwinNNModel:
-    model = TwinNNModel(_net_from_dict(d["plus"]), _net_from_dict(d["minus"]),
+    model = TwinNNModel(TanhBank.join([_net_from_dict(d["plus"]), _net_from_dict(d["minus"])]),
                         TwinHyper(**d["hyper"]))
-    _check_sizes(model._bank, M=d["M"], h=d["h"], hidden=model.hyper.hidden)
+    _check_sizes(model.bank, M=d["M"], h=d["h"], hidden=model.hyper.hidden)
     return model
 
 
 def _rfnn_to_dict(model: RfnnModel) -> dict:
+    (net,) = _net_arrays(model.bank)
     return {
-        "M": model.net.n_features,
+        "M": model.bank.n_features,
         "h": model.hyper.hidden,
         "hyper": {name: getattr(model.hyper, name) for name in ("l2", "lr", "epochs", "seed")},
-        **_net_to_dict(model.net),
+        **_net_to_dict(*net),
     }
 
 
 def _rfnn_from_dict(d: dict) -> RfnnModel:
     model = RfnnModel(_net_from_dict(d), RfnnHyper(hidden=d["h"], **d["hyper"]))
-    _check_sizes(model.net._bank, M=d["M"], h=d["h"])
+    _check_sizes(model.bank, M=d["M"], h=d["h"])
     return model
 
 
 def _mc_to_dict(model: MulticlassTwinModel) -> dict:
     return {
-        "K": len(model.banks),
-        "M": model.banks[0].n_features,
+        "K": len(model.class_ids),
+        "M": model.bank.n_features,
         "n": model.hyper.subnet_features,
         "p": model.hyper.planes,
         "hyper": asdict(model.hyper),
         "banks": [
             {
                 "class_id": int(class_id),
-                "subnet_w": bank.weights.tolist(),
-                "subnet_b": bank.biases.tolist(),
-                "planes": [{"w": w.tolist(), "b": float(b)}
-                           for w, b in zip(bank.plane_weights, bank.plane_biases)],
+                "subnet_w": w.tolist(),
+                "subnet_b": c.tolist(),
+                "planes": [{"w": w.tolist(), "b": float(b)} for w, b in zip(pw, pb)],
             }
-            for class_id, bank in zip(model.class_ids, model.banks)
+            for class_id, (w, c, pw, pb) in zip(model.class_ids, _net_arrays(model.bank))
         ],
     }
 
 
 def _mc_from_dict(d: dict) -> MulticlassTwinModel:
-    banks = tuple(
-        TanhNet(bank["subnet_w"], bank["subnet_b"],
-                [plane["w"] for plane in bank["planes"]],
-                [plane["b"] for plane in bank["planes"]])
-        for bank in d["banks"]
-    )
-    model = MulticlassTwinModel([bank["class_id"] for bank in d["banks"]], banks,
+    nets = [TanhBank(_finite_array(net["subnet_w"], "subnet_w", 2),
+                     _finite_array(net["subnet_b"], "subnet_b", 1),
+                     _finite_array([plane["w"] for plane in net["planes"]], "plane w", 2)[None],
+                     _finite_array([plane["b"] for plane in net["planes"]], "plane b", 1)[None])
+            for net in d["banks"]]
+    model = MulticlassTwinModel([net["class_id"] for net in d["banks"]], TanhBank.join(nets),
                                 MCHyper(**d["hyper"]))
-    _check_sizes(model._bank, K=d["K"], M=d["M"], n=d["n"], p=d["p"],
+    _check_sizes(model.bank, K=d["K"], M=d["M"], n=d["n"], p=d["p"],
                  subnet_features=model.hyper.subnet_features, planes=model.hyper.planes)
     return model
 
@@ -208,13 +231,6 @@ def _twsvm_to_dict(model: TwsvmModel) -> dict:
         "ridge_beta": model.ridge_beta,
         "support": None if model.plus.support is None else model.plus.support.tolist(),
     }
-
-
-def _finite_array(value, name: str, ndim: int) -> np.ndarray:
-    a = np.asarray(value, dtype=np.float64)
-    if a.ndim != ndim or 0 in a.shape or not np.isfinite(a).all():
-        raise ValueError(f"{name} must be a non-empty finite {ndim}-D array")
-    return a
 
 
 def _twsvm_from_dict(d: dict) -> TwsvmModel:
@@ -241,7 +257,10 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
         plus, minus = (TwsvmPlane(w, kernel, support, d["M"], gram) for w in (u, v))
     if not all(np.isfinite(plane.norm) and plane.norm > 0 for plane in (plus, minus)):
         raise ValueError("a plane has a zero or non-finite norm; distances are undefined")
-    return TwsvmModel(plus, minus, alpha, beta, d["ridge_alpha"], d["ridge_beta"])
+    ridges = [float(_finite_array(d[key], key, 0)) for key in ("ridge_alpha", "ridge_beta")]
+    if min(ridges) < 0:
+        raise ValueError(f"ridge_alpha and ridge_beta must be >= 0, got {ridges}")
+    return TwsvmModel(plus, minus, alpha, beta, *ridges)
 
 
 def _twsvm_problem(kernel: str, ds, params: dict) -> TwsvmProblem:

@@ -1,23 +1,23 @@
-"""Multiclass twin network: one p-plane ``twin_nn.TanhNet`` bank per class.
+"""Multiclass twin network: one p-plane net per class, all K held as one
+``twin_nn.TanhBank``.
 
-Each class owns a bank: a tanh sub-network producing its own feature
+Each class owns a net: a tanh sub-network producing its own feature
 space and p classifier planes w.phi(x) + b, each with its own trained
 weights w and bias b.  Training drives the smallest absolute tanh plane
 activation toward 0 for the sample's own class and toward 1 for the
 nearest foreign plane, with no penalty once a foreign plane is further
-than the unit target.  Prediction picks the class whose bank is nearest,
-by the distance of ``TanhNet.distance``: the smallest normalized
-distance |w.phi(x)+b| / ||w|| over the bank's planes, computed on raw
+than the unit target.  Prediction picks the class whose net is nearest,
+by the distance of ``TanhBank.distances``: the smallest normalized
+distance |w.phi(x)+b| / ||w|| over the net's planes, computed on raw
 pre-activations so that labels are invariant to positive rescaling of
-any plane.  A model stacks its class banks into one ``twin_nn.TanhBank``
-once, and ``mc_predict`` makes one block loop over the rows with one
+any plane.  ``mc_predict`` makes one block loop over the rows with one
 kernel call per block: (K, p, n) plane outputs and (K, n) distances for
 all classes, of which the nearest is a running minimum along the block
 (``numcore.nearest``), with ties to the lowest class id.
 
 The min operator routes gradient only to the argmin plane of each group;
-ties break toward the lowest bank/plane index.  Training rows are
-canonicalized by a stable sort on class id and per-bank seeds are keyed
+ties break toward the lowest net/plane index.  Training rows are
+canonicalized by a stable sort on class id and per-net seeds are keyed
 to the class id itself, so models do not depend on how class blocks are
 ordered in the input.
 
@@ -25,24 +25,24 @@ Training goes through ``twin_nn.descend``, the loop shared by all three
 networks, with one forward pass per epoch over a design matrix built
 once per fit, and the gradients come from the shared
 ``twin_nn._backprop``; unlike the binary twin sides it never stops
-early, since it takes no ``tol``.  Each class's bank starts from the one
-initializer, ``twin_nn._init_net`` with p planes, and the K banks are
-joined into one along their leading axes, so ``mc_objective`` runs one
-forward pass and one backprop for all classes.  The design holds the
+early, since it takes no ``tol``.  Each class's net starts from the one
+initializer, ``twin_nn._init_net`` with p planes, and the K nets are
+joined into one bank along their leading axes, so ``mc_objective`` runs
+one forward pass and one backprop for all classes.  The design holds the
 rows sorted by class, so each class's own-plane cells are a column slice
-of its bank's activations, and each sample's gradient terms land at
+of its net's activations, and each sample's gradient terms land at
 linear indices into the (K, p, N) activations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numcore import DivergenceError, Rng, ShapeError, check_fields, mix_seed, nearest, score_rows
 from .data import Dataset, DataError
-from .twin_nn import TanhBank, TanhNet, _backprop, _design, _forward, _init_net, _nets, descend
+from .twin_nn import TanhBank, _backprop, _design, _forward, _init_net, descend
 
 __all__ = [
     "MCHyper",
@@ -72,22 +72,20 @@ class MCHyper:
 
 @dataclass(frozen=True, eq=False)
 class MulticlassTwinModel:
-    """One p-plane bank per class, stored in increasing class id order."""
+    """One p-plane net per class, in increasing class id order, held as
+    one bank that scores them all in one pass."""
 
     class_ids: np.ndarray
-    banks: tuple[TanhNet, ...]
+    bank: TanhBank
     hyper: MCHyper
-    # every class's bank stacked into one, which scores them all in one pass
-    _bank: TanhBank = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = np.asarray(self.class_ids)
-        if (ids.dtype.kind != "i" or ids.shape != (len(self.banks),) or ids.size < 2
-                or (np.diff(ids) <= 0).any()):
-            raise ShapeError("a multiclass model needs >= 2 banks, one per class id, "
+        if (ids.dtype.kind != "i" or ids.shape != (len(self.bank.plane_weights),)
+                or ids.size < 2 or (np.diff(ids) <= 0).any()):
+            raise ShapeError("a multiclass model needs >= 2 nets, one per class id, "
                              "with integer class ids in increasing order")
         object.__setattr__(self, "class_ids", ids.astype(np.int64))
-        object.__setattr__(self, "_bank", TanhBank(self.banks))
 
 
 def loss_from_mins(own_min, other_min, margin_weight: float):
@@ -104,12 +102,12 @@ def loss_from_mins(own_min, other_min, margin_weight: float):
 def mc_objective(params, design: np.ndarray, counts, margin_weight: float):
     """Mean per-sample loss and its subgradients, from one forward pass.
 
-    ``params`` is every class's bank stacked into one, ``[[W | c], plane
+    ``params`` is every class's net stacked into one bank, ``[[W | c], plane
     W (K, p, h), plane b (K, p)]`` in class order, and ``design`` is
     ``_design(rows)`` with the rows sorted by class: of the ints
     ``counts``, the first ``counts[0]`` columns are class 0's, the next
     ``counts[1]`` class 1's, and so on.  A class's own-plane cells are
-    then a column slice of its bank's (p, N) activations.  Activations are
+    then a column slice of its net's (p, N) activations.  Activations are
     held as (K, p, N), one column per sample, as the design is.  Gradients
     come in the layout of ``params``; the min routes gradient to the
     argmin plane only.
@@ -123,7 +121,7 @@ def mc_objective(params, design: np.ndarray, counts, margin_weight: float):
         own_cells.append((k, slice(None), slice(lo, lo + count)))
         lo += count
     # own and foreign min |activation| per sample; ``nearest`` takes the
-    # first (lowest bank, then plane) index on ties
+    # first (lowest net, then plane) index on ties
     own_plane = nearest(np.concatenate([abs_acts[cell] for cell in own_cells], axis=1))
     for cell in own_cells:
         abs_acts[cell] = np.inf
@@ -152,7 +150,7 @@ def mc_objective(params, design: np.ndarray, counts, margin_weight: float):
 
 
 def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
-    """Joint full-batch subgradient descent over all class banks."""
+    """Joint full-batch subgradient descent over all class nets."""
     if data.missing is not None:
         raise DataError("dataset has missing values; impute before training")
     class_ids = data.class_ids
@@ -165,33 +163,33 @@ def mc_train(data: Dataset, hyper: MCHyper) -> MulticlassTwinModel:
                          minlength=class_ids.size).tolist()
     inits = [_init_net(Rng(mix_seed(hyper.seed, c)), data.n_features, hyper.subnet_features,
                        hyper.planes) for c in class_ids]
-    params, _ = descend(
+    params, final = descend(
         [np.concatenate(arrays) for arrays in zip(*inits)],
         lambda params: mc_objective(params, design, counts, hyper.margin_weight),
         hyper.lr, hyper.epochs, 0.0, "multiclass training", None)
     # the loss is built from tanh outputs and stays finite while the
-    # weights run away; a net rejects non-finite weights and plane norms
+    # weights run away; a bank rejects non-finite weights and plane norms
     try:
-        banks = tuple(_nets(params))
+        bank = TanhBank.trained(params, final)
     except ValueError:
         raise DivergenceError(f"multiclass training diverged by epoch {hyper.epochs}: "
                               "a weight or plane norm is non-finite",
                               epoch=hyper.epochs) from None
-    return MulticlassTwinModel(class_ids, banks, hyper)
+    return MulticlassTwinModel(class_ids, bank, hyper)
 
 
 def mc_distances(model: MulticlassTwinModel, features) -> np.ndarray:
     """(N, K) matrix of per-class nearest-plane distances, (1, K) for one
-    sample (M,), every bank scored in one pass per block of rows."""
-    return score_rows(features, model._bank.n_features,
-                      lambda rows: model._bank.distances(rows).T)
+    sample (M,), every class's net scored in one pass per block of rows."""
+    return score_rows(features, model.bank.n_features,
+                      lambda rows: model.bank.distances(rows).T)
 
 
 def mc_predict(model: MulticlassTwinModel, features):
     """Class of the nearest plane group, ties going to the lowest class id:
     an int for one sample (M,), int64 (N,) for a batch (N, M).  One block
-    loop (``numcore.score_rows``) scores every bank of each block in one
-    pass of the stacked bank and picks the nearest (``numcore.nearest``)."""
-    labels = score_rows(features, model._bank.n_features,
-                        lambda rows: model.class_ids[nearest(model._bank.distances(rows))])
+    loop (``numcore.score_rows``) scores every class's net of each block in
+    one pass of the bank and picks the nearest (``numcore.nearest``)."""
+    labels = score_rows(features, model.bank.n_features,
+                        lambda rows: model.class_ids[nearest(model.bank.distances(rows))])
     return int(labels[0]) if np.ndim(features) == 1 else labels

@@ -126,7 +126,8 @@ SCORE_BLOCK = 4096
 
 def score_rows(x, n_features: int, score):
     """``score`` applied to one sample (M,) or a batch (N, M) of rows; the
-    one input check of both plane types, ``TanhNet`` and ``TwsvmPlane``.
+    one input check of both plane types, ``twin_nn.TanhBank``, the one
+    network type, and ``TwsvmPlane``.
 
     ShapeError unless x is 1-D or 2-D with M = ``n_features`` features.  A
     sample, or a batch of at most one block (SCORE_BLOCK rows, or one more),

@@ -39,7 +39,7 @@ def model_from_dict(d: dict):
                 return kind.from_dict(d)
             except KeyError as exc:
                 raise DataError(f"{kind.codec} model has no field {exc}") from None
-            except (TypeError, ValueError, AttributeError) as exc:
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise DataError(f"malformed {kind.codec} model: {exc}") from None
     raise DataError(f"unknown model kind {d.get('kind')!r}")
 

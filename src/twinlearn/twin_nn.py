@@ -1,12 +1,14 @@
 """Binary twin neural network and the regularized feed-forward baseline.
 
-Every network here and in ``multiclass`` is one ``TanhNet``: a tanh
-feature map phi(x) = tanh(W x + c) feeding p planes w_j.phi(x) + b_j.  A
-twin side and the rfnn baseline are one-plane nets; a multiclass bank
-is a p-plane net.  Each net's distance to a point is that of its nearest
-plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane norms computed
-once per net.  Each network kind has one frozen hyperparameter type,
-which checks all its fields with one call of ``numcore.check_fields``.
+Every network here and in ``multiclass`` is one type, ``TanhBank``: K
+nets of one shape, each a tanh feature map phi(x) = tanh(W x + c)
+feeding p planes w_j.phi(x) + b_j.  A twin side and the rfnn baseline
+are banks of one one-plane net, a twin pair a bank of two, a multiclass
+model a bank of K p-plane nets.  Each net's distance to a point is that
+of its nearest plane, min_j |w_j.phi(x)+b_j| / ||w_j||, with the plane
+norms computed once per bank.  Each network kind has one frozen
+hyperparameter type, which checks all its fields with one call of
+``numcore.check_fields``.
 
 Two independent one-plane nets are trained, one per class.  Each drives
 its own class onto its plane (pre-activation 0) while pushing the other
@@ -20,38 +22,38 @@ plane is oriented by the side's margin target, which makes the two side
 losses exact mirror images.  Swapping class labels together with
 (c_plus, c_minus) therefore flips every prediction bit for bit.
 
-K nets of one shape form a bank, stacked along a leading bank axis; a
-net alone is a bank of one.  Training and scoring both work on banks,
-so one product, one tanh and one batched plane product serve all K
-nets.  All networks train through ``descend``, one full-batch gradient
-step and one forward pass per epoch; only the twin sides stop early, on
-``tol``.  Parameters have one layout, that of a bank, ``[[W | c] (K*h,
-M+1), plane W (K, p, h), plane b (K, p)]``: ``_init_net``, the one
-initializer, draws one net as a bank of one, banks join along their
-leading axes, and the objectives (``side_objective`` and ``rfnn_objective`` on a bank of
-one, ``multiclass.mc_objective`` on all K classes' banks) take it and
-return their gradients in it.  Each objective runs over a design matrix
-built once per fit and laid out feature-major: the rows (for a twin side
-``[other; own]``) transposed to (M+1, N), with a row of ones last, so
-the hidden biases fold into the weights.  An epoch is one pass over the
-design, ``phi = tanh([W | c] @ design)`` with one (K*h,) column per
-sample, and one ``_backprop`` of the per-plane, per-sample output
-gradients (K, p, N).  The two twin sides are trained apart, each over
-its own design and row order.
+Training and scoring both work on banks, so one product, one tanh and
+one batched plane product serve all K nets.  All networks train through
+``descend``, one full-batch gradient step and one forward pass per epoch;
+only the twin sides stop early, on ``tol``.  Parameters have one layout,
+that of a bank, ``[[W | c] (K*h, M+1), plane W (K, p, h), plane b (K,
+p)]``: ``_init_net``, the one initializer, draws one net as a bank of
+one, banks join along their leading axes, and the objectives
+(``side_objective`` and ``rfnn_objective`` on a bank of one,
+``multiclass.mc_objective`` on all K classes' nets) take it and return
+their gradients in it; ``TanhBank.trained`` makes a fit's bank from it
+in one step.  Each objective runs over a design matrix built once per
+fit and laid out feature-major: the rows (for a twin side ``[other;
+own]``) transposed to (M+1, N), with a row of ones last, so the hidden
+biases fold into the weights.  An epoch is one pass over the design,
+``phi = tanh([W | c] @ design)`` with one (K*h,) column per sample, and
+one ``_backprop`` of the per-plane, per-sample output gradients (K, p,
+N).  The two twin sides are trained apart, each over its own design and
+row order, and ``TanhBank.join`` makes them one bank of two.
 
 Prediction takes rows (N, M) in blocks (``numcore.score_rows``), so the
 memory it needs beyond its output does not grow with N, and scores each
 block with the one kernel, ``TanhBank.planes``: W @ rows.T gives (K*h,
 n) activations and (K, p, n) plane outputs, and ``TanhBank.distances``
-the (K, n) nearest-plane distances.  A model builds its bank once
-(``TanhNet``: itself, ``TwinNNModel``: both sides,
+the (K, n) nearest-plane distances.  A model holds one bank
+(``TwinNNModel``: both sides, ``RfnnModel``: its net,
 ``multiclass.MulticlassTwinModel``: every class), and each predict makes
 one kernel call per block for all of its nets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +63,6 @@ from .data import Dataset, DataError
 __all__ = [
     "TwinHyper",
     "RfnnHyper",
-    "TanhNet",
     "TanhBank",
     "TwinNNModel",
     "descend",
@@ -110,90 +111,62 @@ class RfnnHyper:
                      non_negative=("epochs", "l2"))
 
 
-@dataclass(frozen=True, eq=False)
-class TanhNet:
-    """tanh feature map phi(x) = tanh(W x + c) feeding p planes
-    w_j.phi(x) + b_j; immutable, validated once, with its plane norms
-    computed once.  Parameters must be finite and every plane norm finite
-    and non-zero, so ``distance`` is always defined."""
-
-    weights: np.ndarray  # W, (h, M)
-    biases: np.ndarray  # c, (h,)
-    plane_weights: np.ndarray  # (p, h)
-    plane_biases: np.ndarray  # (p,)
-    final_loss: float | None = None
-    plane_norms: np.ndarray = field(init=False, repr=False)
-    # the net as a bank of one, which scores it; made once, not per block
-    _bank: TanhBank = field(init=False, repr=False)
-
-    def __post_init__(self):
-        w, c, pw, pb = (np.asarray(a, dtype=np.float64) for a in
-                        (self.weights, self.biases, self.plane_weights, self.plane_biases))
-        if (w.ndim != 2 or pw.ndim != 2 or 0 in w.shape or 0 in pw.shape
-                or c.shape != w.shape[:1] or pw.shape[1] != w.shape[0]
-                or pb.shape != pw.shape[:1]):
-            raise ShapeError("a tanh net needs (h, M) weights, (h,) biases, "
-                             "(p, h) plane weights and (p,) plane biases")
-        if not np.isfinite(np.concatenate((w.ravel(), c, pw.ravel(), pb))).all():
-            raise ValueError("tanh net parameters must be finite")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(pw, axis=1)
-        if not (np.isfinite(norms).all() and norms.all()):
-            bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0)).tolist()
-            raise ValueError(f"planes {bad} have zero or overflowing norms; distance undefined")
-        for name, value in (("weights", w), ("biases", c), ("plane_weights", pw),
-                            ("plane_biases", pb), ("plane_norms", norms)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_bank", TanhBank((self,)))
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
-    def planes(self, x) -> np.ndarray:
-        """Plane pre-activations: (p,) for one sample (M,), (N, p) for a batch
-        (N, M), scored in row blocks by ``numcore.score_rows``, which raises
-        ShapeError for any other shape."""
-        z = score_rows(x, self.n_features, lambda rows: self._bank.planes(rows)[0].T)
-        return z[0] if np.ndim(x) == 1 else z
-
-    def distance(self, x):
-        """Nearest-plane distance min_j |w_j.phi(x) + b_j| / ||w_j||, on raw
-        pre-activations, so it is invariant to positive rescaling of any
-        plane: a float for one sample (M,), (N,) for a batch (N, M).
-
-        A batch is scored in blocks of ``numcore.SCORE_BLOCK`` rows, so its
-        temporaries are O(block * h) whatever N is.  One sample is scored
-        as a block of one row, bit for bit; it can differ from the same row
-        in a larger batch in its last bits (BLAS sums one row and many rows
-        in different orders)."""
-        d = score_rows(x, self.n_features, lambda rows: self._bank.distances(rows)[0])
-        return float(d[0]) if np.ndim(x) == 1 else d
-
-
 class TanhBank:
-    """K tanh nets of one shape stacked along a leading bank axis, the one
-    form in which nets are scored: their W as one (K*h, M) matrix and
-    their c as a (K*h, 1) column, plane weights (K, p, h), and plane biases
-    and norms as (K, p, 1) columns.  One product, one tanh and one batched
-    plane product then score a block of rows for all K nets.  A net is a
-    bank of one; a twin pair is a bank of two; a multiclass model is a
-    bank of K.  ShapeError unless the nets share M, h and p."""
+    """The one network type: K tanh nets of one shape on a leading bank
+    axis, net k mapping x to phi(x) = tanh(W_k x + c_k) and p planes
+    w_kj.phi(x) + b_kj.  Built from (K*h, M) weights, (K*h,) biases, (K, p,
+    h) plane weights and (K, p) plane biases; it holds the biases as a
+    (K*h, 1) column and the plane biases and norms as (K, p, 1) columns,
+    so one product, one tanh and one batched plane product score a block
+    of rows for all K nets.  ShapeError unless the shapes agree,
+    ValueError unless the parameters and plane norms are finite and no
+    norm is zero, so a distance is always defined.  ``final_loss`` holds
+    each net's training loss (None where unknown, as on load)."""
 
     __slots__ = ("n_features", "weights", "biases", "plane_weights", "plane_biases",
-                 "plane_norms")
+                 "plane_norms", "final_loss")
 
-    def __init__(self, nets):
-        shapes = [(net.n_features, *net.plane_weights.shape[::-1]) for net in nets]
-        if len(set(shapes)) != 1:
-            raise ShapeError(f"nets of (M, h, p) {sorted(set(shapes))} cannot share a bank: "
+    def __init__(self, weights, biases, plane_weights, plane_biases, final_loss=None):
+        w, c, pw, pb = (np.ascontiguousarray(a, dtype=np.float64) for a in
+                        (weights, biases, plane_weights, plane_biases))
+        if (w.ndim != 2 or pw.ndim != 3 or 0 in w.shape or 0 in pw.shape
+                or w.shape[0] != pw.shape[0] * pw.shape[2] or c.shape != w.shape[:1]
+                or pb.shape != pw.shape[:2]):
+            raise ShapeError("a bank of K tanh nets needs (K*h, M) weights, (K*h,) biases, "
+                             "(K, p, h) plane weights and (K, p) plane biases")
+        if not np.isfinite(np.concatenate((w.ravel(), c, pw.ravel(), pb.ravel()))).all():
+            raise ValueError("tanh net parameters must be finite")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(pw, axis=2)
+        if not (np.isfinite(norms).all() and norms.all()):
+            bad = np.argwhere(~np.isfinite(norms) | (norms == 0)).tolist()
+            raise ValueError(f"planes (net, plane) {bad} have zero or overflowing norms; "
+                             "distance undefined")
+        self.n_features = w.shape[1]
+        self.weights, self.biases, self.plane_weights = w, c[:, None], pw
+        self.plane_biases, self.plane_norms = pb[:, :, None], norms[:, :, None]
+        self.final_loss = (None,) * len(pw) if final_loss is None else tuple(final_loss)
+
+    @classmethod
+    def trained(cls, params, final_loss: float) -> TanhBank:
+        """The bank of trained parameters ``[[W | c], plane W, plane b]``,
+        every net carrying the fit's ``final_loss``."""
+        hidden, pw, pb = params
+        return cls(hidden[:, :-1], hidden[:, -1], pw, pb, (final_loss,) * len(pw))
+
+    @classmethod
+    def join(cls, banks) -> TanhBank:
+        """The nets of ``banks`` as one bank, in order; ShapeError unless
+        they share M, h and p."""
+        shapes = {(bank.n_features, *bank.plane_weights.shape[:0:-1]) for bank in banks}
+        if len(shapes) != 1:
+            raise ShapeError(f"nets of (M, h, p) {sorted(shapes)} cannot share a bank: "
                              "their input widths, hidden widths and plane counts must agree")
-        self.n_features = shapes[0][0]
-        self.weights = np.vstack([net.weights for net in nets])
-        self.biases = np.concatenate([net.biases for net in nets])[:, None]
-        self.plane_weights = np.stack([net.plane_weights for net in nets])
-        self.plane_biases = np.stack([net.plane_biases for net in nets])[:, :, None]
-        self.plane_norms = np.stack([net.plane_norms for net in nets])[:, :, None]
+        return cls(np.vstack([bank.weights for bank in banks]),
+                   np.concatenate([bank.biases[:, 0] for bank in banks]),
+                   np.concatenate([bank.plane_weights for bank in banks]),
+                   np.concatenate([bank.plane_biases[:, :, 0] for bank in banks]),
+                   sum((bank.final_loss for bank in banks), ()))
 
     def planes(self, rows) -> np.ndarray:
         """Plane pre-activations (K, p, n) of a block of rows (n, M), one
@@ -226,16 +199,12 @@ class TanhBank:
 
 @dataclass(frozen=True, eq=False)
 class TwinNNModel:
-    """Trained pair of class networks; immutable and safe to share."""
+    """Trained pair of class networks, the plus then the minus side's net
+    as one bank of two, which scores both in one pass; immutable and safe
+    to share."""
 
-    plus: TanhNet
-    minus: TanhNet
+    bank: TanhBank
     hyper: TwinHyper
-    # plus and minus as one bank of two, which scores both in one pass
-    _bank: TanhBank = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_bank", TanhBank((self.plus, self.minus)))
 
 
 def _design(*blocks: np.ndarray) -> np.ndarray:
@@ -248,14 +217,6 @@ def _design(*blocks: np.ndarray) -> np.ndarray:
     design[:-1] = rows.T
     design[-1] = 1.0
     return design
-
-
-def _nets(params, final_loss: float | None = None) -> list[TanhNet]:
-    """The K nets of a trained bank ``[[W | c], plane W, plane b]``, in
-    bank order."""
-    hidden, pw, pb = params
-    return [TanhNet(np.ascontiguousarray(w[:, :-1]), w[:, -1].copy(), pw_k, pb_k, final_loss)
-            for w, pw_k, pb_k in zip(np.split(hidden, len(pw)), pw, pb)]
 
 
 def _forward(params, design: np.ndarray):
@@ -387,10 +348,10 @@ def class_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def train_side(data: Dataset, hyper: TwinHyper, side: str) -> TanhNet:
+def train_side(data: Dataset, hyper: TwinHyper, side: str) -> TanhBank:
     """One side of the twin network, ``"plus"`` (class +1's net) or
     ``"minus"``, trained alone and bit-identical to that side of
-    ``train(data, hyper)``.
+    ``train(data, hyper)``, as a bank of one.
 
     The side starts from the model seed's one initial draw, its head sign
     oriented by the side's margin target, and stops early when the applied
@@ -405,7 +366,7 @@ def train_side(data: Dataset, hyper: TwinHyper, side: str) -> TanhNet:
         [hidden, -target * plane_w, -target * plane_b],
         lambda params: side_objective(params, design, other.shape[0], c, target),
         hyper.lr, hyper.epochs, hyper.tol, f"{side} side", side)
-    return _nets(params, final)[0]
+    return TanhBank.trained(params, final)
 
 
 def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
@@ -414,15 +375,15 @@ def train(data: Dataset, hyper: TwinHyper) -> TwinNNModel:
     Deterministic in ``hyper.seed``: both sides start from the same
     initial draw (see ``train_side``).
     """
-    return TwinNNModel(train_side(data, hyper, "plus"), train_side(data, hyper, "minus"),
-                       hyper)
+    return TwinNNModel(TanhBank.join([train_side(data, hyper, "plus"),
+                                      train_side(data, hyper, "minus")]), hyper)
 
 
 def decision_values(model: TwinNNModel, x):
     """Per-side absolute normalized plane distances |w.phi(x)+b| / ||w||
     for one sample (M,) (two floats) or a batch (N, M) (two (N,) arrays),
     both sides scored in one pass per block of rows."""
-    d = score_rows(x, model.plus.n_features, lambda rows: model._bank.distances(rows).T)
+    d = score_rows(x, model.bank.n_features, lambda rows: model.bank.distances(rows).T)
     if np.ndim(x) == 1:
         return float(d[0, 0]), float(d[0, 1])
     return d[:, 0], d[:, 1]
@@ -435,19 +396,19 @@ def predict(model: TwinNNModel, x):
     of their bank; at a near-tie a row's label can differ between a
     one-row call and a batch."""
     def block(rows):
-        d_plus, d_minus = model._bank.distances(rows)
+        d_plus, d_minus = model.bank.distances(rows)
         return np.where(d_plus <= d_minus, 1, -1)
 
-    labels = score_rows(x, model.plus.n_features, block)
+    labels = score_rows(x, model.bank.n_features, block)
     return int(labels[0]) if np.ndim(x) == 1 else labels
 
 
 @dataclass(frozen=True, eq=False)
 class RfnnModel:
     """One-hidden-layer tanh network with a linear output, the one plane
-    of ``net``, trained L2-regularized under ``hyper``."""
+    of a bank of one, trained L2-regularized under ``hyper``."""
 
-    net: TanhNet
+    bank: TanhBank
     hyper: RfnnHyper
 
 
@@ -455,7 +416,7 @@ def rfnn_decision(model: RfnnModel, x) -> np.ndarray | float:
     """Raw network output, the net's one plane: a float for one sample
     (M,), (N,) for a batch (N, M), scored in row blocks by
     ``numcore.score_rows``."""
-    z = score_rows(x, model.net.n_features, lambda rows: model.net._bank.planes(rows)[0, 0])
+    z = score_rows(x, model.bank.n_features, lambda rows: model.bank.planes(rows)[0, 0])
     return float(z[0]) if np.ndim(x) == 1 else z
 
 
@@ -502,4 +463,4 @@ def train_rfnn_baseline(data: Dataset, hidden: int = RfnnHyper.hidden,
         _init_net(Rng(hyper.seed), data.n_features, hyper.hidden, 1),
         lambda params: rfnn_objective(params, design, targets, hyper.l2),
         hyper.lr, hyper.epochs, 0.0, "rfnn", "rfnn")
-    return RfnnModel(_nets(params, final)[0], hyper)
+    return RfnnModel(TanhBank.trained(params, final), hyper)

@@ -159,7 +159,7 @@ class TwsvmPlane:
     for the linear kernel, sqrt(w'Kw) for a kernel expansion over
     ``support`` (all training rows, class +1 block first), with K the
     support's Gram matrix, which a kernel expansion must pass as ``gram``.
-    A zero norm is kept, and ``distance`` refuses it."""
+    A zero norm is kept, and ``_score`` refuses it."""
 
     u: np.ndarray
     kernel: KernelSpec
@@ -177,15 +177,6 @@ class TwsvmPlane:
         else:
             norm = float(np.sqrt(max(w @ (gram @ w), 0.0)))
         object.__setattr__(self, "norm", norm)
-
-    def distance(self, x):
-        """|w.k(x) + b| / norm: a scalar for one sample (M,), (N,) for a
-        batch (N, M), scored in row blocks by ``numcore.score_rows``, which
-        raises ShapeError for any other shape; ValueError if the norm is
-        zero.  A kernel expansion builds each block's kernel rows against
-        the support, so its temporaries are O(block * S), not O(N * S)."""
-        d = score_rows(x, self.n_features, lambda rows: self._score(self._basis(rows)))
-        return float(d[0]) if np.ndim(x) == 1 else d
 
     def _basis(self, rows) -> np.ndarray:
         """The rows, as (N, M), or for a kernel expansion their kernel rows

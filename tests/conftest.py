@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import settings
 
 from twinlearn.data import DataError, Dataset
+from twinlearn.harness import OvrEnsemble, ovr_distances
 from twinlearn.numcore import Rng
 
 # every run draws the same hypothesis examples, so two commits compare
@@ -49,6 +50,19 @@ def flatten_nets(arrays):
     for w, pw_k, pb_k in zip(np.split(hidden, len(pw)), pw, pb, strict=True):
         parts += [np.ravel(w[:, :-1]), w[:, -1], np.ravel(pw_k), np.ravel(pb_k)]
     return np.concatenate(parts)
+
+
+def own_plane_distance(kind, part):
+    """The distance of one own plane of a binary kind as one-vs-rest
+    measures it, ``harness.ovr_distances`` of an ensemble of that one part:
+    a float for one sample (M,), (N,) for a batch (N, M)."""
+    ensemble = OvrEnsemble(kind, np.array([0]), [part])
+
+    def distance(x):
+        d = ovr_distances(ensemble, x)[:, 0]
+        return float(d[0]) if np.ndim(x) == 1 else d
+
+    return distance
 
 
 def central_difference(f, x0, eps=1e-5):

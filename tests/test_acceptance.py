@@ -81,9 +81,9 @@ def test_criterion_1_gradient_fidelity():
         assert worst_binary <= 1e-5
 
         from test_multiclass import (
-            flatten_model,
             model_from_flat,
             model_objective,
+            params_of,
             resample_until_clear_of_ties,
         )
 
@@ -94,7 +94,7 @@ def test_criterion_1_gradient_fidelity():
             grads = model_objective(model, x, y)[1]
             fd = central_difference(
                 lambda vec: model_objective(model_from_flat(model, vec), x, y)[0],
-                flatten_model(model), eps=1e-6)
+                flatten_nets(params_of(model)), eps=1e-6)
             worst_mc = max(worst_mc, max_relative_error(flatten_nets(grads), fd, floor=1e-6))
         assert worst_mc <= 1e-5
     assert timer.seconds < 10.0

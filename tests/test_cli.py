@@ -1,12 +1,15 @@
+import contextlib
 import csv
 import dataclasses
+import functools
+import io
 import json
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twinlearn.harness as harness
@@ -155,6 +158,43 @@ class TestKnnK:
         assert not out.exists()
 
 
+# every array field of a saved model of each kind (TestModelFiles.saved):
+# a twin SVM's RBF support, a multiclass model's three classes and two
+# planes, and the twin SVM ridges, which are numbers
+_NET = ("hidden_w", "hidden_b", "w", "b")
+_TWSVM = ("u", "v", "alpha", "beta", "ridge_alpha", "ridge_beta")
+ARRAY_FIELDS = [
+    *(("twin_nn", (side, key)) for side in ("plus", "minus") for key in _NET),
+    *(("rfnn", (key,)) for key in _NET),
+    *(("twin_nn_mc", ("banks", k, key)) for k in range(3) for key in ("subnet_w", "subnet_b")),
+    *(("twin_nn_mc", ("banks", k, "planes", j, key)) for k in range(3) for j in range(2)
+      for key in ("w", "b")),
+    *(("twsvm_linear", (key,)) for key in _TWSVM),
+    *(("twsvm_rbf", (key,)) for key in (*_TWSVM, "support")),
+]
+DEFECTS = ["drop", "wrap", "unwrap", "empty", "cell"]
+CELL_VALUES = st.sampled_from([float("nan"), float("inf"), float("-inf"), "1.5", "x", True,
+                               False, None, 10**400])
+
+
+def _defective(value, defect, cell_value, cell):
+    """``value``, a number or nested lists of numbers, with one defect:
+    wrapped in one more list, unwrapped to its first entry (a number stays
+    a number), emptied, or with the cell that ``cell`` picks set to
+    ``cell_value``; "drop" leaves it to the caller."""
+    if defect == "wrap":
+        return [value]
+    if defect == "unwrap":
+        return value[0] if isinstance(value, list) else [value]
+    if defect == "empty":
+        return []
+    if defect == "cell" and isinstance(value, list):
+        row, rest = divmod(cell, len(value))
+        value[rest] = _defective(value[rest], defect, cell_value, row)
+        return value
+    return cell_value if defect == "cell" else value
+
+
 class TestModelFiles:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -258,6 +298,77 @@ class TestModelFiles:
         assert main(["predict", "--data", data, "--model-file", str(model_path)]) == 3
         assert capsys.readouterr().err == (f"data error: model file {model_path}: "
                                            f"malformed {kind} model: {message}\n")
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        # numpy would read a string or a bool in a parameter array as a
+        # number, and a saved model would then write it back
+        ("twin_nn", ["plus", "b"], "1.5", "b must be a finite number"),
+        ("twin_nn", ["minus", "b"], True, "b must be a finite number"),
+        ("twin_nn", ["plus", "hidden_w", 1, 0], "0.25",
+         "hidden_w must be a non-empty 2-D array of finite numbers"),
+        ("rfnn", ["w", 0], False, "w must be a non-empty 1-D array of finite numbers"),
+        ("twin_nn_mc", ["banks", 2, "subnet_b", 0], "1",
+         "subnet_b must be a non-empty 1-D array of finite numbers"),
+        ("twin_nn_mc", ["banks", 0, "planes", 1, "b"], True,
+         "plane b must be a non-empty 1-D array of finite numbers"),
+        ("twsvm_linear", ["u", 0], "1.5", "u must be a non-empty 1-D array of finite numbers"),
+        ("twsvm_linear", ["alpha", 1], True,
+         "alpha must be a non-empty 1-D array of finite numbers"),
+        ("twsvm_rbf", ["support", 0, 1], "2", "support must be a non-empty 2-D array of "
+         "finite numbers"),
+        # the ridges are finite numbers >= 0
+        ("twsvm_linear", ["ridge_alpha"], "x", "ridge_alpha must be a finite number"),
+        ("twsvm_linear", ["ridge_beta"], None, "ridge_beta must be a finite number"),
+        ("twsvm_rbf", ["ridge_alpha"], float("nan"), "ridge_alpha must be a finite number"),
+        ("twsvm_rbf", ["ridge_beta"], -1.0, "ridge_alpha and ridge_beta must be >= 0, got "),
+    ], ids=["twin-string-b", "twin-bool-b", "twin-string-hidden-w", "rfnn-bool-w",
+            "mc-string-subnet-b", "mc-bool-plane-b", "twsvm-string-u", "twsvm-bool-alpha",
+            "rbf-string-support", "twsvm-string-ridge", "twsvm-null-ridge", "rbf-nan-ridge",
+            "rbf-negative-ridge"])
+    def test_a_non_number_in_an_array_exits_3_on_one_line(self, tmp_path, saved, capsys, kind,
+                                                         path, value, message):
+        data, models = saved
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(_set(path, value)(json.loads(json.dumps(models[kind])))))
+        assert main(["predict", "--data", data, "--model-file", str(model_path)]) == 3
+        err = capsys.readouterr().err
+        codec = "twsvm" if kind.startswith("twsvm") else kind
+        assert err.startswith(f"data error: model file {model_path}: malformed {codec} model: "
+                              f"{message}") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(ARRAY_FIELDS), defect=st.sampled_from(DEFECTS),
+           value=CELL_VALUES, cell=st.integers(0, 2**16))
+    # each was read as a number, and saved back as the file gave it
+    @example(case=("twin_nn", ("plus", "b")), defect="cell", value="1.5", cell=0)
+    @example(case=("twin_nn", ("minus", "b")), defect="cell", value=True, cell=0)
+    @example(case=("twin_nn", ("plus", "hidden_w")), defect="cell", value="1.5", cell=5)
+    @example(case=("twsvm_linear", ("u",)), defect="cell", value="1.5", cell=1)
+    @example(case=("twsvm_rbf", ("alpha",)), defect="cell", value="1.5", cell=3)
+    @example(case=("twsvm_linear", ("ridge_alpha",)), defect="cell", value="x", cell=0)
+    # an int past float range raised OverflowError, a traceback
+    @example(case=("rfnn", ("hidden_w",)), defect="cell", value=10**400, cell=2)
+    def test_a_saved_model_with_one_bad_array_exits_3_on_one_line(self, saved, case, defect,
+                                                                 value, cell):
+        # a valid saved model of each kind, with one array field dropped,
+        # reshaped, or with one cell made non-finite or not a number
+        data, models = saved
+        kind, path = case
+        d = json.loads(json.dumps(models[kind]))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], d)
+        parent[path[-1]] = _defective(parent[path[-1]], defect, value, cell)
+        if defect == "drop":
+            del parent[path[-1]]
+        with tempfile.TemporaryDirectory() as tmp:
+            model_path = os.path.join(tmp, "model.json")
+            with open(model_path, "w") as fh:
+                json.dump(d, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["predict", "--data", data, "--model-file", model_path])
+        assert code == 3
+        assert err.getvalue().startswith(f"data error: model file {model_path}: ")
+        assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
 
 
 class TestCv:

@@ -10,12 +10,13 @@ import inspect
 import io
 import json
 import tempfile
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import gaussian_blobs
+from conftest import gaussian_blobs, own_plane_distance
 from twinlearn.cli import main
 from twinlearn.data import Dataset, save_csv
 from twinlearn.harness import (BINARY_MODELS, MODEL_KINDS, ExperimentSpec, fit_model,
@@ -24,7 +25,7 @@ from twinlearn.models import MODELS
 from twinlearn.multiclass import MCHyper
 from twinlearn.numcore import ShapeError
 from twinlearn.serialize import model_from_dict, model_to_dict
-from twinlearn.twin_nn import RfnnHyper, TanhNet, TwinHyper, train_rfnn_baseline
+from twinlearn.twin_nn import RfnnHyper, TanhBank, TwinHyper, train_rfnn_baseline
 from twinlearn.twsvm import KernelSpec, TwsvmHyper, TwsvmProblem, solve_plus
 
 # small budgets keep the fits fast; kinds not listed train with defaults
@@ -307,6 +308,19 @@ def test_the_rfnn_fit_takes_its_hyper_type_by_keyword():
     assert model.hyper == RfnnHyper(hidden=3, epochs=5, l2=0.0, seed=2)
 
 
+@pytest.mark.parametrize("kind, nets", [("twin_nn", 2), ("rfnn", 1), ("twin_nn_mc", 3)])
+def test_a_network_model_holds_one_bank(kind, nets):
+    # the bank is the one network type: each network model holds all of
+    # its nets as one TanhBank field, and no other field holds a net
+    model_type = MODELS[kind].model_type
+    hints = typing.get_type_hints(model_type)
+    banks = [f.name for f in dataclasses.fields(model_type) if hints[f.name] is TanhBank]
+    assert banks == ["bank"]
+    model = fit_model(kind, _dataset(kind), PARAMS[kind], seed=1)
+    assert type(model.bank) is TanhBank and len(model.bank.plane_weights) == nets
+    assert len(model.bank.final_loss) == nets and None not in model.bank.final_loss
+
+
 def _wider(ds):
     """The dataset's rows with one more column."""
     return np.column_stack((ds.features, np.ones(ds.features.shape[0])))
@@ -358,14 +372,17 @@ def test_one_vs_rest_refuses_the_wrong_width(kind):
 
 
 def _planes():
-    """A 1-plane and a 3-plane ``TanhNet`` and a linear and an RBF
-    ``TwsvmPlane``, all on 3 features."""
+    """The one-vs-rest distances of a 1-plane and a 3-plane net, each a
+    ``TanhBank`` of one, and of a linear and an RBF ``TwsvmPlane``, all on
+    3 features."""
     rng = np.random.default_rng(21)
-    nets = [TanhNet(rng.standard_normal((5, 3)), rng.standard_normal(5),
-                    rng.standard_normal((p, 5)), rng.standard_normal(p)) for p in (1, 3)]
+    nets = [TanhBank(rng.standard_normal((5, 3)), rng.standard_normal(5),
+                     rng.standard_normal((1, p, 5)), rng.standard_normal((1, p))) for p in (1, 3)]
     a, b = rng.standard_normal((10, 3)) + 1.0, rng.standard_normal((14, 3)) - 1.0
-    return nets + [solve_plus(TwsvmProblem(a, b, 1.0, 1.0, kernel))
-                   for kernel in (KernelSpec(), KernelSpec("rbf", 0.5))]
+    kernels = {"twsvm_linear": KernelSpec(), "twsvm_rbf": KernelSpec("rbf", 0.5)}
+    return [own_plane_distance("twin_nn", net) for net in nets] + [
+        own_plane_distance(kind, solve_plus(TwsvmProblem(a, b, 1.0, 1.0, kernel)))
+        for kind, kernel in kernels.items()]
 
 
 @pytest.mark.parametrize("plane", _planes(), ids=["net1", "net3", "linear", "rbf"])
@@ -374,12 +391,12 @@ def test_one_sample_distance_is_a_batch_of_one(plane):
     # of a larger batch it agrees to rounding only, since BLAS reduces one
     # row and many rows in different orders
     x = np.random.default_rng(22).standard_normal((40, 3))
-    batch = plane.distance(x)
+    batch = plane(x)
     assert batch.shape == (40,)
     for i in range(40):
-        one = plane.distance(x[i])
+        one = plane(x[i])
         assert np.ndim(one) == 0
-        assert one == plane.distance(x[i:i + 1])[0]
+        assert one == plane(x[i:i + 1])[0]
         np.testing.assert_allclose(one, batch[i], rtol=1e-12, atol=1e-15)
 
 
@@ -390,9 +407,9 @@ def test_distance_takes_only_a_sample_or_a_batch(plane, shape):
     # IndexError, and a (2, 3, 5) one a matmul ValueError from a twin SVM plane
     with pytest.raises(ShapeError, match=r"^expected one sample \(M,\) or a batch \(N, M\), "
                                          rf"got shape \({', '.join(map(str, shape))}\)$"):
-        plane.distance(np.ones(shape))
+        plane(np.ones(shape))
 
 
 @pytest.mark.parametrize("plane", _planes()[:3], ids=["net1", "net3", "linear"])
 def test_an_empty_batch_has_no_distances(plane):
-    assert plane.distance(np.empty((0, 3))).shape == (0,)
+    assert plane(np.empty((0, 3))).shape == (0,)

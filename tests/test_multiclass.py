@@ -22,51 +22,48 @@ from twinlearn.multiclass import (
     mc_predict,
     mc_train,
 )
-from twinlearn.twin_nn import TanhNet, TwinHyper, _design, predict, train
+from twinlearn.twin_nn import TanhBank, TwinHyper, _design, predict, train
 
 
 def random_bank(rng, n_features, n, p, scale=0.8):
-    return TanhNet(
+    """One class's p-plane net drawn at random, as a bank of one."""
+    return TanhBank(
         rng.standard_normal((n, n_features)) * scale,
         rng.standard_normal(n) * scale,
-        rng.standard_normal((p, n)) * scale,
-        rng.standard_normal(p) * scale,
+        rng.standard_normal((1, p, n)) * scale,
+        rng.standard_normal((1, p)) * scale,
     )
 
 
 def random_model(rng, class_ids, n_features=2, n=2, p=2, hyper=None):
-    banks = tuple(random_bank(rng, n_features, n, p) for _ in class_ids)
-    return MulticlassTwinModel(sorted(class_ids), banks,
+    nets = [random_bank(rng, n_features, n, p) for _ in class_ids]
+    return MulticlassTwinModel(sorted(class_ids), TanhBank.join(nets),
                                hyper or MCHyper(subnet_features=n, planes=p))
 
 
-def flatten_model(model):
-    parts = []
-    for bank in model.banks:
-        parts += [bank.weights.ravel(), bank.biases,
-                  bank.plane_weights.ravel(), bank.plane_biases]
-    return np.concatenate(parts)
-
-
-def model_from_flat(model, vec):
-    banks = []
-    i = 0
-    for bank in model.banks:
-        n, m = bank.weights.shape
-        p = bank.plane_weights.shape[0]
-        sw = vec[i:i + n * m].reshape(n, m); i += n * m
-        sb = vec[i:i + n]; i += n
-        pw = vec[i:i + p * n].reshape(p, n); i += p * n
-        pb = vec[i:i + p]; i += p
-        banks.append(TanhNet(sw, sb, pw, pb))
-    return MulticlassTwinModel(model.class_ids, tuple(banks), model.hyper)
+def net_of(model, k):
+    """Net ``k`` of a model's bank, as a bank of one."""
+    bank, n = model.bank, model.bank.plane_weights.shape[2]
+    return TanhBank(bank.weights[k * n:(k + 1) * n], bank.biases[k * n:(k + 1) * n, 0],
+                    bank.plane_weights[k:k + 1], bank.plane_biases[k:k + 1, :, 0])
 
 
 def params_of(model):
-    """A model's banks stacked into one, ``[[W | c], plane W, plane b]``."""
-    return [np.vstack([np.column_stack((b.weights, b.biases)) for b in model.banks]),
-            np.stack([b.plane_weights for b in model.banks]),
-            np.stack([b.plane_biases for b in model.banks])]
+    """A model's bank as parameters, ``[[W | c], plane W, plane b]``."""
+    bank = model.bank
+    return [np.column_stack((bank.weights, bank.biases)), bank.plane_weights,
+            bank.plane_biases[:, :, 0]]
+
+
+def model_from_flat(model, vec):
+    """``model`` with its parameters read from a flat vector in the order
+    of ``flatten_nets``: net by net, W, c, plane W, plane b."""
+    k, p, n = model.bank.plane_weights.shape
+    m = model.bank.n_features
+    nets = vec.reshape(k, -1)
+    return MulticlassTwinModel(model.class_ids, TanhBank(
+        nets[:, :n * m].reshape(k * n, m), nets[:, n * m:n * m + n].ravel(),
+        nets[:, n * m + n:n * m + n + p * n].reshape(k, p, n), nets[:, -p:]), model.hyper)
 
 
 def sorted_objective(params, x, class_idx, margin_weight):
@@ -83,51 +80,63 @@ def model_objective(model, x, y):
                             model.hyper.margin_weight)
 
 
-def activations(bank, x):
-    """tanh plane outputs of a bank, in (-1, 1)."""
-    return np.tanh(bank.planes(x))
+def activations(model, x):
+    """tanh plane outputs (K, N, p) of a model's nets over rows (N, M), in
+    (-1, 1)."""
+    return np.tanh(model.bank.planes(x).transpose(0, 2, 1))
+
+
+def planes(net, x):
+    """The (p,) plane outputs of a bank of one at one sample (M,)."""
+    return net.planes(x)[0, :, 0]
+
+
+def distance(net, x):
+    """The nearest-plane distance of a bank of one to one sample (M,)."""
+    return float(net.distances(x)[0, 0])
 
 
 class TestClassDistance:
     def test_point_on_plane_has_zero_distance(self):
         # zero subnet biases and zero plane bias put x=0 on plane 0
-        bank = TanhNet(
+        bank = TanhBank(
             np.ones((2, 2)), np.zeros(2),
-            np.array([[1.0, 1.0], [2.0, 0.5]]),
-            np.array([0.0, 3.0]),
+            np.array([[[1.0, 1.0], [2.0, 0.5]]]),
+            np.array([[0.0, 3.0]]),
         )
-        assert bank.distance(np.zeros(2)) == 0.0
+        assert distance(bank, np.zeros(2)) == 0.0
 
     def test_single_plane_reduces_to_normalized_activation(self):
         rng = np.random.default_rng(0)
         bank = random_bank(rng, 3, 2, 1)
         x = rng.standard_normal(3)
-        z = bank.planes(x)
-        expected = abs(float(z[0])) / np.linalg.norm(bank.plane_weights[0])
-        assert bank.distance(x) == pytest.approx(expected, rel=1e-15)
+        z = planes(bank, x)
+        expected = abs(float(z[0])) / np.linalg.norm(bank.plane_weights[0, 0])
+        assert distance(bank, x) == pytest.approx(expected, rel=1e-15)
 
     def test_matches_exhaustive_min_oracle(self):
         rng = np.random.default_rng(1)
         bank = random_bank(rng, 2, 3, 3)
         for _ in range(20):
             x = rng.standard_normal(2)
-            z = bank.planes(x)
-            norms = np.linalg.norm(bank.plane_weights, axis=1)
+            z = planes(bank, x)
+            norms = np.linalg.norm(bank.plane_weights[0], axis=1)
             explicit = min(abs(float(z[j])) / norms[j] for j in range(3))
-            assert bank.distance(x) == pytest.approx(explicit, rel=1e-15)
+            assert distance(bank, x) == pytest.approx(explicit, rel=1e-15)
 
     def test_zero_norm_plane_errors(self):
-        with pytest.raises(ValueError, match=r"planes \[0\] have zero or overflowing norm"):
-            TanhNet(np.ones((2, 2)), np.zeros(2), np.array([[0.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(ValueError, match=r"planes \(net, plane\) \[\[0, 1\]\] have zero or "
+                                             "overflowing norm"):
+            TanhBank(np.ones((2, 2)), np.zeros(2), [[[1.0, 1.0], [0.0, 0.0]]], [[0.0, 1.0]])
 
     def test_nonnegative_and_zero_iff_on_a_plane(self):
         rng = np.random.default_rng(30)
         bank = random_bank(rng, 2, 2, 3)
         for _ in range(50):
             x = rng.standard_normal(2)
-            d = bank.distance(x)
+            d = distance(bank, x)
             assert d >= 0.0
-            z = bank.planes(x)
+            z = planes(bank, x)
             assert (d == 0.0) == bool((z == 0.0).any())
 
 
@@ -146,12 +155,9 @@ class TestLoss:
         y = np.array([0, 1, 2, 0, 1, 2])
         total = 0.0
         for xi, yi in zip(x, y):
-            own = min(abs(float(a)) for a in activations(model.banks[yi], xi))
-            other = min(
-                abs(float(a))
-                for k, bank in enumerate(model.banks) if k != yi
-                for a in activations(bank, xi)
-            )
+            acts = activations(model, xi[None])[:, 0]
+            own = min(abs(float(a)) for a in acts[yi])
+            other = min(abs(float(a)) for k, net in enumerate(acts) if k != yi for a in net)
             total += loss_from_mins(own, other, 0.8)
         assert model_objective(model, x, y)[0] == pytest.approx(total / 6.0, rel=1e-12)
 
@@ -162,7 +168,7 @@ def resample_until_clear_of_ties(rng, class_ids, gap=1e-3):
         model = random_model(rng, class_ids)
         x = rng.standard_normal((5, 2))
         y = np.array([rng.choice(class_ids) for _ in range(5)])
-        acts = np.abs(np.stack([activations(b, x) for b in model.banks]))
+        acts = np.abs(activations(model, x))
         k, n, p = acts.shape
         ok = True
         for i in range(n):
@@ -189,7 +195,7 @@ class TestGradients:
         grads = model_objective(model, x, y)[1]
         fd = central_difference(
             lambda vec: model_objective(model_from_flat(model, vec), x, y)[0],
-            flatten_model(model), eps=1e-6)
+            flatten_nets(params_of(model)), eps=1e-6)
         assert max_relative_error(flatten_nets(grads), fd, floor=1e-6) <= 1e-5
 
     def test_min_routes_to_single_plane(self):
@@ -240,18 +246,18 @@ class TestFusedObjective:
         model = random_model(rng, range(n_banks), n_features=m, n=n, p=planes,
                              hyper=MCHyper(subnet_features=n, planes=planes,
                                            margin_weight=margin_weight))
-        if tie == "banks":  # every bank the same: foreign mins tie across banks
-            model = MulticlassTwinModel(model.class_ids, (model.banks[0],) * n_banks,
-                                        model.hyper)
-        if tie == "planes":  # every plane of a bank the same: mins tie within it
-            model = MulticlassTwinModel(model.class_ids, tuple(
-                TanhNet(b.weights, b.biases, np.repeat(b.plane_weights[:1], planes, axis=0),
-                        np.repeat(b.plane_biases[:1], planes)) for b in model.banks),
-                model.hyper)
+        if tie == "banks":  # every net the same: foreign mins tie across nets
+            model = MulticlassTwinModel(model.class_ids,
+                                        TanhBank.join([net_of(model, 0)] * n_banks), model.hyper)
+        if tie == "planes":  # every plane of a net the same: mins tie within it
+            b = model.bank
+            model = MulticlassTwinModel(model.class_ids, TanhBank(
+                b.weights, b.biases[:, 0], np.repeat(b.plane_weights[:, :1], planes, axis=1),
+                np.repeat(b.plane_biases[:, :1, 0], planes, axis=1)), model.hyper)
         params = params_of(model)
         reference = two_block_mc_objective(params, x, labels, margin_weight)
         if tie == "none":
-            acts = np.abs(np.stack([activations(b, x) for b in model.banks]))
+            acts = np.abs(activations(model, x))
             assume(clear_of_near_ties(acts, labels))
         # the reference takes the rows in their shuffled order
         assert_matches_reference(sorted_objective(params, x, labels, margin_weight), reference)
@@ -320,9 +326,8 @@ class TestTrain:
         m1 = mc_train(ds, hyper)
         m2 = mc_train(ds2, hyper)
         np.testing.assert_array_equal(m1.class_ids, m2.class_ids)
-        for b1, b2 in zip(m1.banks, m2.banks):
-            np.testing.assert_array_equal(b1.weights, b2.weights)
-            np.testing.assert_array_equal(b1.plane_weights, b2.plane_weights)
+        np.testing.assert_array_equal(m1.bank.weights, m2.bank.weights)
+        np.testing.assert_array_equal(m1.bank.plane_weights, m2.bank.plane_weights)
         grid = np.random.default_rng(13).standard_normal((50, 2))
         np.testing.assert_array_equal(mc_predict(m1, grid), mc_predict(m2, grid))
 
@@ -333,32 +338,39 @@ class TestTrain:
         ds3 = gaussian_blobs([(2, 0), (-2, 0), (0, 2)], [6, 6, 6], seed=14,
                              labels=[5, 9, 7])
         model3 = mc_train(ds3, MCHyper(subnet_features=3, planes=1, epochs=0, seed=15))
-        by_id = dict(zip(model3.class_ids.tolist(), model3.banks))
-        for class_id, bank in zip(model.class_ids.tolist(), model.banks):
-            np.testing.assert_array_equal(bank.weights, by_id[class_id].weights)
+        by_id = {c: net_of(model3, k) for k, c in enumerate(model3.class_ids.tolist())}
+        for k, class_id in enumerate(model.class_ids.tolist()):
+            np.testing.assert_array_equal(net_of(model, k).weights, by_id[class_id].weights)
+
+    @pytest.mark.parametrize("epochs", [0, 5])
+    def test_final_loss_is_the_objective_at_the_returned_parameters(self, epochs):
+        ds = gaussian_blobs([(1, 0), (-1, 0), (0, 1)], [5, 7, 4], seed=9)
+        model = mc_train(ds, MCHyper(subnet_features=3, planes=2, epochs=epochs, seed=10))
+        loss = model_objective(model, ds.features, ds.labels)[0]
+        # one fit trains every class's net, so each carries its loss
+        assert model.bank.final_loss == (loss,) * 3
 
 
 class TestPredict:
     def test_point_on_own_plane_wins(self):
         rng = np.random.default_rng(16)
-        on_plane = TanhNet(np.ones((2, 2)), np.zeros(2),
-                           np.array([[1.0, 0.5]]), np.array([0.0]))
+        on_plane = TanhBank(np.ones((2, 2)), np.zeros(2),
+                            np.array([[[1.0, 0.5]]]), np.array([[0.0]]))
         off_plane = random_bank(rng, 2, 2, 1)
-        while off_plane.distance(np.zeros(2)) == 0.0:
+        while distance(off_plane, np.zeros(2)) == 0.0:
             off_plane = random_bank(rng, 2, 2, 1)
-        model = MulticlassTwinModel([0, 1], (on_plane, off_plane),
+        model = MulticlassTwinModel([0, 1], TanhBank.join([on_plane, off_plane]),
                                     MCHyper(subnet_features=2, planes=1))
         assert mc_predict(model, np.zeros(2)) == 0
 
     def test_per_bank_rescaling_invariance(self):
         rng = np.random.default_rng(17)
         model = random_model(rng, [0, 1, 2], n_features=3, n=3, p=2)
-        scaled_banks = []
-        for bank, lam in zip(model.banks, (13.0, 0.25, 400.0)):
-            scaled_banks.append(TanhNet(
-                bank.weights, bank.biases,
-                lam * bank.plane_weights, lam * bank.plane_biases))
-        scaled = MulticlassTwinModel(model.class_ids, tuple(scaled_banks), model.hyper)
+        lam = np.array([13.0, 0.25, 400.0])
+        bank = model.bank
+        scaled = MulticlassTwinModel(model.class_ids, TanhBank(
+            bank.weights, bank.biases[:, 0], lam[:, None, None] * bank.plane_weights,
+            lam[:, None] * bank.plane_biases[:, :, 0]), model.hyper)
         x = rng.standard_normal((100, 3))
         np.testing.assert_array_equal(mc_predict(model, x), mc_predict(scaled, x))
 
@@ -371,8 +383,6 @@ class TestPredict:
         np.testing.assert_array_equal(mc_predict(model, x), expected)
 
     def test_tie_goes_to_lowest_class_id(self):
-        bank = TanhNet(np.ones((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]), np.array([0.0]))
-        bank2 = TanhNet(np.ones((2, 2)), np.zeros(2), np.array([[1.0, 1.0]]), np.array([0.0]))
-        model = MulticlassTwinModel([3, 7], (bank, bank2),
-                                    MCHyper(subnet_features=2, planes=1))
+        bank = TanhBank(np.ones((4, 2)), np.zeros(4), [[[1.0, 1.0]], [[1.0, 1.0]]], [[0.0], [0.0]])
+        model = MulticlassTwinModel([3, 7], bank, MCHyper(subnet_features=2, planes=1))
         assert mc_predict(model, np.zeros(2)) == 3

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import own_plane_distance
 from twinlearn import harness, multiclass, twin_nn
 from twinlearn.harness import OvrEnsemble, ovr_distances, ovr_predict
 from twinlearn.multiclass import MCHyper, MulticlassTwinModel, mc_distances, mc_predict
 from twinlearn.numcore import SCORE_BLOCK, ShapeError, score_rows
-from twinlearn.twin_nn import (RfnnHyper, RfnnModel, TanhBank, TanhNet, TwinHyper, TwinNNModel,
+from twinlearn.twin_nn import (RfnnHyper, RfnnModel, TanhBank, TwinHyper, TwinNNModel,
                                decision_values, predict, rfnn_decision, rfnn_predict)
 from twinlearn.twsvm import (KernelSpec, TwsvmPlane, TwsvmProblem, kernel_matrix, solve_dual,
                              twsvm_distances)
@@ -26,41 +27,57 @@ B = SCORE_BLOCK
 
 
 def _net(rng, m, h, p):
-    return TanhNet(rng.standard_normal((h, m)), rng.standard_normal(h),
-                   rng.standard_normal((p, h)), rng.standard_normal(p))
+    """One net drawn at random, as a bank of one."""
+    return TanhBank(rng.standard_normal((h, m)), rng.standard_normal(h),
+                    rng.standard_normal((1, p, h)), rng.standard_normal((1, p)))
+
+
+def _planes(net, x):
+    """A bank of one's plane outputs through the block loop: (p,) for one
+    sample (M,), (N, p) for a batch (N, M)."""
+    z = score_rows(x, net.n_features, lambda rows: net.planes(rows)[0].T)
+    return z[0] if np.ndim(x) == 1 else z
+
+
+def _distance(net, x):
+    """A bank of one's nearest-plane distances through the block loop: a
+    float for one sample (M,), (N,) for a batch (N, M)."""
+    d = score_rows(x, net.n_features, lambda rows: net.distances(rows)[0])
+    return float(d[0]) if np.ndim(x) == 1 else d
 
 
 def _whole_planes(net, x):
     """The unblocked feature-major plane expression, the reference: (N, p)."""
     phi = net.weights @ x.T
-    phi += net.biases[:, None]
+    phi += net.biases
     np.tanh(phi, out=phi)
-    z = net.plane_weights @ phi
-    z += net.plane_biases[:, None]
+    z = net.plane_weights[0] @ phi
+    z += net.plane_biases[0]
     return z.T
 
 
 def _whole_distance(net, x):
     d = np.abs(_whole_planes(net, x).T)
-    d /= net.plane_norms[:, None]
+    d /= net.plane_norms[0]
     return d.min(axis=0)
 
 
 def _row_major_planes(net, x):
     """The plane expression row by row, (N, h) activations, as the
     benchmark's numpy reference labels compute it."""
-    return np.tanh(x @ net.weights.T + net.biases) @ net.plane_weights.T + net.plane_biases
+    return (np.tanh(x @ net.weights.T + net.biases[:, 0]) @ net.plane_weights[0].T
+            + net.plane_biases[0, :, 0])
 
 
 def _row_major_distance(net, x):
-    return (np.abs(_row_major_planes(net, x)) / net.plane_norms).min(axis=1)
+    return (np.abs(_row_major_planes(net, x)) / net.plane_norms[0, :, 0]).min(axis=1)
 
 
 def _close_to_row_major(net, x):
     """Feature-major and row-major scoring sum in other orders, so they
     agree to rounding only."""
-    np.testing.assert_allclose(net.planes(x), _row_major_planes(net, x), rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(net.distance(x), _row_major_distance(net, x),
+    np.testing.assert_allclose(_planes(net, x), _row_major_planes(net, x), rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(_distance(net, x), _row_major_distance(net, x),
                                rtol=1e-12, atol=1e-13)
 
 
@@ -124,7 +141,7 @@ class TestMemory:
     def test_net_distance(self, planes):
         rng = np.random.default_rng(31)
         net = _net(rng, 8, 8, planes)
-        out, peak = _traced_peak(net.distance, rng.standard_normal((N, 8)))
+        out, peak = _traced_peak(lambda x: _distance(net, x), rng.standard_normal((N, 8)))
         assert out.shape == (N,)
         assert peak <= _bound(out.nbytes, 8)
 
@@ -162,8 +179,8 @@ class TestSameBits:
         x = rng.standard_normal((n, 5))
         for p in (1, 3):
             net = _net(rng, 5, 6, p)
-            np.testing.assert_array_equal(net.planes(x), _whole_planes(net, x))
-            np.testing.assert_array_equal(net.distance(x), _whole_distance(net, x))
+            np.testing.assert_array_equal(_planes(net, x), _whole_planes(net, x))
+            np.testing.assert_array_equal(_distance(net, x), _whole_distance(net, x))
             _close_to_row_major(net, x)
         for kernel in (KernelSpec(), KernelSpec("rbf", 0.5)):
             model = _twsvm(kernel, m=5)
@@ -194,9 +211,9 @@ class TestSameBits:
         rng = np.random.default_rng(seed)
         net = _net(rng, m, h, p)
         x = rng.standard_normal((blocks * B + offset, m))
-        np.testing.assert_allclose(net.distance(x), _whole_distance(net, x),
+        np.testing.assert_allclose(_distance(net, x), _whole_distance(net, x),
                                    rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(net.planes(x), _whole_planes(net, x), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(_planes(net, x), _whole_planes(net, x), rtol=1e-12, atol=1e-13)
         _close_to_row_major(net, x)
 
     @pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf", 0.5)],
@@ -211,12 +228,13 @@ class TestSameBits:
 @functools.cache
 def _scorers():
     """name -> distance function of one plane of each type on 3 features:
-    a ``TanhNet``, a linear and an RBF ``TwsvmPlane``, and both planes of
-    each twin SVM through ``twsvm_distances``, which gives two results."""
-    scorers = {"tanh": _net(np.random.default_rng(38), 3, 4, 2).distance}
+    a ``TanhBank`` of one, a linear and an RBF ``TwsvmPlane`` as one-vs-rest
+    scores them, and both planes of each twin SVM through
+    ``twsvm_distances``, which gives two results."""
+    scorers = {"tanh": functools.partial(_distance, _net(np.random.default_rng(38), 3, 4, 2))}
     for name, kernel in (("linear", KernelSpec()), ("rbf", KernelSpec("rbf", 0.5))):
         model = _twsvm(kernel, m=3)
-        scorers[name] = model.plus.distance
+        scorers[name] = own_plane_distance(f"twsvm_{name}", model.plus)
         scorers[f"{name} pair"] = functools.partial(twsvm_distances, model)
     return scorers
 
@@ -266,8 +284,8 @@ class TestScoringContract:
     def test_one_sample_has_p_planes(self, p):
         net = _net(np.random.default_rng(39), 3, 4, p)
         x = np.random.default_rng(40).standard_normal(3)
-        assert net.planes(x).shape == (p,)
-        np.testing.assert_allclose(net.planes(x), net.planes(x[None])[0], rtol=1e-12, atol=0)
+        assert _planes(net, x).shape == (p,)
+        np.testing.assert_allclose(_planes(net, x), _planes(net, x[None])[0], rtol=1e-12, atol=0)
 
 
 def _rows(rng, n: int, m: int, nan_rows):
@@ -306,7 +324,7 @@ class TestPredicts:
         rng = np.random.default_rng(seed)
         pool = [_net(rng, 3, 4, 2) for _ in range(3)]
         ids = np.sort(rng.choice(100, len(picks), replace=False))
-        model = MulticlassTwinModel(ids, tuple(pool[i] for i in picks),
+        model = MulticlassTwinModel(ids, TanhBank.join([pool[i] for i in picks]),
                                     MCHyper(subnet_features=4, planes=2))
         x, _ = _rows(rng, n, 3, nan_rows)
         want = model.class_ids[np.argmin(mc_distances(model, x), axis=1)]
@@ -332,7 +350,7 @@ class TestPredicts:
     def test_twin_predict_compares_decision_values(self, sides, n, nan_rows, seed):
         rng = np.random.default_rng(seed)
         pool = [_net(rng, 3, 4, 1) for _ in range(3)]
-        model = TwinNNModel(pool[sides[0]], pool[sides[1]], TwinHyper(hidden=4))
+        model = TwinNNModel(TanhBank.join([pool[i] for i in sides]), TwinHyper(hidden=4))
         x, _ = _rows(rng, n, 3, nan_rows)
         d_plus, d_minus = decision_values(model, x)
         np.testing.assert_array_equal(predict(model, x), np.where(d_plus <= d_minus, 1, -1))
@@ -375,12 +393,16 @@ class TestOneBlockLoop:
             assert calls == ([nets] * blocks if nets else []), predict_fn
 
     def test_a_model_takes_one_input_width(self):
-        # the one block loop checks the rows against the first net's width
+        # the one block loop checks the rows against the bank's one width,
+        # so nets of two widths make no bank: no twin pair, no multiclass
+        # model and no one-vs-rest scorer
         rng = np.random.default_rng(43)
-        with pytest.raises(ShapeError, match="cannot share a bank"):
-            TwinNNModel(_net(rng, 3, 8, 1), _net(rng, 4, 8, 1), TwinHyper(hidden=8))
-        with pytest.raises(ShapeError, match="cannot share a bank"):
-            MulticlassTwinModel([0, 1], (_net(rng, 3, 6, 2), _net(rng, 4, 6, 2)), MCHyper())
+        for nets in ((_net(rng, 3, 8, 1), _net(rng, 4, 8, 1)),
+                     (_net(rng, 3, 6, 2), _net(rng, 4, 6, 2))):
+            with pytest.raises(ShapeError, match="cannot share a bank"):
+                TanhBank.join(nets)
+            with pytest.raises(ShapeError, match="cannot share a bank"):
+                ovr_distances(OvrEnsemble("twin_nn", np.array([0, 1]), list(nets)), np.ones(3))
 
     @pytest.mark.parametrize("shapes", [((8, 1), (6, 1)), ((8, 1), (8, 2))],
                              ids=["hidden width", "plane count"])
@@ -388,10 +410,12 @@ class TestOneBlockLoop:
         # a model's nets are scored as one bank, which needs one (h, p)
         rng = np.random.default_rng(46)
         first, second = (_net(rng, 3, h, p) for h, p in shapes)
+        for nets in ([first, second], [first, first, second]):
+            with pytest.raises(ShapeError, match=r"nets of \(M, h, p\) .* cannot share a bank"):
+                TanhBank.join(nets)
+        models = [RfnnModel(net, RfnnHyper(hidden=8, epochs=1)) for net in (first, second)]
         with pytest.raises(ShapeError, match=r"cannot share a bank"):
-            TwinNNModel(first, second, TwinHyper(hidden=8))
-        with pytest.raises(ShapeError, match=r"cannot share a bank"):
-            MulticlassTwinModel([0, 1, 2], (first, first, second), MCHyper())
+            ovr_distances(OvrEnsemble("rfnn", np.array([0, 1]), models), np.ones(3))
 
 
 class TestBankKernel:
@@ -412,7 +436,7 @@ class TestBankKernel:
         rng = np.random.default_rng(seed)
         pool = [_net(rng, m, h, p) for _ in range(3)]
         nets = [pool[i] for i in picks]
-        bank = TanhBank(nets)
+        bank = TanhBank.join(nets)
         x, bad = _rows(rng, n, m, nan_rows)
         planes = score_rows(x, m, lambda rows: bank.planes(rows).transpose(2, 0, 1))
         distances = score_rows(x, m, lambda rows: bank.distances(rows).T)
@@ -427,12 +451,12 @@ class TestBankKernel:
         ensemble = OvrEnsemble("twin_nn", ids, nets)
         np.testing.assert_array_equal(ovr_predict(ensemble, x), ids[nearest])
         if len(nets) >= 2:
-            model = MulticlassTwinModel(ids, tuple(nets), MCHyper(subnet_features=h, planes=p))
+            model = MulticlassTwinModel(ids, bank, MCHyper(subnet_features=h, planes=p))
             np.testing.assert_array_equal(mc_predict(model, x), ids[nearest])
         if len(nets) == 2:
             # a NaN row is no nearer to the plus plane, so it goes to -1
             plus = (nearest == 0) & ~np.isin(np.arange(n), bad)
-            np.testing.assert_array_equal(predict(TwinNNModel(*nets, TwinHyper(hidden=h)), x),
+            np.testing.assert_array_equal(predict(TwinNNModel(bank, TwinHyper(hidden=h)), x),
                                           np.where(plus, 1, -1))
 
 
@@ -453,9 +477,10 @@ def _predicts(rng):
 def _models(rng, m: int):
     """A twin pair (h = 8), an rfnn net (h = 8) and a 3-bank multiclass
     model (h = 6, two planes) on m features, drawn at random."""
-    twin = TwinNNModel(_net(rng, m, 8, 1), _net(rng, m, 8, 1), TwinHyper(hidden=8))
+    twin = TwinNNModel(TanhBank.join([_net(rng, m, 8, 1), _net(rng, m, 8, 1)]),
+                       TwinHyper(hidden=8))
     rfnn = RfnnModel(_net(rng, m, 8, 1), RfnnHyper(hidden=8, epochs=1))
-    mc = MulticlassTwinModel([0, 1, 2], tuple(_net(rng, m, 6, 2) for _ in range(3)),
+    mc = MulticlassTwinModel([0, 1, 2], TanhBank.join([_net(rng, m, 6, 2) for _ in range(3)]),
                              MCHyper(subnet_features=6, planes=2))
     return twin, rfnn, mc
 
@@ -474,7 +499,7 @@ def stream_mismatches() -> list:
         net = _net(rng, 8, hidden, planes)
         for n in (400_000, 400_003):
             x = rng.normal(0.0, 1.5, (n, 8))
-            if not np.array_equal(net.distance(x), _whole_distance(net, x)):
+            if not np.array_equal(_distance(net, x), _whole_distance(net, x)):
                 bad.append((hidden, planes, n))
     models = dict(zip(("twin_nn", "rfnn", "twin_nn_mc"), _models(rng, 8)))
     for n in (400_000, 400_003):

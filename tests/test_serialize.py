@@ -36,8 +36,8 @@ class TestTwinNNRoundTrip:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        np.testing.assert_array_equal(back.plus.weights, model.plus.weights)
-        np.testing.assert_array_equal(back.minus.plane_weights, model.minus.plane_weights)
+        for name in ("weights", "biases", "plane_weights", "plane_biases", "plane_norms"):
+            np.testing.assert_array_equal(getattr(back.bank, name), getattr(model.bank, name))
         assert back.hyper == model.hyper
         x = np.random.default_rng(0).standard_normal((40, 2))
         np.testing.assert_array_equal(predict(back, x), predict(model, x))
@@ -48,7 +48,7 @@ class TestTwinNNRoundTrip:
         model = train(binary_blobs(), TwinHyper(hidden=3, epochs=25, seed=3))
         text = json.dumps(model_to_dict(model))
         back = model_from_dict(json.loads(text))
-        np.testing.assert_array_equal(back.plus.plane_weights, model.plus.plane_weights)
+        np.testing.assert_array_equal(back.bank.plane_weights, model.bank.plane_weights)
 
 
 class TestOtherKinds:

@@ -16,13 +16,13 @@ from conftest import (
 )
 from twinlearn.data import DataError, Dataset
 from twinlearn.evalstats import confusion, metrics
-from twinlearn.numcore import DivergenceError, Rng
+from twinlearn.numcore import DivergenceError, Rng, ShapeError
 from twinlearn.twin_nn import (
-    TanhNet,
+    TanhBank,
     TwinHyper,
+    TwinNNModel,
     _design,
     _init_net,
-    _nets,
     decision_values,
     predict,
     rfnn_decision,
@@ -44,7 +44,9 @@ def random_params(rng, hidden, n_features, scale=0.7):
 
 
 def random_side(rng, hidden, n_features):
-    return _nets(random_params(rng, hidden, n_features))[0]
+    """A twin side's net drawn at random, as a bank of one."""
+    hidden_wc, plane_w, plane_b = random_params(rng, hidden, n_features)
+    return TanhBank(hidden_wc[:, :-1], hidden_wc[:, -1], plane_w, plane_b)
 
 
 def plus_objective(params, a, b, c):
@@ -265,7 +267,7 @@ class TestTrain:
         ds = separable_blobs(seed=1)
         model = train(ds, TwinHyper(hidden=6, lr=0.05, epochs=500, seed=2))
         assert np.mean(predict(model, ds.features) == ds.labels) == 1.0
-        assert model.plus.final_loss is not None and model.minus.final_loss is not None
+        assert len(model.bank.final_loss) == 2 and None not in model.bank.final_loss
 
     def test_imbalanced_blobs_beat_rfnn_on_gmeans(self):
         ds = gaussian_blobs([(1.6, 0.0), (-1.6, 0.0)], [15, 300], std=1.0,
@@ -279,7 +281,7 @@ class TestTrain:
     def test_zero_epochs_returns_initialized_model(self):
         ds = separable_blobs(seed=5)
         model = train(ds, TwinHyper(hidden=4, epochs=0, seed=6))
-        assert model.plus.plane_norms[0] > 0 and model.minus.plane_norms[0] > 0
+        assert model.bank.plane_norms.shape == (2, 1, 1) and (model.bank.plane_norms > 0).all()
         labels = predict(model, ds.features)
         assert set(np.unique(labels)) <= {-1, 1}
 
@@ -304,19 +306,23 @@ class TestTrain:
     def test_one_side_alone_is_that_side_of_train(self, side):
         ds = separable_blobs(seed=11)
         hyper = TwinHyper(hidden=5, lr=0.05, epochs=60, seed=12)
-        alone, full = twin_nn.train_side(ds, hyper, side), getattr(train(ds, hyper), side)
-        for name in ("weights", "biases", "plane_weights", "plane_biases"):
-            assert getattr(alone, name).tobytes() == getattr(full, name).tobytes()
-        assert alone.final_loss == full.final_loss
+        alone, full = twin_nn.train_side(ds, hyper, side), train(ds, hyper).bank
+        # the side's slice of the twin pair's bank of two (h = 5)
+        k = ["plus", "minus"].index(side)
+        hidden, net = slice(5 * k, 5 * k + 5), slice(k, k + 1)
+        for name, rows in (("weights", hidden), ("biases", hidden), ("plane_weights", net),
+                           ("plane_biases", net)):
+            assert getattr(alone, name).tobytes() == getattr(full, name)[rows].tobytes()
+        assert alone.final_loss == full.final_loss[k:k + 1]
 
     def test_bit_reproducible(self):
         ds = separable_blobs(seed=9)
         hyper = TwinHyper(hidden=5, lr=0.05, epochs=60, seed=10)
         m1 = train(ds, hyper)
         m2 = train(ds, hyper)
-        np.testing.assert_array_equal(m1.plus.weights, m2.plus.weights)
-        np.testing.assert_array_equal(m1.minus.plane_weights, m2.minus.plane_weights)
-        assert m1.plus.final_loss == m2.plus.final_loss
+        np.testing.assert_array_equal(m1.bank.weights, m2.bank.weights)
+        np.testing.assert_array_equal(m1.bank.plane_weights, m2.bank.plane_weights)
+        assert m1.bank.final_loss == m2.bank.final_loss
 
     def test_label_and_c_swap_flips_every_prediction(self):
         ds = gaussian_blobs([(1.5, 0.5), (-1.0, -0.5)], [12, 30], std=1.2,
@@ -350,10 +356,11 @@ class TestTrain:
             params = [p - hyper.lr * g for p, g in zip(params, grads)]
         increases = sum(1 for x, y in zip(losses, losses[1:]) if y > x)
         assert increases <= 0.05 * len(losses)
-        assert model.plus.final_loss <= losses[0]
-        # with tol = 0 training takes exactly these steps
-        np.testing.assert_array_equal(model.plus.weights, params[0][:, :-1])
-        assert model.plus.plane_biases[0] == params[2][0, 0]
+        assert model.bank.final_loss[0] <= losses[0]
+        # with tol = 0 training takes exactly these steps; the plus side is
+        # the bank's first net
+        np.testing.assert_array_equal(model.bank.weights[:3], params[0][:, :-1])
+        assert model.bank.plane_biases[0, 0, 0] == params[2][0, 0]
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_objective_call_per_epoch(self, epochs, monkeypatch):
@@ -392,41 +399,60 @@ class TestPredict:
     def test_identical_sides_tie_goes_positive(self):
         rng = np.random.default_rng(16)
         side = random_side(rng, 3, 2)
-        from twinlearn.twin_nn import TwinNNModel
-
-        model = TwinNNModel(plus=side, minus=side, hyper=TwinHyper(hidden=3))
+        model = TwinNNModel(TanhBank.join([side, side]), TwinHyper(hidden=3))
         x = rng.standard_normal((50, 2))
         assert np.all(predict(model, x) == 1)
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(17)
-        from twinlearn.twin_nn import TwinNNModel
-
         plus = random_side(rng, 4, 3)
         minus = random_side(rng, 4, 3)
-        model = TwinNNModel(plus, minus, TwinHyper(hidden=4))
+        model = TwinNNModel(TanhBank.join([plus, minus]), TwinHyper(hidden=4))
         lam = 37.5
-        scaled = TwinNNModel(
-            TanhNet(plus.weights, plus.biases, lam * plus.plane_weights, lam * plus.plane_biases),
-            minus, TwinHyper(hidden=4))
+        scaled_plus = TanhBank(plus.weights, plus.biases[:, 0], lam * plus.plane_weights,
+                               lam * plus.plane_biases[:, :, 0])
+        scaled = TwinNNModel(TanhBank.join([scaled_plus, minus]), TwinHyper(hidden=4))
         x = rng.standard_normal((100, 3))
         np.testing.assert_array_equal(predict(model, x), predict(scaled, x))
 
     def test_point_on_positive_plane_wins(self):
         # zero hidden biases and zero head bias put x=0 on the plus plane
-        plus = TanhNet(np.ones((2, 2)), np.zeros(2), [[1.0, 1.0]], [0.0])
-        minus = TanhNet(np.ones((2, 2)), np.zeros(2), [[1.0, 1.0]], [0.5])
-        from twinlearn.twin_nn import TwinNNModel
-
-        model = TwinNNModel(plus, minus, TwinHyper(hidden=2))
+        pair = TanhBank(np.ones((4, 2)), np.zeros(4), [[[1.0, 1.0]], [[1.0, 1.0]]], [[0.0], [0.5]])
+        model = TwinNNModel(pair, TwinHyper(hidden=2))
         assert predict(model, np.zeros(2)) == 1
         d_plus, d_minus = decision_values(model, np.zeros(2))
         assert d_plus == 0.0 and d_minus > 0.0
 
     def test_zero_norm_head_errors(self):
-        # a plane without weights has no distance, so no net holds one
+        # a plane without weights has no distance, so no bank holds one,
+        # whichever of its nets has it
+        with pytest.raises(ValueError, match=r"planes \(net, plane\) \[\[1, 0\]\] have zero or "
+                                             "overflowing norm"):
+            TanhBank(np.ones((4, 2)), np.zeros(4), [[[1.0, 1.0]], [[0.0, 0.0]]], [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("array", range(4))
+    def test_non_finite_parameters_error(self, array, value):
+        params = [np.ones((4, 2)), np.zeros(4), np.ones((2, 1, 2)), np.zeros((2, 1))]
+        params[array].flat[-1] = value
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            TanhBank(*params)
+
+    def test_overflowing_norm_errors(self):
         with pytest.raises(ValueError, match="zero or overflowing norm"):
-            TanhNet(np.ones((2, 2)), np.zeros(2), [[0.0, 0.0]], [1.0])
+            TanhBank(np.ones((2, 2)), np.zeros(2), [[[1e200, 1e200]]], [[0.0]])
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 2), (4,), (2, 1, 3), (2, 1)),  # K*h rows, but planes of width 3
+        ((4, 2), (3,), (2, 1, 2), (2, 1)),  # one hidden bias short
+        ((4, 2), (4,), (2, 1, 2), (2, 2)),  # two plane biases per one-plane net
+        ((4, 2), (4,), (1, 2), (1,)),  # a net's (p, h) planes without the bank axis
+        ((0, 2), (0,), (0, 1, 0), (0, 1)),  # no nets
+        ((4, 0), (4,), (2, 1, 2), (2, 1)),  # no features
+    ])
+    def test_shapes_that_disagree_error(self, shapes):
+        with pytest.raises(ShapeError, match="needs \\(K\\*h, M\\) weights"):
+            TanhBank(*(np.ones(shape) for shape in shapes))
 
 
 class TestRfnn:
@@ -479,15 +505,15 @@ class TestRfnn:
         # far inside the +-1 targets
         ds = separable_blobs(seed=22, n=15)
         model = train_rfnn_baseline(ds, hidden=4, lr=1e-6, epochs=200, l2=1e6, seed=23)
-        assert np.max(np.abs(model.net.plane_weights)) < 1e-3
-        assert np.max(np.abs(model.net.weights)) < 1e-3
+        assert np.max(np.abs(model.bank.plane_weights)) < 1e-3
+        assert np.max(np.abs(model.bank.weights)) < 1e-3
         outputs = rfnn_decision(model, ds.features)
         assert np.max(np.abs(outputs)) < 0.7
-        assert np.max(np.abs(outputs - model.net.plane_biases[0])) < 1e-3
+        assert np.max(np.abs(outputs - model.bank.plane_biases[0, 0, 0])) < 1e-3
 
     def test_deterministic(self):
         ds = separable_blobs(seed=24, n=10)
         m1 = train_rfnn_baseline(ds, hidden=3, epochs=40, seed=25)
         m2 = train_rfnn_baseline(ds, hidden=3, epochs=40, seed=25)
-        np.testing.assert_array_equal(m1.net.plane_weights, m2.net.plane_weights)
-        assert m1.net.final_loss == m2.net.final_loss
+        np.testing.assert_array_equal(m1.bank.plane_weights, m2.bank.plane_weights)
+        assert m1.bank.final_loss == m2.bank.final_loss and m1.bank.final_loss[0] is not None

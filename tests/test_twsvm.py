@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinlearn.twsvm as twsvm
+from conftest import own_plane_distance
 from twinlearn.data import Dataset
 from twinlearn.harness import ExperimentSpec, run_experiment
 from twinlearn.numcore import ConvergenceError, ShapeError
@@ -317,13 +318,14 @@ class TestSolveDual:
         model = solve_dual(TwsvmProblem(a, b, c1=1.0, c2=1.0,
                                         kernel=KernelSpec("rbf", gamma=0.5)))
         x = np.random.default_rng(17).standard_normal((12, 2))
-        own = [plane.distance(rows) for rows in (x, x[0]) for plane in (model.plus, model.minus)]
+        own = [own_plane_distance("twsvm_rbf", plane)(rows) for rows in (x, x[0])
+               for plane in (model.plus, model.minus)]
         calls = []
         build = twsvm._kernel
         monkeypatch.setattr(twsvm, "_kernel",
                             lambda *args: calls.append(1) or build(*args))
-        # both planes score the one block's kernel rows, each as its own
-        # distance would
+        # both planes score the one block's kernel rows, each as one-vs-rest
+        # measures it alone
         pair = [*twsvm_distances(model, x), *twsvm_distances(model, x[0])]
         assert len(calls) == 2
         assert [np.asarray(d).tobytes() for d in pair] == [np.asarray(d).tobytes() for d in own]
@@ -347,7 +349,8 @@ class TestSolveDual:
         assert solves == [0.5]  # the alpha dual only
         assert plane.u.tobytes() == full.plus.u.tobytes() and plane.norm == full.plus.norm
         x = np.random.default_rng(15).standard_normal((12, 2))
-        assert plane.distance(x).tobytes() == twsvm_distances(full, x)[0].tobytes()
+        alone = own_plane_distance(f"twsvm_{kernel.kind}", plane)(x)
+        assert alone.tobytes() == twsvm_distances(full, x)[0].tobytes()
 
     def test_rbf_separates_ring_data(self):
         rng = np.random.default_rng(12)
