@@ -7,6 +7,11 @@ winner is picked on an inner stratified 80/20 split of the training fold,
 scored by G-means for binary runs and accuracy for multiclass runs.
 Every grid point's values are checked against the model kind's ranges
 when the spec is built, before any data are read or any fold runs.
+Selection fits all grid points in one ``ModelKind.fit_grid`` call, so a
+kind can share work between them: the twin SVM kinds build each dual
+matrix once per (gamma, ridge) and solve each dual once per distinct c1
+or c2 (``twsvm.solve_grid``), with every model and failure what a fit
+per point gives.
 
 One-vs-rest labels a row with the class whose own plane is nearest, so
 it fits only each class's +1 own plane against the rest, through
@@ -22,11 +27,13 @@ on the in-memory result only and never serialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +50,8 @@ from .data import (
     make_imbalanced,
 )
 from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
-from .models import BINARY_MODELS, MODEL_KINDS, MODELS
-from .numcore import NumericalError, Rng, mix_seed, nearest, score_rows
+from .models import BINARY_MODELS, MODEL_KINDS, MODELS, fit_each
+from .numcore import FIT_ERRORS, Rng, mix_seed, nearest, score_rows
 
 __all__ = [
     "ExperimentSpec",
@@ -244,8 +251,6 @@ _TASKS = {
     "multiclass": (_multiclass_report, ("acc",), "acc"),
 }
 
-_TRAIN_ERRORS = (NumericalError, ValueError)
-
 
 def _aggregate(folds: list, names) -> dict:
     out = {}
@@ -270,10 +275,13 @@ def _modal_choice(folds: list, grid_points: list[dict]) -> dict:
 
 
 def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
-                    fit, predict) -> RunResult:
+                    fit, predict, fit_grid) -> RunResult:
     """Repeated stratified CV of ``fit(train, params, seed)`` models that
     label rows through ``predict(model, features)``; ``task`` picks the
-    fold metrics and the score that selects among grid points."""
+    fold metrics and the score that selects among grid points.  Selection
+    fits every grid point in one ``fit_grid(train, points, seeds)`` call,
+    which returns one model or one fit error per point
+    (``ModelKind.fit_grid``)."""
     report, names, selection_metric = _TASKS[task]
     class_ids = working.class_ids
     plan = make_folds(working, spec.folds, spec.repeats, spec.seed)
@@ -287,13 +295,16 @@ def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
         fit_idx, val_idx = _stratified_holdout(
             train, 0.2, mix_seed(spec.seed, _INNER_TAG, repeat, fold))
         inner_fit, inner_val = train.rows(fit_idx), train.rows(val_idx)
+        seeds = [mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
+                 for gi in range(len(grid_points))]
         best_gi, best_score = None, -np.inf
-        for gi, params in enumerate(grid_points):
+        for gi, model in enumerate(fit_grid(inner_fit, grid_points, seeds)):
             try:
-                model = fit(inner_fit, params, mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi))
+                if isinstance(model, Exception):
+                    raise model  # the point's fit failed
                 predicted = predict(model, inner_val.features)
                 score = report(class_ids, inner_val.labels, predicted)[0][selection_metric]
-            except _TRAIN_ERRORS as exc:
+            except FIT_ERRORS as exc:
                 failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
                                  "stage": "selection", "error": str(exc)})
                 continue
@@ -319,7 +330,7 @@ def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
                     model = fit(train, grid_points[gi], seed)
                     stage = "predict"
                     predicted = predict(model, test.features)
-                except _TRAIN_ERRORS as exc:
+                except FIT_ERRORS as exc:
                     failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
                                      "stage": stage, "error": str(exc)})
                 else:
@@ -352,18 +363,28 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunR
         dataset = _as_binary(dataset, spec.positive_class)
     elif dataset.class_ids.size < 2:
         raise DataError("multiclass run needs at least 2 classes")
-    return _cross_validate(dataset, spec, kind.task, kind.fit, kind.predict)
+    return _cross_validate(dataset, spec, kind.task, kind.fit, kind.predict, kind.fit_grid)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OvrEnsemble:
     """K own planes, one per class and ordered by class id: what
     ``ModelKind.own_plane.fit`` returns for that class against the rest
-    (a twin side's net, an rfnn model or a twin SVM's positive plane)."""
+    (a twin side's net, an rfnn model or a twin SVM's positive plane).
+    Their scorer (``OwnPlane.scorer``) is built once, here: its input
+    width ``n_features`` and ``score(rows)``, the (K, n) distances of a
+    block of rows."""
 
     kind: str
     class_ids: np.ndarray
     planes: list
+    n_features: int = field(init=False, repr=False)
+    score: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_features, score = MODELS[self.kind].own_plane.scorer(self.planes)
+        object.__setattr__(self, "n_features", n_features)
+        object.__setattr__(self, "score", score)
 
 
 def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnsemble:
@@ -385,8 +406,7 @@ def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:
     """(N, K) own-plane distances, one column per class, each the +1
     distance of that class's binary model; (1, K) for one sample (M,).
     One block loop (``numcore.score_rows``) scores all K planes."""
-    n_features, score = MODELS[ensemble.kind].own_plane.scorer(ensemble.planes)
-    return score_rows(features, n_features, lambda rows: score(rows).T)
+    return score_rows(features, ensemble.n_features, lambda rows: ensemble.score(rows).T)
 
 
 def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray):
@@ -394,9 +414,8 @@ def ovr_predict(ensemble: OvrEnsemble, features: np.ndarray):
     going to the lowest class id (``numcore.nearest``): an int for one
     sample (M,), (N,) for a batch (N, M), as every predict gives, all K
     planes scored in one block loop (``numcore.score_rows``)."""
-    n_features, score = MODELS[ensemble.kind].own_plane.scorer(ensemble.planes)
-    labels = score_rows(features, n_features,
-                        lambda rows: ensemble.class_ids[nearest(score(rows))])
+    labels = score_rows(features, ensemble.n_features,
+                        lambda rows: ensemble.class_ids[nearest(ensemble.score(rows))])
     return int(labels[0]) if np.ndim(features) == 1 else labels
 
 
@@ -414,9 +433,12 @@ def run_onevsrest(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunRe
         raise ValueError(f"one-vs-rest needs a binary model kind, got {spec.model!r}")
     if dataset.class_ids.size < 3:
         raise DataError("dataset has fewer than 3 classes: use run_experiment")
-    return _cross_validate(dataset, spec, "multiclass",
-                           lambda ds, params, seed: fit_onevsrest(ds, spec.model, params, seed),
-                           ovr_predict)
+
+    def fit(ds, params, seed):
+        return fit_onevsrest(ds, spec.model, params, seed)
+
+    return _cross_validate(dataset, spec, "multiclass", fit, ovr_predict,
+                           functools.partial(fit_each, fit))
 
 
 @dataclass(eq=False)

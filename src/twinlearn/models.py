@@ -20,10 +20,12 @@ import numpy as np
 
 from . import multiclass, twin_nn, twsvm
 from .multiclass import MCHyper, MulticlassTwinModel
+from .numcore import FIT_ERRORS
 from .twin_nn import RfnnHyper, RfnnModel, TanhBank, TwinHyper, TwinNNModel
 from .twsvm import KernelSpec, TwsvmHyper, TwsvmModel, TwsvmPlane, TwsvmProblem
 
-__all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "kind_of"]
+__all__ = ["ModelKind", "OwnPlane", "MODELS", "MODEL_KINDS", "BINARY_MODELS", "fit_each",
+           "kind_of"]
 
 
 class OwnPlane(NamedTuple):
@@ -85,6 +87,15 @@ class ModelKind:
     to_dict: Callable
     from_dict: Callable
     params: frozenset  # the hyperparameter names fit takes; never "seed"
+    shared_fit: Callable | None = None
+
+    def fit_grid(self, ds, points: list, seeds: list) -> list:
+        """``fit(ds, params, seed)`` of each grid point and its seed, bit for
+        bit, or the ValueError or NumericalError that fit raised, one entry
+        per point.  The points are checked by ``check_params``."""
+        if self.shared_fit is not None:
+            return self.shared_fit(ds, points, seeds)
+        return fit_each(self.fit, ds, points, seeds)
 
     def check_params(self, params: dict) -> None:
         """ValueError unless every name in ``params`` (name -> a value or a
@@ -98,6 +109,18 @@ class ModelKind:
                       for name, value in sorted(params.items())}
         for point in itertools.product(*candidates.values()):
             self.check(**dict(zip(candidates, point)))
+
+
+def fit_each(fit: Callable, ds, points: list, seeds: list) -> list:
+    """``fit(ds, params, seed)`` of each point and seed, or the ValueError or
+    NumericalError it raised: ``ModelKind.fit_grid`` one point at a time."""
+    out = []
+    for params, seed in zip(points, seeds, strict=True):
+        try:
+            out.append(fit(ds, params, seed))
+        except FIT_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 def _names(source: type, *excluded: str) -> frozenset:
@@ -212,8 +235,12 @@ def _mc_from_dict(d: dict) -> MulticlassTwinModel:
                      _finite_array([plane["w"] for plane in net["planes"]], "plane w", 2)[None],
                      _finite_array([plane["b"] for plane in net["planes"]], "plane b", 1)[None])
             for net in d["banks"]]
-    model = MulticlassTwinModel([net["class_id"] for net in d["banks"]], TanhBank.join(nets),
-                                MCHyper(**d["hyper"]))
+    class_ids = [net["class_id"] for net in d["banks"]]
+    for class_id in class_ids:
+        # numpy would read true as 1
+        if not isinstance(class_id, int) or isinstance(class_id, bool):
+            raise ValueError(f"class_id must be an integer, got {class_id!r}")
+    model = MulticlassTwinModel(class_ids, TanhBank.join(nets), MCHyper(**d["hyper"]))
     _check_sizes(model.bank, K=d["K"], M=d["M"], n=d["n"], p=d["p"],
                  subnet_features=model.hyper.subnet_features, planes=model.hyper.planes)
     return model
@@ -263,24 +290,42 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
     return TwsvmModel(plus, minus, alpha, beta, *ridges)
 
 
-def _twsvm_problem(kernel: str, ds, params: dict) -> TwsvmProblem:
+def _twsvm_problem(kernel: str, rows, params: dict) -> TwsvmProblem:
+    """The problem of one grid point over ``twin_nn.class_rows`` rows."""
     hyper = TwsvmHyper(**params)
     spec = KernelSpec(kernel, hyper.gamma if kernel == "rbf" else None)
-    return TwsvmProblem(*twin_nn.class_rows(ds), hyper.c1, hyper.c2, spec, hyper.ridge)
+    return TwsvmProblem(*rows, hyper.c1, hyper.c2, spec, hyper.ridge)
+
+
+def _twsvm_grid(kernel: str, ds, points: list) -> list:
+    """``ModelKind.fit_grid`` of a twin SVM kind: every point's problem over
+    one pair of row arrays, solved by ``twsvm.solve_grid``.  The points
+    share those rows and their values are checked, so a dataset that makes
+    no problem fails every point alike."""
+    try:
+        rows = twin_nn.class_rows(ds)
+        problems = [_twsvm_problem(kernel, rows, params) for params in points]
+    except FIT_ERRORS as exc:
+        return [exc] * len(points)
+    return twsvm.solve_grid(problems)
 
 
 def _twsvm_kind(name: str, kernel: str) -> ModelKind:
     # both kernels share one codec: the kernel is part of the saved model
     return ModelKind(
         name, "binary", TwsvmModel, "twsvm",
-        fit=lambda ds, params, seed: twsvm.solve_dual(_twsvm_problem(kernel, ds, params)),
+        fit=lambda ds, params, seed: twsvm.solve_dual(
+            _twsvm_problem(kernel, twin_nn.class_rows(ds), params)),
         check=TwsvmHyper,
         predict=lambda model, x: twsvm.twsvm_predict(model, x),
         own_plane=OwnPlane(
-            lambda ds, params, seed: twsvm.solve_plus(_twsvm_problem(kernel, ds, params)),
+            lambda ds, params, seed: twsvm.solve_plus(
+                _twsvm_problem(kernel, twin_nn.class_rows(ds), params)),
             _twsvm_scorer),
         to_dict=_twsvm_to_dict, from_dict=_twsvm_from_dict,
         params=_names(TwsvmHyper, *(() if kernel == "rbf" else ("gamma",))),
+        # a twin SVM fit draws no seed
+        shared_fit=lambda ds, points, seeds: _twsvm_grid(kernel, ds, points),
     )
 
 

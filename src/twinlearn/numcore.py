@@ -25,6 +25,7 @@ __all__ = [
     "FactorizationError",
     "DivergenceError",
     "ConvergenceError",
+    "FIT_ERRORS",
     "as_matrix",
     "check_fields",
     "SCORE_BLOCK",
@@ -69,6 +70,11 @@ class ConvergenceError(NumericalError):
         super().__init__(message)
         self.best = best
         self.residual = residual
+
+
+# what a fit raises when its data or values do not train a model; CV
+# records them as failures of the grid point or fold
+FIT_ERRORS = (NumericalError, ValueError)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

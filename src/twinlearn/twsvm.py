@@ -10,7 +10,15 @@ box.  Every few sweeps an active-set polish solves the face the iterate
 sits on exactly, walking to the box boundary where that face's maximizer
 lies outside it.  Neither step lowers the objective, and the result is
 accepted only when the exactly recomputed KKT residual meets the
-tolerance.
+tolerance.  Most visits to a coordinate leave it where it is, so a visit
+is one read of the gradient, one division and two comparisons in Python
+floats, with no function call; only a change pays for a column update.
+
+The dual matrices depend on neither box bound, the alpha dual only on c1
+and the beta dual only on c2.  So ``solve_grid`` solves the problems of
+a grid search over c1 and c2 together: per (kernel, ridge) it builds the
+designs and each side's dual matrix once, and it solves each dual once
+per distinct bound, every result bit for bit that of ``solve_dual``.
 
 A ridge defaulting to 1e-6*trace/dim keeps the Gram inversions well posed
 (they are singular whenever a class has fewer samples than features + 1).
@@ -32,6 +40,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .numcore import (
+    FIT_ERRORS,
     ConvergenceError,
     ShapeError,
     as_matrix,
@@ -53,6 +62,7 @@ __all__ = [
     "box_kkt_residual",
     "projected_gradient_box_max",
     "solve_dual",
+    "solve_grid",
     "solve_plus",
     "twsvm_distances",
     "twsvm_predict",
@@ -340,11 +350,19 @@ def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEE
             trace.append(dual_objective(m, x))
         if residual <= KKT_TOL:
             return x
-        # Python floats in the loop: numpy scalar arithmetic is slower
+        # Python floats in the loop: numpy scalar arithmetic is slower.  Most
+        # visits change nothing, so a visit reads g through a memoryview and
+        # clips by comparisons, with no call; the branches return what
+        # min(max(new, 0.0), c) returns for c >= 0, -0.0 and NaN included.
         values = x.tolist()
+        gradient = memoryview(g)
         for i in active:
             old = values[i]
-            new = min(max(old + g.item(i) / diag[i], 0.0), c)
+            new = old + gradient[i] / diag[i]
+            if new < 0.0:
+                new = 0.0
+            elif new > c:
+                new = c
             if new != old:
                 values[i] = new
                 g -= (new - old) * columns[i]
@@ -359,30 +377,81 @@ def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEE
     )
 
 
-def _solve_side(own: np.ndarray, other: np.ndarray, ridge: float | None, c: float,
-                sign: float):
-    """(x, plane, r): the dual over ``other``'s rows solved in the box
-    [0, c], and the plane ``sign`` * Z x it recovers (see ``_dual_side``)."""
-    m, z, r = _dual_side(own, other, ridge)
-    x = projected_gradient_box_max(m, c)
-    return x, sign * (z @ x), r
+def _solve_duals(own: np.ndarray, other: np.ndarray, ridge: float | None, bounds,
+                 sign: float, plane) -> dict:
+    """c -> (x, plane(sign * Z x), r) for each box bound c in ``bounds``: the
+    dual over ``other``'s rows (see ``_dual_side``) solved in [0, c], or the
+    error the dual matrix or that solve raised.  One dual matrix serves
+    every bound, and it is dropped on return."""
+    try:
+        m, z, r = _dual_side(own, other, ridge)
+    except FIT_ERRORS as exc:
+        return dict.fromkeys(bounds, exc)
+    out = {}
+    for c in bounds:
+        try:
+            x = projected_gradient_box_max(m, c)
+        except FIT_ERRORS as exc:
+            out[c] = exc
+        else:
+            out[c] = (x, plane(sign * (z @ x)), r)
+    return out
+
+
+def solve_grid(problems) -> list:
+    """What ``solve_dual`` returns or raises for each problem, bit for bit,
+    with no part computed twice.  The dual matrices depend on neither box
+    bound, so problems over the same row arrays with one kernel and ridge
+    (a grid search's points over c1 and c2) share one ``_design_blocks``
+    call and one dual matrix per side, and their alpha duals one solve per
+    distinct c1, their beta duals one per distinct c2.  The alpha matrix
+    and its solves come first, then the beta matrix and its solves for the
+    c2 of the problems whose alpha dual was solved, so one dual matrix is
+    alive at a time.  A problem's error is the first that ``solve_dual``
+    would raise for it: alpha matrix, alpha solve, beta matrix, beta
+    solve."""
+    groups = {}
+    for i, p in enumerate(problems):
+        groups.setdefault((id(p.a), id(p.b), p.kernel, p.ridge), []).append(i)
+    out = [None] * len(problems)
+    for members in groups.values():
+        lead = problems[members[0]]
+        h, g, support, gram = _design_blocks(lead)
+
+        def plane(w):
+            return TwsvmPlane(w, lead.kernel, support, lead.a.shape[1], gram)
+
+        alphas = _solve_duals(h, g, lead.ridge, dict.fromkeys(problems[i].c1 for i in members),
+                              -1.0, plane)
+        solved = [i for i in members if isinstance(alphas[problems[i].c1], tuple)]
+        betas = _solve_duals(g, h, lead.ridge, dict.fromkeys(problems[i].c2 for i in solved),
+                             1.0, plane) if solved else {}
+        for i in members:
+            alpha, beta = alphas[problems[i].c1], betas.get(problems[i].c2)
+            if not isinstance(alpha, tuple):
+                out[i] = alpha
+            elif not isinstance(beta, tuple):
+                out[i] = beta
+            else:
+                out[i] = TwsvmModel(alpha[1], beta[1], alpha[0], beta[0], alpha[2], beta[2])
+    return out
 
 
 def solve_dual(problem: TwsvmProblem) -> TwsvmModel:
-    """Solve both dual QPs and recover the two planes."""
-    h, g, support, gram = _design_blocks(problem)
-    alpha, u, r_alpha = _solve_side(h, g, problem.ridge, problem.c1, -1.0)
-    beta, v, r_beta = _solve_side(g, h, problem.ridge, problem.c2, 1.0)
-    plus, minus = (TwsvmPlane(w, problem.kernel, support, problem.a.shape[1], gram)
-                   for w in (u, v))
-    return TwsvmModel(plus, minus, alpha, beta, r_alpha, r_beta)
+    """Solve both dual QPs and recover the two planes: ``solve_grid`` of
+    the one problem."""
+    (model,) = solve_grid([problem])
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def solve_plus(problem: TwsvmProblem) -> TwsvmPlane:
     """The positive plane of ``solve_dual(problem)`` alone, bit for bit:
     only the alpha dual is solved."""
     h, g, support, gram = _design_blocks(problem)
-    _, u, _ = _solve_side(h, g, problem.ridge, problem.c1, -1.0)
+    m, z, _ = _dual_side(h, g, problem.ridge)
+    u = -1.0 * (z @ projected_gradient_box_max(m, problem.c1))
     return TwsvmPlane(u, problem.kernel, support, problem.a.shape[1], gram)
 
 

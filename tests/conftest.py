@@ -2,8 +2,9 @@ import numpy as np
 from hypothesis import settings
 
 from twinlearn.data import DataError, Dataset
+from twinlearn import twsvm
 from twinlearn.harness import OvrEnsemble, ovr_distances
-from twinlearn.numcore import Rng
+from twinlearn.numcore import ConvergenceError, Rng
 
 # every run draws the same hypothesis examples, so two commits compare
 # on the same inputs
@@ -220,3 +221,37 @@ def impute_values_per_row(target_values, target_mask, donor_values, donor_mask,
             chosen = order[: min(k, order.size)]
             filled[i, j] = donor_values[chosen, j].mean()
     return filled
+
+
+def box_max_reference(m, c, max_iter=twsvm.MAX_SWEEPS, trace=None):
+    """Reference ``twsvm.projected_gradient_box_max``: its coordinate loop
+    as it was before it read g through a memoryview and clipped by
+    comparisons (``g.item(i)`` and ``min(max(...))``), around the same
+    polish, residual and objective."""
+    c = float(c)
+    diag = np.diag(m)
+    x = np.where(diag > 0.0, 0.0, c)
+    active = np.flatnonzero(diag > 0.0).tolist()
+    diag = diag.tolist()
+    columns = np.ascontiguousarray(m.T)
+    for sweep in range(max_iter):
+        if sweep % twsvm.POLISH_EVERY == 0:
+            x = twsvm._active_set_polish(m, x, c)
+        g = 1.0 - m @ x
+        residual = twsvm._projected_gradient_norm(g, x, c)
+        if trace is not None:
+            trace.append(twsvm.dual_objective(m, x))
+        if residual <= twsvm.KKT_TOL:
+            return x
+        values = x.tolist()
+        for i in active:
+            old = values[i]
+            new = min(max(old + g.item(i) / diag[i], 0.0), c)
+            if new != old:
+                values[i] = new
+                g -= (new - old) * columns[i]
+        x = np.array(values)
+    residual = twsvm.box_kkt_residual(m, x, c)
+    if residual <= twsvm.KKT_TOL:
+        return x
+    raise ConvergenceError("iteration cap", best=x, residual=residual)

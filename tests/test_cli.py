@@ -160,7 +160,7 @@ class TestKnnK:
 
 # every array field of a saved model of each kind (TestModelFiles.saved):
 # a twin SVM's RBF support, a multiclass model's three classes and two
-# planes, and the twin SVM ridges, which are numbers
+# planes, and the twin SVM ridges and the class ids, which are numbers
 _NET = ("hidden_w", "hidden_b", "w", "b")
 _TWSVM = ("u", "v", "alpha", "beta", "ridge_alpha", "ridge_beta")
 ARRAY_FIELDS = [
@@ -169,6 +169,7 @@ ARRAY_FIELDS = [
     *(("twin_nn_mc", ("banks", k, key)) for k in range(3) for key in ("subnet_w", "subnet_b")),
     *(("twin_nn_mc", ("banks", k, "planes", j, key)) for k in range(3) for j in range(2)
       for key in ("w", "b")),
+    *(("twin_nn_mc", ("banks", k, "class_id")) for k in range(3)),
     *(("twsvm_linear", (key,)) for key in _TWSVM),
     *(("twsvm_rbf", (key,)) for key in (*_TWSVM, "support")),
 ]
@@ -348,6 +349,11 @@ class TestModelFiles:
     @example(case=("twsvm_linear", ("ridge_alpha",)), defect="cell", value="x", cell=0)
     # an int past float range raised OverflowError, a traceback
     @example(case=("rfnn", ("hidden_w",)), defect="cell", value=10**400, cell=2)
+    # a class id of true was read as 1; a fraction or a string is refused too
+    @example(case=("twin_nn_mc", ("banks", 1, "class_id")), defect="cell", value=True, cell=0)
+    @example(case=("twin_nn_mc", ("banks", 0, "class_id")), defect="cell", value=False, cell=0)
+    @example(case=("twin_nn_mc", ("banks", 1, "class_id")), defect="cell", value=1.5, cell=0)
+    @example(case=("twin_nn_mc", ("banks", 1, "class_id")), defect="cell", value="1", cell=0)
     def test_a_saved_model_with_one_bad_array_exits_3_on_one_line(self, saved, case, defect,
                                                                  value, cell):
         # a valid saved model of each kind, with one array field dropped,

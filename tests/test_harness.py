@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from twinlearn.harness import (
     run_experiment,
     run_onevsrest,
 )
+from twinlearn.models import MODELS
 from twinlearn.numcore import DivergenceError, mix_seed
 
 
@@ -214,6 +216,21 @@ class TestOneVsRest:
         d = ovr_distances(ensemble, x)
         expected = ensemble.class_ids[np.argmin(d, axis=1)]
         np.testing.assert_array_equal(ovr_predict(ensemble, x), expected)
+
+    @pytest.mark.parametrize("kind", BINARY_MODELS)
+    def test_an_ensemble_builds_its_scorer_once(self, kind, monkeypatch):
+        own = MODELS[kind].own_plane
+        builds = []
+        counted = own._replace(scorer=lambda parts: builds.append(1) or own.scorer(parts))
+        monkeypatch.setitem(MODELS, kind, dataclasses.replace(MODELS[kind], own_plane=counted))
+        ds = gaussian_blobs([(3, 0), (-3, 0), (0, 3)], [15, 15, 15], std=0.7, seed=26)
+        ensemble = fit_onevsrest(ds, kind, OVR_PARAMS[kind], seed=25)
+        x = np.random.default_rng(4).standard_normal((20, 2))
+        for _ in range(2):
+            ovr_distances(ensemble, x)
+            ovr_predict(ensemble, x)
+            ovr_predict(ensemble, x[0])
+        assert builds == [1]
 
     @pytest.mark.parametrize("kind", BINARY_MODELS)
     def test_distances_are_the_full_fits_plus_distances(self, kind):

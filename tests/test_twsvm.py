@@ -1,12 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinlearn.twsvm as twsvm
-from conftest import own_plane_distance
+from conftest import box_max_reference, own_plane_distance
 from twinlearn.data import Dataset
 from twinlearn.harness import ExperimentSpec, run_experiment
+from twinlearn.models import MODELS
 from twinlearn.numcore import ConvergenceError, ShapeError
 from twinlearn.twsvm import (
     KernelSpec,
@@ -133,6 +137,39 @@ class TestProjectedGradient:
         # the slack only absorbs rounding in evaluating it
         assert all(later >= earlier - 1e-12 * (1.0 + abs(earlier))
                    for earlier, later in zip(trace, trace[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), rank=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           duplicate=st.booleans(), zero=st.booleans(), scale=st.floats(0.1, 10.0),
+           bounds=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+           cap=st.integers(1, 6))
+    @example(n=4, rank=2, seed=0, duplicate=True, zero=True, scale=1.0, bounds=[0.0, 1.0],
+             cap=1)
+    def test_coordinate_loop_gives_the_reference_bits(self, n, rank, seed, duplicate, zero,
+                                                      scale, bounds, cap):
+        # the same iterates, bit for bit, as the loop that called g.item(i)
+        # and min(max(...)): solution, trace and, at a small sweep cap, the
+        # ConvergenceError's best iterate and residual
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((rank, n)) * scale
+        if duplicate:
+            f[:, -1] = f[:, 0]
+        if zero:
+            f[:, n // 2] = 0.0
+        m = f.T @ f
+
+        def run(solve, max_iter):
+            trace = []
+            try:
+                x = solve(m, c, max_iter=max_iter, trace=trace)
+            except ConvergenceError as exc:
+                return "cap", exc.best.tobytes(), exc.residual, np.array(trace).tobytes()
+            return "solved", x.tobytes(), None, np.array(trace).tobytes()
+
+        for c in bounds:
+            for max_iter in (twsvm.MAX_SWEEPS, cap):
+                assert run(projected_gradient_box_max, max_iter) == run(box_max_reference,
+                                                                        max_iter)
 
     @pytest.mark.parametrize("n_plus, n_minus, centre, kernel, c1, bound", [
         (50, 1000, (1.0, 0.0, 0.0, 0.0), KernelSpec(), 1.0, 50),
@@ -378,6 +415,62 @@ class TestRbfCrossValidation:
         result = run_experiment(spec, Dataset(np.vstack([a, b]), labels))
         assert result.failures == []
         assert not any(fold["failed"] for fold in result.folds)
+
+
+def _grid_data():
+    """Blobs for a grid search: 2-D rows with both classes well inside
+    every fold and inner split."""
+    a, b = blob_rows(21, 16, 40, (1.0, 0.5))
+    labels = np.concatenate([np.ones(len(a), dtype=int), -np.ones(len(b), dtype=int)])
+    return Dataset(np.vstack([a, b]), labels)
+
+
+class TestGridReuse:
+    """A grid search over c1 and c2 builds each dual matrix once per (gamma,
+    ridge) group and solves each dual once per distinct box bound, with
+    every result the same, bit for bit, as a fit per grid point."""
+
+    C1, C2 = [0.1, 1.0], [0.5, 2.0, 4.0]
+
+    @pytest.mark.parametrize("kind, group", [("twsvm_linear", {"ridge": [1e-6, 1e-3]}),
+                                             ("twsvm_rbf", {"gamma": [0.5, 1.0]})])
+    def test_a_selection_builds_one_matrix_per_side_and_group(self, kind, group, monkeypatch):
+        sides, solves = [], []
+        dual_side, solve = twsvm._dual_side, twsvm.projected_gradient_box_max
+        monkeypatch.setattr(twsvm, "_dual_side",
+                            lambda *args: sides.append(1) or dual_side(*args))
+        monkeypatch.setattr(twsvm, "projected_gradient_box_max",
+                            lambda m, c: solves.append(c) or solve(m, c))
+        folds = 2
+        spec = ExperimentSpec(data_path="", model=kind, folds=folds, seed=3,
+                              grid={"c1": self.C1, "c2": self.C2, **group})
+        result = run_experiment(spec, _grid_data())
+        assert result.failures == []
+        # per fold: a selection over 2 groups, then the winner's own fit
+        assert len(sides) == folds * (2 * 2 + 2)
+        # c1 and c2 take distinct values, so a solve's bound names its dual
+        assert sum(c in self.C1 for c in solves) == folds * (2 * len(self.C1) + 1)
+        assert sum(c in self.C2 for c in solves) == folds * (2 * len(self.C2) + 1)
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("twsvm_linear", {"c1": [0.02, 0.1, 1.0], "c2": [0.1, 0.5, 3.0]}),
+        ("twsvm_rbf", {"gamma": [0.5, 2.0], "c1": [0.1, 1.0], "c2": [0.5, 3.0]}),
+    ])
+    def test_cv_json_is_that_of_a_fit_per_point(self, kind, grid, monkeypatch):
+        # duals at two of the box bounds stop at a 2-sweep cap, so some alpha
+        # and some beta solves fail, each with its residual in the message
+        solve = twsvm.projected_gradient_box_max
+        monkeypatch.setattr(twsvm, "projected_gradient_box_max", lambda m, c: solve(
+            m, c, max_iter=2 if c in (0.1, 3.0) else twsvm.MAX_SWEEPS))
+        spec = ExperimentSpec(data_path="", model=kind, grid=grid, folds=3, seed=5)
+        data = _grid_data()
+        shared = run_experiment(spec, data).to_json()
+        monkeypatch.setitem(MODELS, kind, dataclasses.replace(MODELS[kind], shared_fit=None))
+        per_point = run_experiment(spec, data).to_json()
+        assert shared == per_point
+        failures = json.loads(shared)["failures"]
+        assert any(f["stage"] == "selection" for f in failures)
+        assert not all(fold["failed"] for fold in json.loads(shared)["folds"])
 
 
 class TestPredict:
