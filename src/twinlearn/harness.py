@@ -32,7 +32,7 @@ import itertools
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,7 @@ from .data import (
     make_folds,
     make_imbalanced,
 )
-from .evalstats import confusion, friedman, metrics, wilcoxon_signed_ranks
+from .evalstats import MetricReport, confusion, friedman, metrics, wilcoxon_signed_ranks
 from .models import BINARY_MODELS, MODEL_KINDS, MODELS, fit_each
 from .numcore import FIT_ERRORS, Rng, mix_seed, nearest, score_rows
 
@@ -75,7 +75,7 @@ __all__ = [
 
 RESULT_SCHEMA_VERSION = 1
 
-_BINARY_METRICS = ("acc", "tpr", "tnr", "ppv", "npv", "gmeans", "fmeasure", "mcc")
+_BINARY_METRICS = tuple(f.name for f in fields(MetricReport))
 
 # distinct derivation tags so harness streams never collide with fold plans
 _JOB_TAG = 101
@@ -368,23 +368,15 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunR
 
 @dataclass(frozen=True, eq=False)
 class OvrEnsemble:
-    """K own planes, one per class and ordered by class id: what
-    ``ModelKind.own_plane.fit`` returns for that class against the rest
-    (a twin side's net, an rfnn model or a twin SVM's positive plane).
-    Their scorer (``OwnPlane.scorer``) is built once, here: its input
-    width ``n_features`` and ``score(rows)``, the (K, n) distances of a
-    block of rows."""
+    """K own planes, one per class in ``class_ids`` order, held only as
+    their scorer (``OwnPlane.scorer`` of the parts that
+    ``ModelKind.own_plane.fit`` returns, built once by ``fit_onevsrest``):
+    the input width ``n_features`` and ``score(rows)``, the (K, n)
+    distances of a block of rows."""
 
-    kind: str
     class_ids: np.ndarray
-    planes: list
-    n_features: int = field(init=False, repr=False)
-    score: Callable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n_features, score = MODELS[self.kind].own_plane.scorer(self.planes)
-        object.__setattr__(self, "n_features", n_features)
-        object.__setattr__(self, "score", score)
+    n_features: int
+    score: Callable
 
 
 def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnsemble:
@@ -397,9 +389,9 @@ def fit_onevsrest(train: Dataset, kind: str, params: dict, seed: int) -> OvrEnse
         raise ValueError(f"one-vs-rest needs a binary model kind, got {kind!r}")
     MODELS[kind].check_params(params)
     fit = MODELS[kind].own_plane.fit
-    planes = [fit(make_imbalanced(train, int(c)), params, mix_seed(seed, _OVR_TAG, int(c)))
-              for c in train.class_ids]
-    return OvrEnsemble(kind, train.class_ids.copy(), planes)
+    parts = [fit(make_imbalanced(train, int(c)), params, mix_seed(seed, _OVR_TAG, int(c)))
+             for c in train.class_ids]
+    return OvrEnsemble(train.class_ids.copy(), *MODELS[kind].own_plane.scorer(parts))
 
 
 def ovr_distances(ensemble: OvrEnsemble, features: np.ndarray) -> np.ndarray:

@@ -281,7 +281,7 @@ def _twsvm_from_dict(d: dict) -> TwsvmModel:
                          f"got {u.size} and {v.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = None if support is None else twsvm.kernel_matrix(kernel, support, support)
-        plus, minus = (TwsvmPlane(w, kernel, support, d["M"], gram) for w in (u, v))
+        plus, minus = (TwsvmPlane(w, kernel, support, gram) for w in (u, v))
     if not all(np.isfinite(plane.norm) and plane.norm > 0 for plane in (plus, minus)):
         raise ValueError("a plane has a zero or non-finite norm; distances are undefined")
     ridges = [float(_finite_array(d[key], key, 0)) for key in ("ridge_alpha", "ridge_beta")]

@@ -1,9 +1,10 @@
 """Versioned JSON serialization for every trained model kind.
 
 Floats are emitted with Python's shortest round-trip repr, so a dump and
-reload reproduces parameters bit for bit.  Only prediction-relevant state
-is stored; recorded training losses and cached plane norms are rebuilt or
-dropped on load.  Each file carries ``version`` and ``kind``; the rest of
+reload reproduces parameters bit for bit.  A file keeps what prediction
+needs, and a twin SVM file also its duals and their ridges, so that they
+can be checked; training losses are dropped and plane norms rebuilt on
+load.  Each file carries ``version`` and ``kind``; the rest of
 its schema is the kind's codec in the ``twinlearn.models`` table.  A file
 that is not a valid model raises DataError naming it; none is ever saved.
 """

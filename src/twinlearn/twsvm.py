@@ -124,15 +124,21 @@ def kernel_matrix(spec: KernelSpec, x, y) -> np.ndarray:
 def _kernel(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``kernel_matrix`` without its input checks, for rows already
     shape-checked: an empty x gives (0, S), and a row of x with a NaN gives
-    a row of NaN."""
+    a row of NaN.  Where the expansion of a finite row overflows, its
+    squared distance is taken directly, so the kernel value is not NaN."""
     if spec.kind == "linear":
         return x @ y.T
-    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
-    np.maximum(sq, 0.0, out=sq)
-    if y is x:
-        np.fill_diagonal(sq, 0.0)
-    # in place: at most two (N, S) arrays are alive at once, not three
-    sq *= -spec.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
+        redo = np.isfinite(sq)
+        np.less(redo, np.isfinite(x).all(axis=1)[:, None], out=redo)  # overflowed, x finite
+        rows, cols = np.nonzero(redo)
+        sq[rows, cols] = np.square(x[rows] - y[cols]).sum(axis=1)
+        np.maximum(sq, 0.0, out=sq)
+        if y is x:
+            np.fill_diagonal(sq, 0.0)
+        # in place: at most two (N, S) arrays and one mask are alive at once
+        sq *= -spec.gamma
     return np.exp(sq, out=sq)
 
 
@@ -174,7 +180,6 @@ class TwsvmPlane:
     u: np.ndarray
     kernel: KernelSpec
     support: np.ndarray | None
-    n_features: int
     gram: InitVar[np.ndarray | None] = None
     norm: float = field(init=False)
 
@@ -187,6 +192,11 @@ class TwsvmPlane:
         else:
             norm = float(np.sqrt(max(w @ (gram @ w), 0.0)))
         object.__setattr__(self, "norm", norm)
+
+    @property
+    def n_features(self) -> int:
+        """Input width: u less its bias (linear), else the support's width."""
+        return self.u.size - 1 if self.kernel.kind == "linear" else self.support.shape[1]
 
     def _basis(self, rows) -> np.ndarray:
         """The rows, as (N, M), or for a kernel expansion their kernel rows
@@ -218,9 +228,9 @@ class TwsvmModel:
 
 
 def _design_blocks(problem: TwsvmProblem):
-    """(H, G, support, gram): margin designs with the bias column appended.
-    Kernel problems build the support's Gram matrix once; its row blocks
-    are the kernel parts of H and G (``gram`` is None for linear)."""
+    """(H, G, plane): margin designs with the bias column appended, and the
+    one maker of the problem's planes, ``plane(u)``.  Kernel problems build
+    the support's Gram matrix once: its row blocks are H's and G's kernel parts."""
     if problem.kernel.kind == "linear":
         a_part, b_part, support, gram = problem.a, problem.b, None, None
     else:
@@ -229,7 +239,7 @@ def _design_blocks(problem: TwsvmProblem):
         a_part, b_part = gram[:problem.a.shape[0]], gram[problem.a.shape[0]:]
     h = np.hstack([a_part, np.ones((a_part.shape[0], 1))])
     g = np.hstack([b_part, np.ones((b_part.shape[0], 1))])
-    return h, g, support, gram
+    return h, g, lambda u: TwsvmPlane(u, problem.kernel, support, gram)
 
 
 def dual_matrices(problem: TwsvmProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +247,7 @@ def dual_matrices(problem: TwsvmProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (G (H'H+rI)^-1 G', H (G'G+rI)^-1 H').
     """
-    h, g, _, _ = _design_blocks(problem)
+    h, g, _ = _design_blocks(problem)
     return _dual_side(h, g, problem.ridge)[0], _dual_side(g, h, problem.ridge)[0]
 
 
@@ -316,8 +326,7 @@ def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
     return z
 
 
-def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEEPS,
-                               trace: list | None = None) -> np.ndarray:
+def projected_gradient_box_max(m: np.ndarray, c: float, trace: list | None = None) -> np.ndarray:
     """Maximize e'x - x'Mx/2 over the box [0, c]^n for PSD M.
 
     Projected coordinate descent: each sweep visits the coordinates in
@@ -331,9 +340,9 @@ def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEE
     ``POLISH_EVERY``-th sweep begins with the active-set polish, which
     moves the iterate uphill to the maximizer of its face; that point is
     then tested like any other iterate.  ``trace`` receives the objective
-    of each sweep's tested point, so it never decreases.  ``max_iter``
-    caps the sweeps; hitting it raises ConvergenceError carrying the last
-    iterate and its residual.
+    of each sweep's tested point, so it never decreases.  ``MAX_SWEEPS``,
+    read at each call, caps the sweeps; hitting it raises ConvergenceError
+    carrying the last iterate and its residual.
     """
     c = float(c)
     diag = np.diag(m)
@@ -341,7 +350,7 @@ def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEE
     active = np.flatnonzero(diag > 0.0).tolist()
     diag = diag.tolist()
     columns = np.ascontiguousarray(m.T)  # row i is column i of m
-    for sweep in range(max_iter):
+    for sweep in range(MAX_SWEEPS):
         if sweep % POLISH_EVERY == 0:
             x = _active_set_polish(m, x, c)
         g = 1.0 - m @ x
@@ -371,7 +380,7 @@ def projected_gradient_box_max(m: np.ndarray, c: float, max_iter: int = MAX_SWEE
     if residual <= KKT_TOL:
         return x
     raise ConvergenceError(
-        f"coordinate descent hit the iteration cap of {max_iter} sweeps at "
+        f"coordinate descent hit the iteration cap of {MAX_SWEEPS} sweeps at "
         f"residual {residual:.3e} (tol {KKT_TOL:.1e})",
         best=x, residual=residual,
     )
@@ -382,7 +391,7 @@ def _solve_duals(own: np.ndarray, other: np.ndarray, ridge: float | None, bounds
     """c -> (x, plane(sign * Z x), r) for each box bound c in ``bounds``: the
     dual over ``other``'s rows (see ``_dual_side``) solved in [0, c], or the
     error the dual matrix or that solve raised.  One dual matrix serves
-    every bound, and it is dropped on return."""
+    every bound and is dropped on return.  Every twin SVM dual is solved here."""
     try:
         m, z, r = _dual_side(own, other, ridge)
     except FIT_ERRORS as exc:
@@ -416,11 +425,7 @@ def solve_grid(problems) -> list:
     out = [None] * len(problems)
     for members in groups.values():
         lead = problems[members[0]]
-        h, g, support, gram = _design_blocks(lead)
-
-        def plane(w):
-            return TwsvmPlane(w, lead.kernel, support, lead.a.shape[1], gram)
-
+        h, g, plane = _design_blocks(lead)
         alphas = _solve_duals(h, g, lead.ridge, dict.fromkeys(problems[i].c1 for i in members),
                               -1.0, plane)
         solved = [i for i in members if isinstance(alphas[problems[i].c1], tuple)]
@@ -447,12 +452,13 @@ def solve_dual(problem: TwsvmProblem) -> TwsvmModel:
 
 
 def solve_plus(problem: TwsvmProblem) -> TwsvmPlane:
-    """The positive plane of ``solve_dual(problem)`` alone, bit for bit:
-    only the alpha dual is solved."""
-    h, g, support, gram = _design_blocks(problem)
-    m, z, _ = _dual_side(h, g, problem.ridge)
-    u = -1.0 * (z @ projected_gradient_box_max(m, problem.c1))
-    return TwsvmPlane(u, problem.kernel, support, problem.a.shape[1], gram)
+    """The positive plane of ``solve_dual(problem)`` alone, bit for bit: the
+    alpha half of its solve, one ``_solve_duals`` call at the bound c1."""
+    h, g, plane = _design_blocks(problem)
+    alpha = _solve_duals(h, g, problem.ridge, (problem.c1,), -1.0, plane)[problem.c1]
+    if isinstance(alpha, Exception):
+        raise alpha
+    return alpha[1]
 
 
 def twsvm_distances(model: TwsvmModel, x):

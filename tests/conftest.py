@@ -4,6 +4,7 @@ from hypothesis import settings
 from twinlearn.data import DataError, Dataset
 from twinlearn import twsvm
 from twinlearn.harness import OvrEnsemble, ovr_distances
+from twinlearn.models import MODELS
 from twinlearn.numcore import ConvergenceError, Rng
 
 # every run draws the same hypothesis examples, so two commits compare
@@ -53,11 +54,17 @@ def flatten_nets(arrays):
     return np.concatenate(parts)
 
 
+def ensemble_of(kind, class_ids, parts):
+    """The one-vs-rest ensemble of a binary kind's own-plane ``parts``, one
+    per class id, as ``harness.fit_onevsrest`` builds it from its fits."""
+    return OvrEnsemble(np.asarray(class_ids), *MODELS[kind].own_plane.scorer(parts))
+
+
 def own_plane_distance(kind, part):
     """The distance of one own plane of a binary kind as one-vs-rest
     measures it, ``harness.ovr_distances`` of an ensemble of that one part:
     a float for one sample (M,), (N,) for a batch (N, M)."""
-    ensemble = OvrEnsemble(kind, np.array([0]), [part])
+    ensemble = ensemble_of(kind, [0], [part])
 
     def distance(x):
         d = ovr_distances(ensemble, x)[:, 0]

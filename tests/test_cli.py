@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from twinlearn.cli import main
 from twinlearn.data import Dataset, load_csv, save_csv
 from twinlearn.models import MODELS
 from twinlearn.multiclass import MCHyper, mc_train
-from twinlearn.serialize import model_to_dict
+from twinlearn.serialize import load_model, model_to_dict
 from twinlearn.twin_nn import TwinHyper, train, train_rfnn_baseline
 
 
@@ -98,6 +99,26 @@ class TestTrainPredict:
                      "--out", preds_path]) == 0
         preds = np.array([int(line) for line in open(preds_path)])
         assert np.mean(preds == ds.labels) >= 0.9
+
+    def test_rbf_rows_beyond_float_range_take_the_kernel_zero_label(self, tmp_path, capsys):
+        # every kernel value of these rows is 0, as for a row at distance
+        # 1e3; the second row's expansion x @ y.T overflows (inf - inf)
+        ds = gaussian_blobs([(1.5, 0, 0), (-1.5, 0, 0)], [40, 40], seed=3, labels=[1, -1])
+        save_csv(ds, tmp_path / "train.csv")
+        model_path, rows_path = str(tmp_path / "rbf.json"), tmp_path / "far.csv"
+        assert main(["train", "--data", str(tmp_path / "train.csv"), "--model", "twsvm_rbf",
+                     "--grid", "gamma=0.5", "--out", model_path]) == 0
+        rows_path.write_text("a,b,c,label\n1e3,0,0,1\n1e200,0,0,1\n1e308,1e308,0,1\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["predict", "--data", str(rows_path), "--model-file", model_path]) == 0
+        out, err = capsys.readouterr()
+        assert caught == [] and err == ""
+        model = load_model(model_path)
+        plus, minus = model.plus, model.minus
+        label = 1 if abs(plus.u[-1]) / plus.norm <= abs(minus.u[-1]) / minus.norm else -1
+        assert out.split() == [str(label)] * 3
 
 
 def _drop(key):

@@ -260,7 +260,7 @@ class TestOneVsRest:
                             lambda m, c: duals.append(c) or solve(m, c))
         ds = gaussian_blobs([(3, 0), (-3, 0), (0, 3)], [15, 15, 15], std=0.7, seed=29)
         ensemble = fit_onevsrest(ds, kind, OVR_PARAMS[kind], seed=30)
-        assert len(ensemble.planes) == 3
+        assert ensemble.score(np.zeros((4, 2))).shape == (3, 4)
         # one plus side or one alpha dual per class
         assert sides + duals == (["plus"] * 3 if kind == "twin_nn" else [0.5] * 3)
         path, _ = three_class_csv(tmp_path, seed=31)

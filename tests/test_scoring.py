@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import own_plane_distance
+from conftest import ensemble_of, own_plane_distance
 from twinlearn import harness, multiclass, twin_nn
-from twinlearn.harness import OvrEnsemble, ovr_distances, ovr_predict
+from twinlearn.harness import ovr_distances, ovr_predict
 from twinlearn.multiclass import MCHyper, MulticlassTwinModel, mc_distances, mc_predict
 from twinlearn.numcore import SCORE_BLOCK, ShapeError, score_rows
 from twinlearn.twin_nn import (RfnnHyper, RfnnModel, TanhBank, TwinHyper, TwinNNModel,
@@ -304,7 +304,7 @@ def _pool(rng, kind: str) -> list:
         return nets
     if kind == "rfnn":
         return [RfnnModel(net, RfnnHyper(hidden=4, epochs=1)) for net in nets]
-    return [TwsvmPlane(rng.standard_normal(4), KernelSpec(), None, 3) for _ in range(3)]
+    return [TwsvmPlane(rng.standard_normal(4), KernelSpec(), None) for _ in range(3)]
 
 
 PICKS = st.lists(st.integers(0, 2), min_size=2, max_size=4)
@@ -338,7 +338,7 @@ class TestPredicts:
     def test_ovr_predict_is_the_argmin_of_ovr_distances(self, kind, picks, n, nan_rows, seed):
         rng = np.random.default_rng(seed)
         pool = _pool(rng, kind)
-        ensemble = OvrEnsemble(kind, np.arange(len(picks)) * 3 + 1, [pool[i] for i in picks])
+        ensemble = ensemble_of(kind, np.arange(len(picks)) * 3 + 1, [pool[i] for i in picks])
         x, _ = _rows(rng, n, 3, nan_rows)
         want = ensemble.class_ids[np.argmin(ovr_distances(ensemble, x), axis=1)]
         np.testing.assert_array_equal(ovr_predict(ensemble, x), want)
@@ -402,7 +402,7 @@ class TestOneBlockLoop:
             with pytest.raises(ShapeError, match="cannot share a bank"):
                 TanhBank.join(nets)
             with pytest.raises(ShapeError, match="cannot share a bank"):
-                ovr_distances(OvrEnsemble("twin_nn", np.array([0, 1]), list(nets)), np.ones(3))
+                ovr_distances(ensemble_of("twin_nn", np.array([0, 1]), list(nets)), np.ones(3))
 
     @pytest.mark.parametrize("shapes", [((8, 1), (6, 1)), ((8, 1), (8, 2))],
                              ids=["hidden width", "plane count"])
@@ -415,7 +415,7 @@ class TestOneBlockLoop:
                 TanhBank.join(nets)
         models = [RfnnModel(net, RfnnHyper(hidden=8, epochs=1)) for net in (first, second)]
         with pytest.raises(ShapeError, match=r"cannot share a bank"):
-            ovr_distances(OvrEnsemble("rfnn", np.array([0, 1]), models), np.ones(3))
+            ovr_distances(ensemble_of("rfnn", np.array([0, 1]), models), np.ones(3))
 
 
 class TestBankKernel:
@@ -448,7 +448,7 @@ class TestBankKernel:
                                        rtol=1e-12, atol=1e-13)
         nearest = np.argmin(distances, axis=1)
         ids = np.arange(len(nets)) * 3 + 1
-        ensemble = OvrEnsemble("twin_nn", ids, nets)
+        ensemble = ensemble_of("twin_nn", ids, nets)
         np.testing.assert_array_equal(ovr_predict(ensemble, x), ids[nearest])
         if len(nets) >= 2:
             model = MulticlassTwinModel(ids, bank, MCHyper(subnet_features=h, planes=p))
@@ -466,7 +466,7 @@ def _predicts(rng):
     ``nets`` is the number of tanh nets the model scores (0 for twin SVM
     planes)."""
     twin, rfnn, mc = _models(rng, 3)
-    ovr = [(OvrEnsemble(kind, np.array([1, 4, 7]), _pool(rng, kind)), nets)
+    ovr = [(ensemble_of(kind, np.array([1, 4, 7]), _pool(rng, kind)), nets)
            for kind, nets in (("twin_nn", 3), ("rfnn", 3), ("twsvm_linear", 0))]
     return [(predict, twin, 2), (decision_values, twin, 2), (rfnn_predict, rfnn, 1),
             (rfnn_decision, rfnn, 1), (mc_predict, mc, 3), (mc_distances, mc, 3),

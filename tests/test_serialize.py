@@ -74,6 +74,10 @@ class TestOtherKinds:
         back = load_model(path)
         np.testing.assert_array_equal(back.plus.u, model.plus.u)
         assert back.plus.norm == pytest.approx(model.plus.norm, rel=1e-15)
+        # the input width is read from the plane's arrays: u less its bias
+        # (linear), the support's columns (RBF: u has one entry per row)
+        assert [p.n_features for p in (model.plus, model.minus, back.plus, back.minus)] == [2] * 4
+        assert (model.plus.u.size - 1 == 2) == (kernel.kind == "linear")
         x = rng.standard_normal((20, 2))
         np.testing.assert_array_equal(twsvm_distances(back, x)[0],
                                       twsvm_distances(model, x)[0])

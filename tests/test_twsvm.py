@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,14 @@ def random_problem(rng, n_a=6, n_b=3, m=2, c1=0.5, c2=0.5, ridge=1e-6):
     return TwsvmProblem(a, b, c1=c1, c2=c2, ridge=ridge)
 
 
+def at_cap(sweeps, m, c, **kwargs):
+    """``projected_gradient_box_max`` with its sweep cap, ``twsvm.MAX_SWEEPS``,
+    set to ``sweeps`` for this one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twsvm, "MAX_SWEEPS", sweeps)
+        return projected_gradient_box_max(m, c, **kwargs)
+
+
 def blob_rows(seed, n_plus, n_minus, centre):
     """Unit-variance blobs around +centre and -centre, drawn in that order."""
     rng = np.random.default_rng(seed)
@@ -65,6 +74,36 @@ class TestKernelMatrix:
                     else:
                         expected = float(np.exp(-1.3 * np.sum((x[i] - y[j]) ** 2)))
                     assert abs(k[i, j] - expected) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 5), s=st.integers(1, 5), m=st.integers(1, 4),
+           powers=st.lists(st.integers(0, 308), min_size=10, max_size=10),
+           copies=st.sets(st.integers(0, 4)), seed=st.integers(0, 2**32 - 1),
+           gamma=st.floats(1e-3, 10.0))
+    # rows 1e200 (one equal to a row of y) and 1e308 against ordinary rows
+    @example(n=2, s=2, m=2, powers=[200, 308, 0, 0, 0, 200, 0, 0, 0, 0], copies={0}, seed=0,
+             gamma=0.5)
+    def test_rbf_rows_up_to_1e308_match_the_direct_distance(self, n, s, m, powers, copies,
+                                                            seed, gamma):
+        # row i of x (of y) is uniform in [-1, 1] times 10**powers[i] (10**powers[5 + i])
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (n, m)) * 10.0 ** np.array(powers[:n], float)[:, None]
+        y = rng.uniform(-1, 1, (s, m)) * 10.0 ** np.array(powers[5:5 + s], float)[:, None]
+        for j in copies & set(range(min(n, s))):
+            y[j] = x[j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernel_matrix(KernelSpec("rbf", gamma=gamma), x, y)
+        with np.errstate(over="ignore"):
+            want = np.exp(-gamma * np.square(x[:, None] - y[None]).sum(axis=2))
+            norms = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+        # the expansion ||x||^2 + ||y||^2 - 2x'y rounds by up to about
+        # (m + 2) eps (||x||^2 + ||y||^2) in the exponent; where it overflows,
+        # the distance is taken directly, so those entries get no slack
+        slack = np.where(np.isinf(norms), 0.0,
+                         8 * (m + 2) * np.finfo(float).eps * gamma * norms)
+        assert np.all((k >= 0.0) & (k <= 1.0))
+        assert np.all(np.abs(k - want) <= (1e-12 + slack) * np.maximum(k, want))
 
     def test_gram_symmetric_psd(self):
         x = np.random.default_rng(2).standard_normal((8, 2))
@@ -103,9 +142,25 @@ class TestProjectedGradient:
         a = rng.standard_normal((6, 6))
         m = a.T @ a + 0.1 * np.eye(6)
         with pytest.raises(ConvergenceError, match="iteration cap") as err:
-            projected_gradient_box_max(m, c=10.0, max_iter=2)
+            at_cap(2, m, c=10.0)
         assert err.value.best is not None
         assert err.value.residual > 0
+
+    def test_the_sweep_cap_is_read_at_each_call(self, monkeypatch):
+        # the dual needs more than 2 sweeps; every dual solve, alone, in a
+        # fit, in a plus plane alone and in a grid, stops at the patched cap
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6))
+        m = a.T @ a + 0.1 * np.eye(6)
+        problem = TwsvmProblem(*blob_rows(5, 8, 20, [1.0, 0.5]), c1=10.0, c2=10.0)
+        monkeypatch.setattr(twsvm, "MAX_SWEEPS", 2)
+        for solve in (lambda: projected_gradient_box_max(m, c=10.0),
+                      lambda: solve_dual(problem), lambda: twsvm.solve_plus(problem),
+                      lambda: twsvm.solve_grid([problem])[0]):
+            with pytest.raises(ConvergenceError, match="iteration cap of 2 sweeps"):
+                result = solve()
+                if isinstance(result, Exception):
+                    raise result
 
     def test_zero_box_returns_origin(self):
         np.testing.assert_array_equal(
@@ -158,18 +213,18 @@ class TestProjectedGradient:
             f[:, n // 2] = 0.0
         m = f.T @ f
 
-        def run(solve, max_iter):
+        def run(solve):
             trace = []
             try:
-                x = solve(m, c, max_iter=max_iter, trace=trace)
+                x = solve(trace)
             except ConvergenceError as exc:
                 return "cap", exc.best.tobytes(), exc.residual, np.array(trace).tobytes()
             return "solved", x.tobytes(), None, np.array(trace).tobytes()
 
         for c in bounds:
-            for max_iter in (twsvm.MAX_SWEEPS, cap):
-                assert run(projected_gradient_box_max, max_iter) == run(box_max_reference,
-                                                                        max_iter)
+            for sweeps in (twsvm.MAX_SWEEPS, cap):
+                assert (run(lambda trace: at_cap(sweeps, m, c, trace=trace))
+                        == run(lambda trace: box_max_reference(m, c, sweeps, trace)))
 
     @pytest.mark.parametrize("n_plus, n_minus, centre, kernel, c1, bound", [
         (50, 1000, (1.0, 0.0, 0.0, 0.0), KernelSpec(), 1.0, 50),
@@ -226,8 +281,8 @@ class TestSolveDual:
     def test_toy_midpoint_tie_goes_positive(self):
         # the exact geometric solution: plus plane y=0, minus plane y=2
         model = TwsvmModel(
-            plus=TwsvmPlane(np.array([0.0, -0.5, 0.0]), KernelSpec("linear"), None, 2),
-            minus=TwsvmPlane(np.array([0.0, 0.5, -1.0]), KernelSpec("linear"), None, 2),
+            plus=TwsvmPlane(np.array([0.0, -0.5, 0.0]), KernelSpec("linear"), None),
+            minus=TwsvmPlane(np.array([0.0, 0.5, -1.0]), KernelSpec("linear"), None),
             alpha=np.zeros(2), beta=np.zeros(2), ridge_alpha=0.0, ridge_beta=0.0,
         )
         assert model.plus.norm == 0.5 and model.minus.norm == 0.5
@@ -371,19 +426,23 @@ class TestSolveDual:
     def test_rbf_plane_needs_its_gram_matrix(self):
         support = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="Gram matrix"):
-            TwsvmPlane(np.ones(3), KernelSpec("rbf", gamma=0.5), support, 2)
+            TwsvmPlane(np.ones(3), KernelSpec("rbf", gamma=0.5), support)
 
     @pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec("rbf", gamma=0.5)])
     def test_plus_plane_alone_solves_one_dual(self, kernel, monkeypatch):
         a, b = blob_rows(14, 8, 20, [1.0, 0.5])
         problem = TwsvmProblem(a, b, c1=0.5, c2=1.0, kernel=kernel)
         full = solve_dual(problem)
-        solves = []
-        solve = twsvm.projected_gradient_box_max
+        solves, paths = [], []
+        solve, solve_duals = twsvm.projected_gradient_box_max, twsvm._solve_duals
         monkeypatch.setattr(twsvm, "projected_gradient_box_max",
                             lambda m, c: solves.append(c) or solve(m, c))
+        # _solve_duals(own, other, ridge, bounds, sign, plane)
+        monkeypatch.setattr(twsvm, "_solve_duals",
+                            lambda *args: paths.append(list(args[3])) or solve_duals(*args))
         plane = twsvm.solve_plus(problem)
         assert solves == [0.5]  # the alpha dual only
+        assert paths == [[0.5]]  # through the one dual path, at the one bound c1
         assert plane.u.tobytes() == full.plus.u.tobytes() and plane.norm == full.plus.norm
         x = np.random.default_rng(15).standard_normal((12, 2))
         alone = own_plane_distance(f"twsvm_{kernel.kind}", plane)(x)
@@ -459,9 +518,8 @@ class TestGridReuse:
     def test_cv_json_is_that_of_a_fit_per_point(self, kind, grid, monkeypatch):
         # duals at two of the box bounds stop at a 2-sweep cap, so some alpha
         # and some beta solves fail, each with its residual in the message
-        solve = twsvm.projected_gradient_box_max
-        monkeypatch.setattr(twsvm, "projected_gradient_box_max", lambda m, c: solve(
-            m, c, max_iter=2 if c in (0.1, 3.0) else twsvm.MAX_SWEEPS))
+        monkeypatch.setattr(twsvm, "projected_gradient_box_max", lambda m, c: at_cap(
+            2 if c in (0.1, 3.0) else twsvm.MAX_SWEEPS, m, c))
         spec = ExperimentSpec(data_path="", model=kind, grid=grid, folds=3, seed=5)
         data = _grid_data()
         shared = run_experiment(spec, data).to_json()
@@ -488,8 +546,7 @@ class TestPredict:
         rng = np.random.default_rng(14)
         model = solve_dual(random_problem(rng, c1=1.0, c2=1.0))
         scaled = TwsvmModel(
-            plus=TwsvmPlane(5.0 * model.plus.u, model.plus.kernel, None,
-                            model.plus.n_features),
+            plus=TwsvmPlane(5.0 * model.plus.u, model.plus.kernel, None),
             minus=model.minus, alpha=model.alpha, beta=model.beta,
             ridge_alpha=model.ridge_alpha, ridge_beta=model.ridge_beta,
         )
@@ -500,8 +557,8 @@ class TestPredict:
 
     def test_zero_norm_plane_errors(self):
         model = TwsvmModel(
-            plus=TwsvmPlane(np.zeros(3), KernelSpec("linear"), None, 2),
-            minus=TwsvmPlane(np.array([1.0, 0.0, 0.0]), KernelSpec("linear"), None, 2),
+            plus=TwsvmPlane(np.zeros(3), KernelSpec("linear"), None),
+            minus=TwsvmPlane(np.array([1.0, 0.0, 0.0]), KernelSpec("linear"), None),
             alpha=np.zeros(1), beta=np.zeros(1), ridge_alpha=0.0, ridge_beta=0.0,
         )
         assert model.plus.norm == 0.0 and model.minus.norm == 1.0
