@@ -351,13 +351,12 @@ def load_libsvm(path) -> Dataset:
 def fit_scaling(dataset: Dataset) -> ScalingParams:
     """Per-feature min/max over observed entries (missing cells ignored)."""
     feats = dataset.features
-    with np.errstate(invalid="ignore"):
-        lo = np.nanmin(feats, axis=0)
-        hi = np.nanmax(feats, axis=0)
-    if np.isnan(lo).any():
-        bad = np.flatnonzero(np.isnan(lo)).tolist()
+    # checked first: nanmin warns on a column with no observed value
+    unobserved = np.isnan(feats).all(axis=0)
+    if unobserved.any():
+        bad = np.flatnonzero(unobserved).tolist()
         raise DataError(f"features {bad} have no observed values to fit scaling on")
-    return ScalingParams(lo, hi)
+    return ScalingParams(np.nanmin(feats, axis=0), np.nanmax(feats, axis=0))
 
 
 def apply_scaling(dataset: Dataset, params: ScalingParams) -> Dataset:
@@ -469,6 +468,7 @@ def _impute_values(target_values: np.ndarray, target_mask: np.ndarray,
     filled = target_values.copy()
     donors_t = np.where(donor_mask, 0.0, donor_values).T.copy()
     donor_observed_t = ~donor_mask.T
+    donor_absent_t = np.ascontiguousarray(donor_mask.T)
     incomplete = np.flatnonzero(target_mask.any(axis=1))
     step = _block_rows(donor_values.shape[0], donor_values.shape[1])
     for start in range(0, incomplete.size, step):
@@ -476,21 +476,23 @@ def _impute_values(target_values: np.ndarray, target_mask: np.ndarray,
         missing = target_mask[rows]
         dist = _block_distances(np.where(missing, 0.0, target_values[rows]), ~missing,
                                 donors_t, donor_observed_t)
-        for j in np.flatnonzero(missing.any(axis=0)):
-            needs_j = np.flatnonzero(missing[:, j])
-            dist_j = dist[needs_j]
-            dist_j[:, donor_mask[:, j]] = np.inf
-            for positions, chosen in _nearest_donors(dist_j, k):
-                cells = rows[needs_j[positions]]
-                if chosen.shape[1]:
-                    filled[cells, j] = donor_values[chosen, j].mean(axis=1)
-                    continue
-                # no comparable donor: fall back to the feature mean
-                pool = ~donor_mask[:, j]
-                if not pool.any():
-                    raise DataError(f"feature {j} has no donors to impute from")
-                filled[cells, j] = donor_values[pool, j].mean()
+        # one candidate row per missing cell: its row's distances, with the
+        # donors that miss the cell's feature out of reach
+        at, feature = np.nonzero(missing)
+        candidates = dist[at]
         del dist  # one block's distances alive at a time
+        candidates[donor_absent_t[feature]] = np.inf
+        for positions, chosen in _nearest_donors(candidates, k):
+            cells, j = rows[at[positions]], feature[positions]
+            if chosen.shape[1]:
+                filled[cells, j] = donor_values[chosen, j[:, None]].mean(axis=1)
+                continue
+            # no comparable donor: fall back to the feature mean
+            for f in np.unique(j):
+                pool = ~donor_mask[:, f]
+                if not pool.any():
+                    raise DataError(f"feature {f} has no donors to impute from")
+                filled[cells[j == f], f] = donor_values[pool, f].mean()
     return filled
 
 
@@ -515,10 +517,12 @@ def knn_impute_from(target: Dataset, donors: Dataset, k: int = 5) -> Dataset:
     comes back unchanged.
 
     The incomplete rows are processed in blocks: one distance pass per
-    block against all donors, then one nearest-donor selection per missing
-    feature of the block.  A block's rows are set by the donor count so
-    that each temporary stays near 128 KB (at 720 donors and M < 8, 22
-    rows).  The result equals a per-row computation bit for bit.
+    block against all donors, then one nearest-donor selection over all of
+    the block's missing cells, one candidate row of distances per cell.
+    A block's rows are set by the donor count so that its distances stay
+    near 128 KB (at 720 donors and M < 8, 22 rows); the candidates take
+    that times the block's mean missing cells per incomplete row.  The
+    result equals a per-row computation bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

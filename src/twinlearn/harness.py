@@ -19,10 +19,15 @@ it fits only each class's +1 own plane against the rest, through
 dual.  A class fit fails only where that plane's own training fails.
 
 Per-job seeds derive deterministically from (master seed, repeat, fold,
-grid index), never from execution order, so folds and grid points could
-run on a worker pool without changing any number.  Result JSON is
-byte-reproducible for a fixed spec and seed; wall-clock timings are kept
-on the in-memory result only and never serialized.
+grid index), never from execution order, so each (repeat, fold) job runs
+on a pool of forked worker processes without changing any number: the
+first job runs in the calling process, and the rest go to up to
+``usable_cpus()`` processes when a job's time says the pool pays for
+its start (``worth_forking``; see ``_run_jobs``), and run in the calling
+process otherwise.  Records and failures are merged in
+(repeat, fold) order.  Result JSON is byte-reproducible for a fixed spec
+and seed, whatever the worker count; wall-clock timings are kept on the
+in-memory result only and never serialized.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
+import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -71,6 +79,8 @@ __all__ = [
     "compare_algorithms",
     "load_dataset",
     "format_result_table",
+    "usable_cpus",
+    "worth_forking",
 ]
 
 RESULT_SCHEMA_VERSION = 1
@@ -81,6 +91,13 @@ _BINARY_METRICS = tuple(f.name for f in fields(MetricReport))
 _JOB_TAG = 101
 _INNER_TAG = 202
 _OVR_TAG = 303
+
+# start cost of a fork-context ProcessPoolExecutor with two workers,
+# measured at 8-15 ms on a 2-core x86-64 Linux VM (Python 3.11)
+POOL_START_S = 0.010
+# the job that forked fold workers run: set before they fork, since a
+# closure does not pickle, so that only job indices cross to them
+_POOL_JOB = None
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,9 @@ class ExperimentSpec:
 
 @dataclass(eq=False)
 class RunResult:
-    """Per-fold reports plus aggregates; timings stay in memory only."""
+    """Per-fold reports plus aggregates; timings stay in memory only:
+    ``fold_seconds`` per (repeat, fold) job, ``wall_seconds`` for the
+    whole cross-validation."""
 
     spec: dict
     task: str  # "binary" or "multiclass"
@@ -137,6 +156,7 @@ class RunResult:
     failures: list
     chosen_hyperparameters: dict
     fold_seconds: list = field(default_factory=list)
+    wall_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -274,6 +294,104 @@ def _modal_choice(folds: list, grid_points: list[dict]) -> dict:
     return dict(grid_points[best])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worth_forking(job_s: float, remaining: int, workers: int) -> bool:
+    """Whether ``remaining`` jobs of ``job_s`` seconds each save more than
+    four pool starts (``POOL_START_S``) on ``workers`` forked processes:
+    the saving is one job's time for each job beyond the
+    ceil(remaining / workers) that the busiest worker runs."""
+    saved = job_s * (remaining - -(-remaining // workers))
+    return saved > 4 * POOL_START_S
+
+
+def _wrapped() -> bool:
+    """Whether a wrapper (a profiler's or a test's, which sets
+    ``__wrapped__`` as ``functools.wraps`` does) has replaced a twinlearn
+    function in a twinlearn module: what a wrapper records in a forked
+    worker stays in the worker."""
+    return any((getattr(getattr(value, "__wrapped__", None), "__module__", None) or "")
+               .startswith("twinlearn")
+               for name, module in list(sys.modules.items())
+               if name.partition(".")[0] == "twinlearn"
+               for value in vars(module).values())
+
+
+def _pooled_job(index: int):
+    return _POOL_JOB(index)
+
+
+def _forked(job, indices, workers: int) -> list | None:
+    """``job(i)`` for each of ``indices`` on ``workers`` forked processes,
+    results in order; None, with no job run, where the platform has no
+    fork, the caller runs other threads, a twinlearn function is wrapped
+    (``_wrapped``) or the pool cannot start.  The first job error is
+    raised, and the jobs not yet started are dropped, as a serial loop
+    stops at it.
+
+    Fork, not spawn: a forked worker starts with the imports and the job's
+    data of this process, where a spawned one would import numpy and
+    twinlearn again and take the data pickled.  A forked child holds only
+    the forking thread, so a lock another thread held stays locked in it:
+    a process with other threads runs its jobs here."""
+    global _POOL_JOB
+    if threading.active_count() > 1 or _wrapped():
+        return None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    running = set(multiprocessing.active_children())
+    _POOL_JOB = job  # the workers inherit it when they fork
+    pool = None
+    try:
+        try:
+            pool = ProcessPoolExecutor(workers, mp_context=context)
+            # the workers fork at the first submit
+            futures = [pool.submit(_pooled_job, i) for i in indices]
+        except (OSError, RuntimeError):  # out of processes, threads or descriptors
+            for process in set(multiprocessing.active_children()) - running:
+                process.terminate()
+                process.join()
+            return None
+        return [future.result() for future in futures]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _POOL_JOB = None
+
+
+def _run_jobs(job, count: int) -> list:
+    """``job(i)`` for i in range(count), in order; each result ends with
+    the job's seconds.  Job 0 runs here, which also imports what the jobs
+    import lazily, so that forked workers inherit it.  Its time decides,
+    through ``worth_forking``, whether the others run on up to
+    ``usable_cpus()`` forked processes or here; where job 0 imported a
+    module, its time is not that of the other jobs, so job 1 runs here
+    too and its time decides."""
+    modules = len(sys.modules)
+    results = [job(0)]
+    if len(sys.modules) != modules and count > 1:
+        results.append(job(1))
+    rest = range(len(results), count)
+    workers = min(usable_cpus(), len(rest))
+    if workers > 1 and worth_forking(results[-1][-1], len(rest), workers):
+        forked = _forked(job, rest, workers)
+        if forked is not None:
+            return results + forked
+    return results + [job(i) for i in rest]
+
+
 def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
                     fit, predict, fit_grid) -> RunResult:
     """Repeated stratified CV of ``fit(train, params, seed)`` models that
@@ -281,14 +399,17 @@ def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
     fold metrics and the score that selects among grid points.  Selection
     fits every grid point in one ``fit_grid(train, points, seeds)`` call,
     which returns one model or one fit error per point
-    (``ModelKind.fit_grid``)."""
+    (``ModelKind.fit_grid``).  Each (repeat, fold) is one job, run as
+    ``_run_jobs`` runs them; the records and failures are merged in
+    (repeat, fold) order."""
+    began = time.perf_counter()
     report, names, selection_metric = _TASKS[task]
     class_ids = working.class_ids
     plan = make_folds(working, spec.folds, spec.repeats, spec.seed)
     grid_points = expand_grid(spec.grid)
-    folds_out, failures, timings = [], [], []
+    jobs = [(repeat, fold) for repeat in range(spec.repeats) for fold in range(spec.folds)]
 
-    def select(train: Dataset, repeat: int, fold: int) -> int | None:
+    def select(train: Dataset, repeat: int, fold: int, failures: list) -> int | None:
         """Index of the winning grid point, or None when every point failed."""
         if len(grid_points) == 1:
             return 0
@@ -312,38 +433,44 @@ def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,
                 best_gi, best_score = gi, score
         return best_gi
 
-    for repeat in range(spec.repeats):
-        for fold in range(spec.folds):
-            start = time.perf_counter()
-            train, test, _ = prepare_fold(working, *plan.fold_indices(repeat, fold), spec.knn_k)
-            record = {"repeat": repeat, "fold": fold, "failed": True,
-                      "grid_index": None, "chosen": None, "metrics": None}
-            folds_out.append(record)
-            gi = select(train, repeat, fold)
-            if gi is None:
-                failures.append({"repeat": repeat, "fold": fold, "grid_index": None,
-                                 "stage": "selection", "error": "every grid point failed"})
+    def run_fold(index: int) -> tuple[dict, list, float]:
+        """Job ``index``: its fold record, its failures in the order they
+        happened, and its seconds."""
+        repeat, fold = jobs[index]
+        start = time.perf_counter()
+        failures = []
+        train, test, _ = prepare_fold(working, *plan.fold_indices(repeat, fold), spec.knn_k)
+        record = {"repeat": repeat, "fold": fold, "failed": True,
+                  "grid_index": None, "chosen": None, "metrics": None}
+        gi = select(train, repeat, fold, failures)
+        if gi is None:
+            failures.append({"repeat": repeat, "fold": fold, "grid_index": None,
+                             "stage": "selection", "error": "every grid point failed"})
+        else:
+            seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
+            stage = "train"
+            try:
+                model = fit(train, grid_points[gi], seed)
+                stage = "predict"
+                predicted = predict(model, test.features)
+            except FIT_ERRORS as exc:
+                failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
+                                 "stage": stage, "error": str(exc)})
             else:
-                seed = mix_seed(spec.seed, _JOB_TAG, repeat, fold, gi)
-                stage = "train"
-                try:
-                    model = fit(train, grid_points[gi], seed)
-                    stage = "predict"
-                    predicted = predict(model, test.features)
-                except FIT_ERRORS as exc:
-                    failures.append({"repeat": repeat, "fold": fold, "grid_index": gi,
-                                     "stage": stage, "error": str(exc)})
-                else:
-                    record.update(failed=False, grid_index=gi, chosen=dict(grid_points[gi]))
-                    record["metrics"], record["confusion"] = report(
-                        class_ids, test.labels, predicted)
-            timings.append(time.perf_counter() - start)
+                record.update(failed=False, grid_index=gi, chosen=dict(grid_points[gi]))
+                record["metrics"], record["confusion"] = report(
+                    class_ids, test.labels, predicted)
+        return record, failures, time.perf_counter() - start
 
+    results = _run_jobs(run_fold, len(jobs))
+    folds_out = [record for record, _, _ in results]
     return RunResult(
         spec=spec.as_dict(), task=task, folds=folds_out,
-        aggregates=_aggregate(folds_out, names), failures=failures,
+        aggregates=_aggregate(folds_out, names),
+        failures=[failure for _, failures, _ in results for failure in failures],
         chosen_hyperparameters=_modal_choice(folds_out, grid_points),
-        fold_seconds=timings,
+        fold_seconds=[seconds for _, _, seconds in results],
+        wall_seconds=time.perf_counter() - began,
     )
 
 
@@ -354,7 +481,8 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunR
     relabeled one-vs-rest against ``spec.positive_class`` or the minority
     class); ``twin_nn_mc`` runs on the labels as loaded.  Divergent folds
     are recorded under ``failures`` and skipped in aggregates, and the
-    whole run is deterministic in ``spec.seed``.
+    whole run is deterministic in ``spec.seed``, whatever the number of
+    processes its folds run on.
     """
     if dataset is None:
         dataset = load_dataset(spec.data_path, spec.data_format, spec.label_column)
@@ -509,7 +637,7 @@ def format_result_table(result: RunResult) -> str:
         lines.append(f"failures: {len(result.failures)} (see result JSON)")
     if result.fold_seconds:
         lines.append(
-            f"wall clock: {sum(result.fold_seconds):.2f}s total, "
-            f"{np.mean(result.fold_seconds):.2f}s/fold"
+            f"wall clock: {result.wall_seconds:.2f}s; fold time: "
+            f"{sum(result.fold_seconds):.2f}s summed, {np.mean(result.fold_seconds):.2f}s/fold"
         )
     return "\n".join(lines)

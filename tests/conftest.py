@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import settings
 
-from twinlearn.data import DataError, Dataset
+from twinlearn.data import DataError, Dataset, make_folds, save_csv
 from twinlearn import twsvm
 from twinlearn.harness import OvrEnsemble, ovr_distances
 from twinlearn.models import MODELS
@@ -25,6 +25,18 @@ def gaussian_blobs(centers, counts, std=1.0, seed=0, labels=None):
         blocks.append(pts + np.asarray(center, dtype=float))
         block_labels.extend([label] * count)
     return Dataset(np.vstack(blocks), np.array(block_labels))
+
+
+def fold_data_error_csv(path, folds=3, seed=44):
+    """Blobs whose third feature is observed only on the rows of test fold
+    1 (of ``folds`` at ``seed``), written to ``path``: CV job 0 runs, and
+    job 1's training fold has no value to scale that feature by."""
+    ds = gaussian_blobs([(2.2, 0, 0), (-2.2, 0, 0)], [15, 15], std=0.9, seed=seed,
+                        labels=[1, -1])
+    mask = np.zeros(ds.features.shape, dtype=bool)
+    mask[:, 2] = make_folds(ds, folds, 1, seed).assignments[0] != 1
+    save_csv(Dataset(np.where(mask, np.nan, ds.features), ds.labels, mask), path)
+    return str(path)
 
 
 def flatten(arrays):

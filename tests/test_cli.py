@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import twinlearn.harness as harness
 import twinlearn.twsvm as twsvm
-from conftest import gaussian_blobs
+from conftest import fold_data_error_csv, gaussian_blobs
 from twinlearn.cli import main
 from twinlearn.data import Dataset, load_csv, save_csv
 from twinlearn.models import MODELS
@@ -433,6 +433,38 @@ class TestCv:
     def test_usage_error_exit_code(self, blob_csv):
         path, _ = blob_csv
         assert main(["cv", "--data", path, "--grid", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("one_vs_rest", [False, True])
+    def test_cv_json_and_table_do_not_depend_on_workers(self, tmp_path, three_csv, capsys,
+                                                        monkeypatch, one_vs_rest):
+        monkeypatch.setattr(harness, "worth_forking", lambda *args: True)
+        path, _ = three_csv
+        argv = ["cv", "--data", path, "--model", "twin_nn", "--grid", "hidden=3,4",
+                "--grid", "epochs=40", "--folds", "3", "--seed", "5"]
+        argv += ["--one-vs-rest"] if one_vs_rest else []
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "usable_cpus", lambda: workers)
+            out = tmp_path / f"w{workers}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            table = capsys.readouterr().out.splitlines()
+            assert table[-1].startswith("wall clock: ")
+            outputs.append((out.read_bytes(), table[:-1]))
+        assert outputs[0] == outputs[1]
+
+    def test_a_data_error_in_a_worker_is_reported_as_in_serial(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # job 1, forked, raises the error
+        path = fold_data_error_csv(tmp_path / "fold_error.csv")
+        monkeypatch.setattr(harness, "worth_forking", lambda *args: True)
+        argv = ["cv", "--data", path, "--grid", "epochs=20", "--folds", "3", "--seed", "44"]
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "usable_cpus", lambda: workers)
+            assert main(argv) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "data error: features [2] have no observed values to fit scaling on\n")
 
     def test_missing_file_exit_code(self, blob_csv):
         assert main(["cv", "--data", "/does/not/exist.csv"]) == 3

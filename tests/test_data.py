@@ -197,6 +197,13 @@ class TestScaling:
         assert np.isnan(scaled.features[1, 0])
         assert bool(scaled.missing[1, 0])
 
+    def test_a_feature_with_no_observed_value_is_a_data_error(self):
+        # raised before numpy's nanmin could warn of an all-NaN column
+        feats = np.array([[0.0, np.nan], [1.0, np.nan]])
+        ds = Dataset(feats, [0, 1], np.isnan(feats))
+        with pytest.raises(DataError, match=r"features \[1\] have no observed values"):
+            fit_scaling(ds)
+
     def test_mismatched_feature_count(self):
         ds = Dataset(np.ones((2, 2)), [0, 1])
         params = fit_scaling(Dataset(np.ones((2, 3)), [0, 1]))

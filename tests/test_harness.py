@@ -1,17 +1,27 @@
+import concurrent.futures
 import dataclasses
+import functools
 import json
+import multiprocessing
+import os
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 
+import twinlearn.harness as harness
 import twinlearn.twin_nn as twin_nn
 import twinlearn.twsvm as twsvm
-from conftest import gaussian_blobs
+from conftest import fold_data_error_csv, gaussian_blobs
 from twinlearn.data import DataError, Dataset, make_folds, make_imbalanced, save_csv
 from twinlearn.harness import (
     _OVR_TAG,
     BINARY_MODELS,
+    POOL_START_S,
     ExperimentSpec,
+    RunResult,
     compare_algorithms,
     expand_grid,
     fit_model,
@@ -22,6 +32,8 @@ from twinlearn.harness import (
     prepare_fold,
     run_experiment,
     run_onevsrest,
+    usable_cpus,
+    worth_forking,
 )
 from twinlearn.models import MODELS
 from twinlearn.numcore import DivergenceError, mix_seed
@@ -326,3 +338,233 @@ class TestFormatting:
                               folds=2, repeats=1, seed=28)
         table = format_result_table(run_experiment(spec))
         assert "metric" in table and "acc" in table
+
+    def test_wall_clock_is_the_runs_own_time(self):
+        # parallel folds overlap, so the fold times add up to more than the run
+        result = RunResult(spec={}, task="binary", folds=[], aggregates={}, failures=[],
+                           chosen_hyperparameters={}, fold_seconds=[1.0, 2.0],
+                           wall_seconds=1.25)
+        assert format_result_table(result).splitlines()[-1] == (
+            "wall clock: 1.25s; fold time: 3.00s summed, 1.50s/fold")
+
+
+def missing_cells_csv(tmp_path, seed=40):
+    """Three classes of three features with about 15% of cells missing."""
+    ds = gaussian_blobs([(3, 0, 0), (-3, 0, 0), (0, 3, 0)], [20, 20, 20], std=0.7,
+                        seed=seed)
+    mask = np.random.default_rng(seed).random(ds.features.shape) < 0.15
+    mask[mask.all(axis=1), 0] = False
+    path = tmp_path / "missing.csv"
+    save_csv(Dataset(np.where(mask, np.nan, ds.features), ds.labels, mask), path)
+    return path
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Fork the fold jobs after the first whatever it took.  The list gets
+    [job indices, outcome] per pool asked for: True when the pool ran the
+    jobs, False when it could not start, "raised" when a job raised."""
+    calls = []
+    forked = harness._forked
+
+    def recorded(job, indices, workers):
+        call = [list(indices), "raised"]
+        calls.append(call)
+        results = forked(job, indices, workers)
+        call[1] = results is not None
+        return results
+
+    monkeypatch.setattr(harness, "worth_forking", lambda job_s, remaining, workers: True)
+    monkeypatch.setattr(harness, "_forked", recorded)
+    return calls
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the fold jobs may use: ``cpus(n)``."""
+    return lambda n: monkeypatch.setattr(harness, "usable_cpus", lambda: n)
+
+
+class TestParallelFolds:
+    def test_a_run_with_failures_is_byte_identical_on_two_workers(self, tmp_path, pools,
+                                                                  cpus):
+        path, _ = binary_blob_csv(tmp_path, seed=10)
+        spec = ExperimentSpec(
+            data_path=str(path), model="twin_nn",
+            grid={"lr": [0.05, 1e9], "hidden": [4], "epochs": [100]},
+            folds=3, repeats=2, seed=11)
+        cpus(1)
+        serial = run_experiment(spec)
+        assert pools == []
+        cpus(2)
+        parallel = run_experiment(spec)
+        assert pools == [[[1, 2, 3, 4, 5], True]]
+        assert serial.failures and parallel.to_json() == serial.to_json()
+        assert len(parallel.fold_seconds) == 6 and parallel.wall_seconds > 0
+
+    def test_one_vs_rest_is_byte_identical_on_two_workers(self, tmp_path, pools, cpus):
+        path, _ = three_class_csv(tmp_path, seed=41)
+        spec = ExperimentSpec(data_path=str(path), model="twin_nn",
+                              grid={"hidden": [4], "epochs": [80]}, folds=3, seed=42)
+        cpus(1)
+        serial = run_onevsrest(spec)
+        cpus(2)
+        assert run_onevsrest(spec).to_json() == serial.to_json()
+        assert pools == [[[1, 2], True]]
+
+    def test_multiclass_net_on_missing_cells_is_byte_identical(self, tmp_path, pools, cpus):
+        spec = ExperimentSpec(
+            data_path=str(missing_cells_csv(tmp_path)), model="twin_nn_mc",
+            grid={"subnet_features": [3], "planes": [2], "epochs": [60], "lr": [0.05, 0.1]},
+            folds=4, seed=43)
+        cpus(1)
+        serial = run_experiment(spec)
+        cpus(3)
+        assert run_experiment(spec).to_json() == serial.to_json()
+        assert pools == [[[1, 2, 3], True]]
+
+    def test_a_worker_data_error_reaches_the_caller(self, tmp_path, pools, cpus):
+        path = fold_data_error_csv(tmp_path / "fold_error.csv")
+        spec = ExperimentSpec(data_path=path, model="twin_nn",
+                              grid={"hidden": [3], "epochs": [20]}, folds=3, seed=44)
+        cpus(1)
+        with pytest.raises(DataError) as serial:
+            run_experiment(spec)
+        cpus(2)
+        with pytest.raises(DataError) as parallel:
+            run_experiment(spec)
+        assert str(parallel.value) == str(serial.value)
+        # raised in a worker, and passed on by the pool
+        assert type(parallel.value.__cause__).__name__ == "_RemoteTraceback"
+        assert pools == [[[1, 2], "raised"]]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fail_at", ["start", "second submit"])
+    def test_a_pool_that_cannot_start_falls_back_to_serial(self, tmp_path, pools, cpus,
+                                                           monkeypatch, fail_at):
+        path, _ = binary_blob_csv(tmp_path, seed=45)
+        spec = ExperimentSpec(data_path=str(path), model="rfnn",
+                              grid={"hidden": [3], "epochs": [40]}, folds=4, seed=46)
+        cpus(1)
+        serial = run_experiment(spec)
+
+        class Failing(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                if fail_at == "start":
+                    raise OSError("no more processes")
+                super().__init__(*args, **kwargs)
+                self.submitted = 0
+
+            def submit(self, *args):
+                self.submitted += 1
+                if self.submitted == 2:  # the workers have forked by now
+                    raise OSError("no more processes")
+                return super().submit(*args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Failing)
+        cpus(2)
+        assert run_experiment(spec).to_json() == serial.to_json()
+        assert pools == [[[1, 2, 3], False]]
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_with_other_threads_runs_its_jobs_itself(self, tmp_path, pools, cpus):
+        path, _ = binary_blob_csv(tmp_path, seed=49)
+        spec = ExperimentSpec(data_path=str(path), model="rfnn",
+                              grid={"hidden": [3], "epochs": [40]}, folds=3, seed=50)
+        cpus(1)
+        serial = run_experiment(spec)
+        cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert run_experiment(spec).to_json() == serial.to_json()
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert pools == [[[1, 2], False]]
+
+    def test_a_wrapped_function_keeps_the_jobs_here(self, tmp_path, pools, cpus,
+                                                    monkeypatch):
+        # a profiler's totals in a forked worker would never come back
+        path, _ = binary_blob_csv(tmp_path, seed=51)
+        spec = ExperimentSpec(data_path=str(path), model="rfnn",
+                              grid={"hidden": [3], "epochs": [40]}, folds=3, seed=52)
+        cpus(1)
+        serial = run_experiment(spec)
+        cpus(2)
+        calls = []
+
+        @functools.wraps(harness.prepare_fold)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return counted.__wrapped__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "prepare_fold", counted)
+        assert run_experiment(spec).to_json() == serial.to_json()
+        assert len(calls) == 3
+        assert pools == [[[1, 2], False]]
+
+    def test_only_a_wrapped_twinlearn_function_counts_as_wrapped(self, monkeypatch):
+        assert not harness._wrapped()
+        monkeypatch.setattr(harness, "join", functools.wraps(os.path.join)(lambda *a: None),
+                            raising=False)
+        assert not harness._wrapped()
+        monkeypatch.setattr(twsvm, "solve_dual",
+                            functools.wraps(twsvm.solve_dual)(lambda *a: None))
+        assert harness._wrapped()
+
+    @pytest.mark.parametrize("imports", [False, True])
+    def test_a_job_that_imported_a_module_does_not_decide(self, monkeypatch, cpus, imports):
+        # job i takes i + 1 seconds; an import in job 0 makes job 1's time decide
+        asked = []
+
+        def never(job_s, remaining, workers):
+            asked.append((job_s, remaining, workers))
+            return False
+
+        monkeypatch.setattr(harness, "worth_forking", never)
+        cpus(2)
+
+        def job(i):
+            if i == 0 and imports:
+                monkeypatch.setitem(sys.modules, "lazily_imported", types.ModuleType("x"))
+            return i, float(i + 1)
+
+        assert harness._run_jobs(job, 5) == [(i, float(i + 1)) for i in range(5)]
+        assert asked == [(2.0, 3, 2)] if imports else [(1.0, 4, 2)]
+
+    @pytest.mark.parametrize("job_s, remaining, workers, fork", [
+        # 4 jobs on 2 workers save two jobs' time, against four 10 ms starts
+        (0.021, 4, 2, True),
+        (0.019, 4, 2, False),
+        # 3 jobs on 2 workers save one job's time
+        (0.041, 3, 2, True),
+        (0.039, 3, 2, False),
+        # one worker, or one job, saves nothing
+        (10.0, 4, 1, False),
+        (10.0, 1, 1, False),
+    ])
+    def test_the_fork_rule(self, job_s, remaining, workers, fork):
+        assert POOL_START_S == 0.010
+        assert worth_forking(job_s, remaining, workers) is fork
+
+    def test_quick_folds_stay_in_the_calling_process(self, tmp_path, monkeypatch, cpus):
+        # a 2-fold run has one job left: no pool can save anything
+        asked = []
+        monkeypatch.setattr(harness, "_forked", lambda *args: asked.append(args))
+        path, _ = binary_blob_csv(tmp_path, seed=47)
+        spec = ExperimentSpec(data_path=str(path), model="rfnn",
+                              grid={"hidden": [3], "epochs": [20]}, folds=2, seed=48)
+        cpus(8)
+        run_experiment(spec)
+        assert asked == []
+
+    def test_usable_cpus(self, monkeypatch):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
