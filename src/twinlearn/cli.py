@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .data import DataError, knn_impute, load_csv, make_imbalanced, save_csv
+from .data import DataError, _lines, knn_impute, load_csv, make_imbalanced, save_csv
 from .harness import (
     ExperimentSpec,
     MODEL_KINDS,
@@ -199,8 +199,7 @@ def _cmd_gen_imbalance(args) -> int:
 
 def _load_scores(path) -> tuple[np.ndarray, list[str]]:
     """Scores CSV: header 'dataset,<alg1>,<alg2>,...', one row per dataset."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in csv.reader(_lines(path)) if row]
     if len(rows) < 2:
         raise DataError(f"{path}: expected a header plus at least one data row")
     algorithms = [name.strip() for name in rows[0][1:]]

@@ -10,6 +10,7 @@ an explicit boolean mask; the two representations are kept consistent.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,9 @@ class Dataset:
         """Row-subset view as a new Dataset (order of ``index`` preserved)."""
         idx = np.asarray(index)
         return Dataset(
-            self.features[idx].copy(),
-            self.labels[idx].copy(),
-            None if self.missing is None else self.missing[idx].copy(),
+            self.features[idx],
+            self.labels[idx],
+            None if self.missing is None else self.missing[idx],
             self.label_names,
         )
 
@@ -197,6 +198,16 @@ def _parse_label_tokens(tokens: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     return labels, {i: tok for tok, i in index.items()}
 
 
+def _lines(path):
+    """The lines of UTF-8 text file ``path``, ends as read, as ``csv.reader``
+    needs them; DataError naming the file if it is not UTF-8."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
     """Load a CSV file into a Dataset.
 
@@ -204,27 +215,20 @@ def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
     index (negative indices count from the end).  Empty feature cells
     become missing values; empty or non-numeric labels are errors.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    rows = [row for row in csv.reader(_lines(path)) if row]
     if not rows:
         raise DataError(f"{path}: file is empty")
 
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        body = rows[1:]
-        if isinstance(label_column, str):
-            if label_column not in header:
-                raise DataError(f"{path}: unknown label column {label_column!r}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-    else:
-        header = None
-        body = rows
-        if isinstance(label_column, str):
-            raise DataError("label_column must be an index when the file has no header")
+    body = rows[1:] if has_header else rows
+    if not isinstance(label_column, str):
         label_idx = int(label_column)
+    elif not has_header:
+        raise DataError("label_column must be an index when the file has no header")
+    else:
+        header = [h.strip() for h in rows[0]]
+        if label_column not in header:
+            raise DataError(f"{path}: unknown label column {label_column!r}")
+        label_idx = header.index(label_column)
 
     if not body:
         raise DataError(f"{path}: no data rows")
@@ -235,34 +239,28 @@ def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
 
     label_tokens: list[str] = []
     values = np.empty((len(body), width - 1))
-    mask = np.zeros((len(body), width - 1), dtype=bool)
     for i, row in enumerate(body):
         if len(row) != width:
             raise DataError(f"{path}: malformed row {i + 1}: expected {width} fields, got {len(row)}")
-        tok = row[label_idx].strip()
+        row = [cell.strip() for cell in row]
+        tok = row.pop(label_idx)
         if not tok:
             raise DataError(f"{path}: row {i + 1} has an empty label")
         label_tokens.append(tok)
-        j = 0
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                continue
-            cell = cell.strip()
-            if not cell:
-                mask[i, j] = True
-                values[i, j] = np.nan
-            else:
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric cell {cell!r} at row {i + 1}") from None
-                if not np.isfinite(x):
-                    raise DataError(f"{path}: non-finite cell {cell!r} at row {i + 1}")
-                values[i, j] = x
-            j += 1
+        parsed = []
+        for cell in row:
+            try:
+                x = float(cell) if cell else math.nan
+            except ValueError:
+                raise DataError(f"{path}: non-numeric cell {cell!r} at row {i + 1}") from None
+            if cell and not math.isfinite(x):
+                raise DataError(f"{path}: non-finite cell {cell!r} at row {i + 1}")
+            parsed.append(x)
+        values[i] = parsed
 
     labels, names = _parse_label_tokens(label_tokens)
-    return Dataset(values, labels, mask if mask.any() else None, names)
+    # a parsed cell is finite, so NaN marks exactly the empty cells
+    return Dataset(values, labels, np.isnan(values), names)
 
 
 def save_csv(dataset: Dataset, path, named_labels: bool = False) -> None:
@@ -277,19 +275,11 @@ def save_csv(dataset: Dataset, path, named_labels: bool = False) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(dataset.n_features)] + ["label"])
-        miss = dataset.missing
-        for i in range(dataset.n_samples):
-            row = []
-            for j in range(dataset.n_features):
-                if miss is not None and miss[i, j]:
-                    row.append("")
-                else:
-                    row.append(repr(float(dataset.features[i, j])))
-            if named_labels:
-                row.append(dataset.display_label(dataset.labels[i]))
-            else:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        for row, label in zip(dataset.features, dataset.labels):
+            # NaN is exactly a missing cell
+            cells = ["" if math.isnan(x) else repr(x) for x in row.tolist()]
+            cells.append(dataset.display_label(label) if named_labels else str(int(label)))
+            writer.writerow(cells)
 
 
 def load_libsvm(path) -> Dataset:
@@ -302,40 +292,39 @@ def load_libsvm(path) -> Dataset:
     labels: list[int] = []
     rows: list[dict[int, float]] = []
     max_index = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            raw = float(parts[0])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: unparsable label {parts[0]!r}") from None
+        if not _is_int64(raw):
+            raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not an int64")
+        entry: dict[int, float] = {}
+        prev = 0
+        for token in parts[1:]:
             try:
-                raw = float(parts[0])
+                idx_s, val_s = token.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: unparsable label {parts[0]!r}") from None
-            if not _is_int64(raw):
-                raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not an int64")
-            entry: dict[int, float] = {}
-            prev = 0
-            for token in parts[1:]:
-                try:
-                    idx_s, val_s = token.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise DataError(f"{path}: line {lineno}: unparsable token {token!r}") from None
-                if idx <= prev:
-                    raise DataError(
-                        f"{path}: line {lineno}: indices not ascending ({idx} after {prev})"
-                    )
-                if idx < 1:
-                    raise DataError(f"{path}: line {lineno}: index {idx} is not 1-based")
-                if not np.isfinite(val):
-                    raise DataError(f"{path}: line {lineno}: non-finite value in {token!r}")
-                prev = idx
-                entry[idx] = val
-            labels.append(int(raw))
-            rows.append(entry)
-            max_index = max(max_index, prev)
+                raise DataError(f"{path}: line {lineno}: unparsable token {token!r}") from None
+            if idx <= prev:
+                raise DataError(
+                    f"{path}: line {lineno}: indices not ascending ({idx} after {prev})"
+                )
+            if idx < 1:
+                raise DataError(f"{path}: line {lineno}: index {idx} is not 1-based")
+            if not math.isfinite(val):
+                raise DataError(f"{path}: line {lineno}: non-finite value in {token!r}")
+            prev = idx
+            entry[idx - 1] = val
+        labels.append(int(raw))
+        rows.append(entry)
+        max_index = max(max_index, prev)
     if not rows:
         raise DataError(f"{path}: no data rows")
     if max_index == 0:
@@ -343,8 +332,7 @@ def load_libsvm(path) -> Dataset:
 
     features = np.zeros((len(rows), max_index))
     for i, entry in enumerate(rows):
-        for idx, val in entry.items():
-            features[i, idx - 1] = val
+        features[i, list(entry)] = list(entry.values())
     return Dataset(features, np.array(labels, dtype=np.int64))
 
 
@@ -363,7 +351,8 @@ def apply_scaling(dataset: Dataset, params: ScalingParams) -> Dataset:
     """Affine map of each feature to [-1, 1] on the fitted range.
 
     Constant features map to 0.  Values outside the fitted range are not
-    clamped, so test points may land outside [-1, 1].
+    clamped, so test points may land outside [-1, 1]; an observed value
+    that lands past float range is a DataError naming its feature.
     """
     if params.minimum.shape[0] != dataset.n_features:
         raise ShapeError(
@@ -373,8 +362,14 @@ def apply_scaling(dataset: Dataset, params: ScalingParams) -> Dataset:
     span = params.maximum - params.minimum
     constant = span == 0
     safe_span = np.where(constant, 1.0, span)
-    scaled = 2.0 * (dataset.features - params.minimum) / safe_span - 1.0
+    # divided before the exact doubling, so every value inside a finite
+    # fitted range stays finite; what does not is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (dataset.features - params.minimum) / safe_span * 2.0 - 1.0
     scaled[:, constant] = 0.0
+    past = ~(np.isfinite(scaled) | np.isnan(dataset.features))
+    if past.any():
+        raise DataError(f"feature {np.flatnonzero(past.any(axis=0))[0]} scales past float range")
     if dataset.missing is not None:
         scaled[dataset.missing] = np.nan
     return Dataset(scaled, dataset.labels.copy(), dataset.missing, dataset.label_names)
@@ -563,8 +558,7 @@ def make_folds(dataset: Dataset, k: int, repeat: int, seed: int) -> FoldPlan:
             idx = np.flatnonzero(dataset.labels == c)
             rng.shuffle(idx)
             offset = rng.integers(0, k)
-            for pos, sample in enumerate(idx):
-                assignments[r, sample] = (pos + offset) % k
+            assignments[r, idx] = (np.arange(idx.size) + offset) % k
     return FoldPlan(assignments)
 
 

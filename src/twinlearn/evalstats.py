@@ -140,16 +140,12 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n of ``values`` with ties replaced by their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # return_index makes the sort stable, so NaNs, each its own group,
+    # rank last in index order
+    _, _, inverse, counts = np.unique(values, return_index=True, return_inverse=True,
+                                      return_counts=True, equal_nan=False)
+    # a tie group of c values ending at rank e averages e - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def wilcoxon_signed_ranks(a, b, method: str = "auto") -> tuple[float, float]:

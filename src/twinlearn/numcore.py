@@ -231,20 +231,24 @@ def solve_spd(m, rhs, ridge: float | None = None) -> np.ndarray:
             f"matrix is not positive definite with ridge={ridge!r}; "
             "supply a larger ridge"
         ) from exc
-    x = cho_solve(factor, rhs_arr, check_finite=False)
-    # one round of iterative refinement keeps the residual bound below
-    # attainable even for poorly conditioned ridged systems
-    x = x + cho_solve(factor, rhs_arr - ridged @ x, check_finite=False)
+    # entries near the float limit overflow: refused once, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = cho_solve(factor, rhs_arr, check_finite=False)
+        # one round of iterative refinement keeps the residual bound below
+        # attainable even for poorly conditioned ridged systems
+        x = x + cho_solve(factor, rhs_arr - ridged @ x, check_finite=False)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("the system passes the float range: its solution is not finite")
 
-    # normwise backward error per right-hand side (Rigal and Gaches; Higham,
-    # Accuracy and Stability of Numerical Algorithms, sec. 7.1): a backward
-    # stable solve leaves |r_j| near n*eps*(|A| |x_j| + |rhs_j|) in the
-    # infinity norm however ill-conditioned A is, so only a solve that
-    # really failed exceeds ten times that
-    residual, x_max, rhs_max = (np.max(np.abs(a.reshape(n, -1)), axis=0)
-                                for a in (ridged @ x - rhs_arr, x, rhs_arr))
-    norm = np.max(np.sum(np.abs(ridged), axis=1))
-    bound = 10.0 * n * np.finfo(np.float64).eps * (norm * x_max + rhs_max)
+        # normwise backward error per right-hand side (Rigal and Gaches; Higham,
+        # Accuracy and Stability of Numerical Algorithms, sec. 7.1): a backward
+        # stable solve leaves |r_j| near n*eps*(|A| |x_j| + |rhs_j|) in the
+        # infinity norm however ill-conditioned A is, so only a solve that
+        # really failed exceeds ten times that
+        residual, x_max, rhs_max = (np.max(np.abs(a.reshape(n, -1)), axis=0)
+                                    for a in (ridged @ x - rhs_arr, x, rhs_arr))
+        norm = np.max(np.sum(np.abs(ridged), axis=1))
+        bound = 10.0 * n * np.finfo(np.float64).eps * (norm * x_max + rhs_max)
     failed = np.flatnonzero(~(residual <= bound))
     if failed.size:
         j = failed[0]

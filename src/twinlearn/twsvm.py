@@ -254,7 +254,8 @@ def dual_matrices(problem: TwsvmProblem) -> tuple[np.ndarray, np.ndarray]:
 def _dual_side(own: np.ndarray, other: np.ndarray, ridge: float | None):
     """(M, Z, r) for the dual over ``other``'s rows: Z = (own'own+rI)^-1 other'
     and M = other Z, so the plane is +-Z x for the dual solution x."""
-    gram = own.T @ own
+    with np.errstate(over="ignore"):  # an overflowed Gram is refused by solve_spd
+        gram = own.T @ own
     r = ridge if ridge is not None else default_ridge(gram)
     z = solve_spd(gram, other.T, ridge=r)
     return other @ z, z, r

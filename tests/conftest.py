@@ -1,11 +1,13 @@
+import csv
+
 import numpy as np
 from hypothesis import settings
 
-from twinlearn.data import DataError, Dataset, make_folds, save_csv
+from twinlearn.data import DataError, Dataset, _parse_label_tokens, make_folds, save_csv
 from twinlearn import twsvm
 from twinlearn.harness import OvrEnsemble, ovr_distances
 from twinlearn.models import MODELS
-from twinlearn.numcore import ConvergenceError, Rng
+from twinlearn.numcore import ConvergenceError, Rng, mix_seed
 
 # every run draws the same hypothesis examples, so two commits compare
 # on the same inputs
@@ -37,6 +39,80 @@ def fold_data_error_csv(path, folds=3, seed=44):
     mask[:, 2] = make_folds(ds, folds, 1, seed).assignments[0] != 1
     save_csv(Dataset(np.where(mask, np.nan, ds.features), ds.labels, mask), path)
     return str(path)
+
+
+def load_csv_per_cell(path, label_column="label", has_header=True):
+    """Reference ``load_csv``: one numpy write, finiteness test and mask
+    entry per cell, with the same refusals in the same order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataError(f"{path}: file is empty")
+    if has_header:
+        header = [h.strip() for h in rows[0]]
+        body = rows[1:]
+        if isinstance(label_column, str):
+            if label_column not in header:
+                raise DataError(f"{path}: unknown label column {label_column!r}")
+            label_idx = header.index(label_column)
+        else:
+            label_idx = int(label_column)
+    else:
+        body = rows
+        if isinstance(label_column, str):
+            raise DataError("label_column must be an index when the file has no header")
+        label_idx = int(label_column)
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    width = len(body[0])
+    if not -width <= label_idx < width:
+        raise DataError(f"{path}: label column index {label_idx} out of range for width {width}")
+    label_idx %= width
+
+    label_tokens = []
+    values = np.empty((len(body), width - 1))
+    mask = np.zeros((len(body), width - 1), dtype=bool)
+    for i, row in enumerate(body):
+        if len(row) != width:
+            raise DataError(f"{path}: malformed row {i + 1}: expected {width} fields, got {len(row)}")
+        tok = row[label_idx].strip()
+        if not tok:
+            raise DataError(f"{path}: row {i + 1} has an empty label")
+        label_tokens.append(tok)
+        j = 0
+        for col, cell in enumerate(row):
+            if col == label_idx:
+                continue
+            cell = cell.strip()
+            if not cell:
+                mask[i, j] = True
+                values[i, j] = np.nan
+            else:
+                try:
+                    x = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: non-numeric cell {cell!r} at row {i + 1}") from None
+                if not np.isfinite(x):
+                    raise DataError(f"{path}: non-finite cell {cell!r} at row {i + 1}")
+                values[i, j] = x
+            j += 1
+    labels, names = _parse_label_tokens(label_tokens)
+    return Dataset(values, labels, mask if mask.any() else None, names)
+
+
+def make_folds_per_sample(dataset, k, repeat, seed):
+    """Reference ``make_folds(...).assignments``: the same shuffle and
+    offset draws, then one fold written per sample."""
+    assignments = np.empty((repeat, dataset.n_samples), dtype=np.int64)
+    for r in range(repeat):
+        rng = Rng(mix_seed(seed, 11, r))
+        for c in dataset.class_ids:
+            idx = np.flatnonzero(dataset.labels == c)
+            rng.shuffle(idx)
+            offset = rng.integers(0, k)
+            for pos, sample in enumerate(idx):
+                assignments[r, sample] = (pos + offset) % k
+    return assignments
 
 
 def flatten(arrays):

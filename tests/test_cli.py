@@ -121,6 +121,58 @@ class TestTrainPredict:
         assert out.split() == [str(label)] * 3
 
 
+class TestNearTheFloatLimit:
+    """A finite cell near the float limit: 42 rows, 3 features, one 1e308."""
+
+    @staticmethod
+    def _data(tmp_path, row):
+        ds = gaussian_blobs([(2, 0, 0), (-2, 0, 0)], [14, 28], seed=4, labels=[1, -1])
+        feats = ds.features.copy()
+        feats[row, 1] = 1e308
+        path = str(tmp_path / "huge.csv")
+        save_csv(Dataset(feats, ds.labels), path)
+        return path
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_cv_scales_it_without_a_warning(self, tmp_path, capsys, model):
+        grid = [] if model.startswith("twsvm") else ["--grid", "epochs=30"]
+        assert main(["cv", "--data", self._data(tmp_path, 3), "--model", model,
+                     "--folds", "3"] + grid) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("row", [3, 30])  # a class +1 row, a class -1 row
+    def test_a_linear_twin_svm_fit_fails_on_one_line(self, tmp_path, capsys, row):
+        assert main(["train", "--data", self._data(tmp_path, row), "--model", "twsvm_linear",
+                     "--out", str(tmp_path / "m.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+class TestNonUtf8Files:
+    @pytest.mark.parametrize("argv", [
+        ["cv"], ["cv", "--format", "libsvm"], ["bench", "--model", "twin_nn"],
+        ["train", "--out", "never-written.json"], ["predict"],
+        ["impute", "--out", "never-written.csv"],
+        ["gen-imbalance", "--positive-class", "1", "--out", "never-written.csv"],
+        ["compare"],
+    ])
+    def test_exits_3_on_one_line_naming_the_file(self, tmp_path, capsys, blob_csv, argv):
+        bad = tmp_path / "bad.txt"
+        # valid up to a 0xff byte in the second data line
+        bad.write_bytes(b"1 1:0.5\n-1 1:\xff\n" if "libsvm" in argv
+                        else b"f0,label\n1.0,1\n\xff,-1\n")
+        if argv[0] == "predict":
+            model = str(tmp_path / "m.json")
+            assert main(["train", "--data", blob_csv[0], "--model", "twsvm_linear",
+                         "--out", model]) == 0
+            argv = argv + ["--model-file", model]
+        capsys.readouterr()
+        flag = "--scores" if argv[0] == "compare" else "--data"
+        assert main(argv + [flag, str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 def _drop(key):
     return lambda d: {k: v for k, v in d.items() if k != key}
 

@@ -1,11 +1,18 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import impute_values_per_row, row_distances
+from conftest import (
+    impute_values_per_row,
+    load_csv_per_cell,
+    make_folds_per_sample,
+    row_distances,
+)
 from twinlearn import data
 from twinlearn.data import (
     DataError,
@@ -26,6 +33,44 @@ from twinlearn.numcore import ShapeError
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _outcome(load, path, **kwargs):
+    """A load's DataError message, or its dataset's bytes and label names."""
+    try:
+        ds = load(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    missing = None if ds.missing is None else ds.missing.tobytes()
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), missing,
+            ds.label_names)
+
+
+CELLS = ["", " ", "nan", "inf", "-inf", "1e309", "1e308", "abc", "1_0", "0.5", "-2",
+         " 3.25 ", "-0.0", "5e-324"]
+LABELS = ["0", "1", "-1", "", " 2 ", "yes", "nan"]
+
+
+@st.composite
+def csv_tables(draw):
+    """(text, has_header, label_column): a small table with mutated cells,
+    ragged rows and empty labels, the label at any position, named by
+    header or by an index that may be out of range."""
+    width = draw(st.integers(1, 4))
+    pos = draw(st.integers(0, width - 1))
+    has_header = draw(st.booleans())
+    lines = []
+    if has_header:
+        lines.append([f"f{j}" for j in range(width)])
+        lines[0][pos] = "label"
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(st.sampled_from(CELLS)) for _ in range(width)]
+        row[pos] = draw(st.sampled_from(LABELS))
+        ragged = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        lines.append(row[:-1] if ragged < 0 else row + ["1"] * ragged)
+    text = "".join(",".join(line) + "\n" for line in lines)
+    label_column = draw(st.sampled_from(["label", "other", pos, pos - width, width]))
+    return text, has_header, label_column
 
 
 class TestDataset:
@@ -127,6 +172,47 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1]
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_tables())
+    @example(table=("", True, "label"))
+    @example(table=("f0,f1\n1,2\n", True, "label"))
+    @example(table=("1,2\n", False, "label"))
+    @example(table=("f0,label\n", True, "label"))
+    @example(table=("1,2\n", False, 2))
+    @example(table=("f0,label\n1,0\n1,2,0\n", True, "label"))
+    @example(table=("f0,label\n1, \n", True, "label"))
+    @example(table=("f0,label\n1_0,0\n1,2 3\n", True, 0))
+    @example(table=("f0,label\n1e309,0\n", True, "label"))
+    @example(table=("label\n0\n", True, "label"))
+    @example(table=("f0,f1,label\ninf,abc,0\n", True, "label"))
+    @example(table=(" ,1_0,yes\n1e308,-0.0,no\n", False, -1))
+    def test_equals_the_per_cell_parser(self, table):
+        text, has_header, label_column = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp) / "d.csv", text)
+            got, want = (_outcome(load, path, label_column=label_column, has_header=has_header)
+                         for load in (load_csv, load_csv_per_cell))
+        assert got == want
+
+    @pytest.mark.parametrize("named_labels", [False, True])
+    def test_save_then_load_keeps_every_byte(self, tmp_path, named_labels):
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((60, 5)) * 10.0 ** rng.integers(-300, 300, (60, 5))
+        feats[0, 0], feats[1, 1] = -0.0, 5e-324
+        mask = rng.random(feats.shape) < 0.2
+        ds = Dataset(np.where(mask, np.nan, feats), np.repeat([3, 7, 9], 20), mask,
+                     {3: "three", 7: "7", 9: "nine"})
+        path = tmp_path / "out.csv"
+        save_csv(ds, path, named_labels=named_labels)
+        back = load_csv(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.missing.tobytes() == mask.tobytes()
+        if named_labels:
+            assert [back.display_label(v) for v in back.labels] == \
+                [ds.display_label(v) for v in ds.labels]
+        else:
+            assert back.labels.tobytes() == ds.labels.tobytes()
+
 
 class TestLoadLibsvm:
     def test_basic_line(self, tmp_path):
@@ -209,6 +295,33 @@ class TestScaling:
         params = fit_scaling(Dataset(np.ones((2, 3)), [0, 1]))
         with pytest.raises(ShapeError):
             apply_scaling(ds, params)
+
+    def test_a_finite_fit_set_scales_finite_near_the_float_limit(self):
+        # 2 * (1e308 - -1) overflows; scaling divides before it doubles
+        ds = Dataset(np.array([[-1.0, 0.0], [1e308, 1.0], [0.0, 0.5]]), [0, 1, 0])
+        scaled = apply_scaling(ds, fit_scaling(ds))
+        np.testing.assert_array_equal(scaled.features, [[-1.0, -1.0], [1.0, 1.0], [-1.0, 0.0]])
+
+    def test_an_observed_cell_past_float_range_is_refused(self):
+        train = Dataset(np.array([[0.0, 0.0, 0.0], [1.0, 1e-300, 1.0]]), [0, 1])
+        feats = np.array([[np.nan, 1e10, 0.5], [0.5, 0.5, np.nan]])
+        test = Dataset(feats, [0, 1], np.isnan(feats))
+        with pytest.raises(DataError, match=r"^feature 1 scales past float range$"):
+            apply_scaling(test, fit_scaling(train))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=12),
+           width=st.integers(1, 3))
+    def test_finite_values_keep_the_bits_of_the_doubling_first_formula(self, cells, width):
+        feats = np.array(cells[: len(cells) // width * width]).reshape(-1, width)
+        params = fit_scaling(Dataset(feats[::2], np.zeros(len(feats[::2]))))
+        span = params.maximum - params.minimum
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = 2.0 * (feats - params.minimum) / np.where(span == 0, 1.0, span) - 1.0
+        old[:, span == 0] = 0.0
+        if np.isfinite(old).all():
+            scaled = apply_scaling(Dataset(feats, np.zeros(len(feats))), params)
+            assert scaled.features.tobytes() == old.tobytes()
 
 
 class TestKnnImpute:
@@ -450,6 +563,16 @@ class TestMakeFolds:
         ds = Dataset(np.ones((6, 1)), [0, 0, 0, 0, 1, 1])
         with pytest.raises(DataError, match="class 1"):
             make_folds(ds, 3, 1, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(extra=st.lists(st.integers(0, 300), min_size=1, max_size=4), k=st.integers(2, 10),
+           repeat=st.integers(1, 3), seed=st.integers(0, 2**64 - 1))
+    def test_equals_the_per_sample_loop(self, extra, k, repeat, seed):
+        labels = np.repeat(np.arange(len(extra)) * 3 - 2, [k + e for e in extra])
+        labels = np.random.default_rng(seed).permutation(labels)
+        ds = Dataset(np.zeros((labels.size, 1)), labels)
+        np.testing.assert_array_equal(make_folds(ds, k, repeat, seed).assignments,
+                                      make_folds_per_sample(ds, k, repeat, seed))
 
 
 class TestMakeImbalanced:

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from twinlearn.evalstats import (
+    _average_ranks,
     ConfusionMatrix,
     confusion,
     friedman,
@@ -133,6 +136,13 @@ def exact_wilcoxon_by_enumeration(a, b):
     p_le = np.mean(sums <= w_plus + 1e-12)
     p_ge = np.mean(sums >= w_plus - 1e-12)
     return min(ranks[d > 0].sum(), ranks[d < 0].sum()), min(1.0, 2.0 * min(p_le, p_ge))
+
+
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, math.inf]), max_size=30))
+def test_average_ranks_equal_scipy_rankdata(values):
+    # tied groups average their ranks; -0.0 ties with 0.0
+    values = np.array(values)
+    assert _average_ranks(values).tobytes() == rankdata(values).astype(np.float64).tobytes()
 
 
 class TestWilcoxon:

@@ -3,6 +3,7 @@ import pytest
 
 from twinlearn.numcore import (
     FactorizationError,
+    NumericalError,
     Rng,
     ShapeError,
     mix_seed,
@@ -61,6 +62,13 @@ class TestSolveSpd:
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             solve_spd(np.eye(2), [1.0, 1.0], ridge=-1e-3)
+
+    @pytest.mark.parametrize("rhs", [[1e308, 1.0], [[1e308, 1.0], [1.0, 1.0]]])
+    def test_a_solution_past_float_range_is_refused_without_a_warning(self, rhs):
+        # run under pytest's error::RuntimeWarning filter, so a warning fails it
+        with pytest.raises(NumericalError, match="passes the float range") as caught:
+            solve_spd([[1e-10, 0.0], [0.0, 1.0]], rhs, ridge=0.0)
+        assert not isinstance(caught.value, FactorizationError)
 
     def test_perturbed_solution_refused(self, monkeypatch):
         # a solve that is off by 1e-3 in every entry is no rounding error
