@@ -7,13 +7,12 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
-from .data import DataError, _lines, knn_impute, load_csv, make_imbalanced, save_csv
+from .data import DataError, _csv_rows, knn_impute, load_csv, make_imbalanced, save_csv
 from .harness import (
     ExperimentSpec,
     MODEL_KINDS,
@@ -199,7 +198,7 @@ def _cmd_gen_imbalance(args) -> int:
 
 def _load_scores(path) -> tuple[np.ndarray, list[str]]:
     """Scores CSV: header 'dataset,<alg1>,<alg2>,...', one row per dataset."""
-    rows = [row for row in csv.reader(_lines(path)) if row]
+    rows = _csv_rows(path)
     if len(rows) < 2:
         raise DataError(f"{path}: expected a header plus at least one data row")
     algorithms = [name.strip() for name in rows[0][1:]]

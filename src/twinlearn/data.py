@@ -208,6 +208,17 @@ def _lines(path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _csv_rows(path) -> list[list[str]]:
+    """The non-empty rows of CSV file ``path``; DataError naming the file and
+    line where ``csv.reader`` refuses a row, such as one with a field longer
+    than its limit of 131,072 characters."""
+    reader = csv.reader(_lines(path))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
     """Load a CSV file into a Dataset.
 
@@ -215,7 +226,7 @@ def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
     index (negative indices count from the end).  Empty feature cells
     become missing values; empty or non-numeric labels are errors.
     """
-    rows = [row for row in csv.reader(_lines(path)) if row]
+    rows = _csv_rows(path)
     if not rows:
         raise DataError(f"{path}: file is empty")
 

@@ -4,6 +4,7 @@ All numeric code in the package works on plain float64 numpy arrays:
 matrices are 2-D row-major, vectors are 1-D.  The helpers here add the
 shape/finiteness validation and the error types the rest of the package
 relies on, ``check_fields``, the one check of every hyperparameter type,
+``solve_spd``, the twin SVM's Cholesky solve on numpy's own BLAS,
 ``score_rows``, the row-block loop through which both plane types score
 a batch, and ``nearest``, the nearest-of-K choice of the multiclass
 predicts and training.  The RNG is a small xoshiro256** generator so that seeded
@@ -32,6 +33,7 @@ __all__ = [
     "score_rows",
     "nearest",
     "solve_spd",
+    "TRI_BLOCK",
     "default_ridge",
     "Rng",
     "mix_seed",
@@ -187,23 +189,53 @@ def default_ridge(m: np.ndarray) -> float:
     return 1e-6 * float(np.trace(m)) / m.shape[0]
 
 
+# Rows per block of the triangular solve.  At 2,101 rows and 2,000
+# right-hand sides (the RBF twin SVM's alpha side on 100+2,000 rows), 64
+# was faster than 32, 128 and 256 with one BLAS thread.
+TRI_BLOCK = 64
+
+
+def _tri_solve(t: np.ndarray, inverses: list, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Overwrite ``b`` with the solution x of ``t x = b`` for square
+    triangular ``t``, block by block, and return it; ``inverses`` holds the
+    inverses of t's diagonal blocks of TRI_BLOCK rows, from the top.
+
+    Forward from the top for a lower ``t``, backward from the bottom for an
+    upper one.  Each block subtracts the part of the solution already found
+    with one product, and then applies the inverse of its own diagonal
+    block with a second product: at 2,000 right-hand sides that is several
+    times faster than ``np.linalg.solve`` of each 64-row block.  ``b`` may
+    be (n,) or (n, k).  An explicit block inverse is not backward stable for
+    an ill-conditioned block (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 8.2 and 14.2), so the caller refines the result once
+    and decides by its backward error whether it is accurate enough."""
+    n = t.shape[0]
+    starts = range(0, n, TRI_BLOCK) if lower else range((n - 1) // TRI_BLOCK * TRI_BLOCK, -1, -TRI_BLOCK)
+    for lo in starts:
+        hi = min(lo + TRI_BLOCK, n)
+        rhs = b[lo:hi]
+        if lower and lo:
+            rhs = rhs - t[lo:hi, :lo] @ b[:lo]
+        elif not lower and hi < n:
+            rhs = rhs - t[lo:hi, hi:] @ b[hi:]
+        b[lo:hi] = inverses[lo // TRI_BLOCK] @ rhs
+    return b
+
+
 def solve_spd(m, rhs, ridge: float | None = None) -> np.ndarray:
     """Solve ``(m + ridge*I) x = rhs`` for symmetric positive definite ``m``.
 
-    Uses a Cholesky factorization.  ``rhs`` may be a vector or a matrix of
-    stacked right-hand sides (solved column-wise).  ``ridge=None`` picks
-    the default ``1e-6 * trace(m) / dim``; pass ``0.0`` to disable
-    regularization entirely.
+    Uses a Cholesky factorization, ``np.linalg.cholesky``, and a blocked
+    triangular solve forward with its lower factor L and back with L'.
+    ``rhs`` may be a vector or a matrix of stacked right-hand sides
+    (solved column-wise).  ``ridge=None`` picks the default
+    ``1e-6 * trace(m) / dim``; pass ``0.0`` to disable regularization
+    entirely.
 
     Raises FactorizationError when the ridged matrix is not positive
-    definite, with a hint to increase the ridge.
-
-    ``scipy.linalg`` is imported here, not at module level: only the twin
-    SVM fits call this, and every other command runs without loading
-    scipy.
+    definite, with a hint to increase the ridge, and when a solution's
+    normwise backward error is more than rounding explains.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     m = as_matrix(m, "system matrix")
     n, cols = m.shape
     if n != cols:
@@ -225,18 +257,27 @@ def solve_spd(m, rhs, ridge: float | None = None) -> np.ndarray:
 
     ridged = m if ridge == 0.0 else m + ridge * np.eye(n)
     try:
-        factor = cho_factor(ridged, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(ridged)
+        # the diagonal blocks of L are inverted once for the four triangular
+        # solves; those of L' are their transposes
+        inverses = [np.linalg.inv(lower[lo:lo + TRI_BLOCK, lo:lo + TRI_BLOCK])
+                    for lo in range(0, n, TRI_BLOCK)]
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"matrix is not positive definite with ridge={ridge!r}; "
             "supply a larger ridge"
         ) from exc
+    transposed = [v.T for v in inverses]
+
+    def cho_solve(b):  # forward with L, back with L', in one copy of b
+        return _tri_solve(lower.T, transposed, _tri_solve(lower, inverses, b.copy(), True), False)
+
     # entries near the float limit overflow: refused once, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x = cho_solve(factor, rhs_arr, check_finite=False)
+        x = cho_solve(rhs_arr)
         # one round of iterative refinement keeps the residual bound below
         # attainable even for poorly conditioned ridged systems
-        x = x + cho_solve(factor, rhs_arr - ridged @ x, check_finite=False)
+        x = x + cho_solve(rhs_arr - ridged @ x)
         if not np.all(np.isfinite(x)):
             raise NumericalError("the system passes the float range: its solution is not finite")
 

@@ -314,7 +314,8 @@ def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
             break
         curvature = step @ (block @ step)
         best = rise / curvature if curvature > 0.0 else np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an overflowed room is +inf: no bound within reach
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             room = np.where(step > 0.0, (c - z[free]) / step,
                             np.where(step < 0.0, -z[free] / step, np.inf))
         first = int(np.argmin(room))

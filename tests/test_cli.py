@@ -173,6 +173,19 @@ class TestNonUtf8Files:
         assert err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+class TestLongCsvFields:
+    """A cell longer than the csv module's field limit (131,072 characters)."""
+
+    @pytest.mark.parametrize("argv", [["cv"], ["compare"]])
+    def test_exits_3_on_one_line_naming_the_file(self, tmp_path, capsys, argv):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("f0,label\n" + "1" * 200_000 + ",1\n2.0,-1\n")
+        flag = "--scores" if argv[0] == "compare" else "--data"
+        assert main(argv + [flag, str(wide)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {wide}: line 2: field larger than field limit (131072)\n")
+
+
 def _drop(key):
     return lambda d: {k: v for k, v in d.items() if k != key}
 
@@ -481,6 +494,16 @@ class TestCv:
         assert rc == 0
         payload = json.loads(open(out).read())
         assert payload["task"] == "multiclass"
+
+    def test_huge_box_bound_fits_without_a_warning(self, tmp_path, capsys):
+        # run under pytest's error::RuntimeWarning filter: at c1 = 1e308 the
+        # polish's distance to the box's upper bound overflows to +inf
+        data, out = tmp_path / "d.csv", tmp_path / "r.json"
+        save_csv(gaussian_blobs([(2, 2), (-2, -2)], [20, 20], seed=3, labels=[1, -1]), data)
+        assert main(["cv", "--data", str(data), "--model", "twsvm_linear", "--folds", "3",
+                     "--grid", "c1=1e308", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["failures"] == []
 
     def test_usage_error_exit_code(self, blob_csv):
         path, _ = blob_csv

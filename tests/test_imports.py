@@ -1,11 +1,11 @@
 """Import guards: every exported name exists, no module imports a name it
 never uses, and scipy loads only where it runs.
 
-Only the twin SVM's Cholesky solve (``numcore.solve_spd``) and the Friedman
-p-value (``evalstats.friedman``) use scipy, and they import it inside the
-function.  Every other command must run in a fresh interpreter without
-loading it, so that a new module-level import cannot quietly bring back
-its start-up time and memory.
+Only the Friedman p-value (``evalstats.friedman``, run by ``compare``)
+uses scipy, and it imports it inside the function.  Every other command,
+twin SVM fits included, must run in a fresh interpreter without loading
+it, so that a new module-level import cannot quietly bring back its
+start-up time and memory.
 """
 
 import ast
@@ -104,7 +104,7 @@ def gappy_csv(tmp_path):
     return str(path)
 
 
-def test_commands_without_twin_svm_or_compare_never_load_scipy(tmp_path, gappy_csv):
+def test_commands_other_than_compare_never_load_scipy(tmp_path, gappy_csv):
     proc = _run("""
         import os
         import twinlearn
@@ -128,23 +128,20 @@ def test_commands_without_twin_svm_or_compare_never_load_scipy(tmp_path, gappy_c
         assert main(["predict", "--data", complete, "--model-file", model,
                      "--out", os.path.join(out, "p.txt")]) == 0
         check("predict rfnn")
+        for kind in ("twsvm_linear", "twsvm_rbf"):
+            assert main(["cv", "--data", data, "--folds", "2", "--model", kind,
+                         "--out", os.path.join(out, kind + "_cv.json")]) == 0
+            check("cv " + kind)
+            model = os.path.join(out, kind + ".json")
+            assert main(["train", "--data", complete, "--model", kind, "--out", model]) == 0
+            check("train " + kind)
+            assert main(["predict", "--data", complete, "--model-file", model,
+                         "--out", os.path.join(out, kind + ".txt")]) == 0
+            check("predict " + kind)
         print("no scipy")
     """, gappy_csv, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("no scipy")
-
-
-def test_twin_svm_cv_loads_scipy(gappy_csv):
-    proc = _run("""
-        from twinlearn.cli import main
-        check("import twinlearn.cli")
-        assert main(["cv", "--data", sys.argv[1], "--folds", "2",
-                     "--model", "twsvm_linear"]) == 0
-        assert "scipy.linalg" in sys.modules
-        print("scipy loaded")
-    """, gappy_csv)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rstrip().endswith("scipy loaded")
 
 
 def test_compare_loads_scipy(tmp_path):

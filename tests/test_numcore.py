@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinlearn import numcore
 from twinlearn.numcore import (
     FactorizationError,
     NumericalError,
@@ -71,12 +75,10 @@ class TestSolveSpd:
         assert not isinstance(caught.value, FactorizationError)
 
     def test_perturbed_solution_refused(self, monkeypatch):
-        # a solve that is off by 1e-3 in every entry is no rounding error
-        import scipy.linalg
-
-        solve = scipy.linalg.cho_solve
-        monkeypatch.setattr(scipy.linalg, "cho_solve",
-                            lambda *args, **kwargs: solve(*args, **kwargs) + 1e-3)
+        # a triangular solve that is off by 1e-3 in every entry is no rounding error
+        solve = numcore._tri_solve
+        monkeypatch.setattr(numcore, "_tri_solve",
+                            lambda t, inverses, b, lower: solve(t, inverses, b, lower) + 1e-3)
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5))
         m = a.T @ a + np.eye(5)
@@ -84,6 +86,63 @@ class TestSolveSpd:
         for rhs in (rng.standard_normal(5), rng.standard_normal((5, 3))):
             with pytest.raises(FactorizationError, match="exceeds bound"):
                 solve_spd(m, rhs, ridge=0.0)
+
+
+def _backward_error(a, x, b):
+    """Normwise backward error of each right-hand side's solution, the
+    largest: |a x - b| / (|a| |x| + |b|) in the infinity norm."""
+    n = a.shape[0]
+    residual, x_max, b_max = (np.max(np.abs(v.reshape(n, -1)), axis=0) for v in (a @ x - b, x, b))
+    return float(np.max(residual / (np.max(np.sum(np.abs(a), axis=1)) * x_max + b_max)))
+
+
+# one and two rows, and either side of one and of two triangular-solve blocks
+_SIZES = [1, 2, numcore.TRI_BLOCK - 1, numcore.TRI_BLOCK, numcore.TRI_BLOCK + 1,
+          2 * numcore.TRI_BLOCK + 3]
+
+
+def _spd(n, seed, log_cond, scale):
+    """A random symmetric matrix with eigenvalues from ``scale`` down to
+    ``scale / 10**log_cond``, spread evenly on a log scale."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * (scale * np.logspace(0.0, -log_cond, n))) @ q.T
+    return (a + a.T) / 2.0, rng
+
+
+class TestSolveSpdProperties:
+    """solve_spd against scipy's Cholesky solve, a test oracle only."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           log_cond=st.floats(0.0, 10.0), scale=st.sampled_from([1e-3, 1.0, 1e4]),
+           columns=st.sampled_from([None, 1, 3]), ridge=st.sampled_from([0.0, None]))
+    def test_backward_error_within_scipy_cho_solve_bound(self, n, seed, log_cond, scale,
+                                                         columns, ridge):
+        a, rng = _spd(n, seed, log_cond, scale)
+        b = rng.standard_normal(n if columns is None else (n, columns))
+        x = solve_spd(a, b, ridge=ridge)
+        assert x.shape == b.shape
+        ridged = a + (numcore.default_ridge(a) if ridge is None else ridge) * np.eye(n)
+        reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridged, lower=True), b)
+        eps = np.finfo(np.float64).eps
+        # as backward stable as scipy's solve: at most ten times its backward error, or n*eps
+        assert _backward_error(ridged, x, b) <= max(10.0 * _backward_error(ridged, reference, b),
+                                                    n * eps)
+        # so the two solutions differ by no more than the condition number allows
+        cond = np.linalg.cond(ridged, np.inf)
+        gap = np.max(np.abs(x - reference)) / np.max(np.abs(reference))
+        assert gap <= 100.0 * n * eps * cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(_SIZES), seed=st.integers(0, 2**32 - 1),
+           log_cond=st.floats(0.0, 10.0), columns=st.sampled_from([None, 3]))
+    def test_not_positive_definite_raises(self, n, seed, log_cond, columns):
+        a, rng = _spd(n, seed, log_cond, 1.0)
+        a -= 1e-3 * np.eye(n) + np.linalg.eigvalsh(a)[0] * np.eye(n)  # smallest eigenvalue -1e-3
+        b = rng.standard_normal(n if columns is None else (n, columns))
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            solve_spd(a, b, ridge=0.0)
 
 
 class TestRng:
