@@ -104,7 +104,7 @@ def gappy_csv(tmp_path):
     return str(path)
 
 
-def test_commands_other_than_compare_never_load_scipy(tmp_path, gappy_csv):
+def test_commands_without_twin_svm_or_compare_never_load_scipy(tmp_path, gappy_csv):
     proc = _run("""
         import os
         import twinlearn
@@ -128,6 +128,21 @@ def test_commands_other_than_compare_never_load_scipy(tmp_path, gappy_csv):
         assert main(["predict", "--data", complete, "--model-file", model,
                      "--out", os.path.join(out, "p.txt")]) == 0
         check("predict rfnn")
+        print("no scipy")
+    """, gappy_csv, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("no scipy")
+
+
+def test_twin_svm_never_loads_scipy(tmp_path, gappy_csv):
+    proc = _run("""
+        import os
+        from twinlearn.cli import main
+        check("import twinlearn.cli")
+
+        data, out = sys.argv[1], sys.argv[2]
+        complete = os.path.join(out, "complete.csv")
+        assert main(["impute", "--data", data, "--out", complete]) == 0
         for kind in ("twsvm_linear", "twsvm_rbf"):
             assert main(["cv", "--data", data, "--folds", "2", "--model", kind,
                          "--out", os.path.join(out, kind + "_cv.json")]) == 0
