@@ -373,23 +373,20 @@ def _forked(job, indices, workers: int) -> list | None:
 
 def _run_jobs(job, count: int) -> list:
     """``job(i)`` for i in range(count), in order; each result ends with
-    the job's seconds.  Job 0 runs here, which also imports what the jobs
-    import lazily, so that forked workers inherit it.  Its time decides,
-    through ``worth_forking``, whether the others run on up to
-    ``usable_cpus()`` forked processes or here; where job 0 imported a
-    module, its time is not that of the other jobs, so job 1 runs here
-    too and its time decides."""
-    modules = len(sys.modules)
-    results = [job(0)]
-    if len(sys.modules) != modules and count > 1:
-        results.append(job(1))
-    rest = range(len(results), count)
+    the job's seconds.  Job 0 runs here, and its time decides, through
+    ``worth_forking``, whether the others run on up to ``usable_cpus()``
+    forked processes or here.  No fit imports a module on first use
+    (``tests/test_imports.py`` fails on any import in a function but the
+    fork pool's and the Friedman test's), so job 0's time is that of any
+    other job."""
+    first = job(0)
+    rest = range(1, count)
     workers = min(usable_cpus(), len(rest))
-    if workers > 1 and worth_forking(results[-1][-1], len(rest), workers):
+    if workers > 1 and worth_forking(first[-1], len(rest), workers):
         forked = _forked(job, rest, workers)
         if forked is not None:
-            return results + forked
-    return results + [job(i) for i in rest]
+            return [first] + forked
+    return [first] + [job(i) for i in rest]
 
 
 def _cross_validate(working: Dataset, spec: ExperimentSpec, task: str,

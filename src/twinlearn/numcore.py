@@ -222,15 +222,15 @@ def _tri_solve(t: np.ndarray, inverses: list, b: np.ndarray, lower: bool) -> np.
     return b
 
 
-def solve_spd(m, rhs, ridge: float | None = None) -> np.ndarray:
+def solve_spd(m, rhs, ridge: float) -> np.ndarray:
     """Solve ``(m + ridge*I) x = rhs`` for symmetric positive definite ``m``.
 
     Uses a Cholesky factorization, ``np.linalg.cholesky``, and a blocked
     triangular solve forward with its lower factor L and back with L'.
     ``rhs`` may be a vector or a matrix of stacked right-hand sides
-    (solved column-wise).  ``ridge=None`` picks the default
-    ``1e-6 * trace(m) / dim``; pass ``0.0`` to disable regularization
-    entirely.
+    (solved column-wise).  The ridge is required and must be
+    non-negative; ``0.0`` disables regularization entirely.  The twin
+    SVM's default, ``default_ridge``, is worked out by its caller.
 
     Raises FactorizationError when the ridged matrix is not positive
     definite, with a hint to increase the ridge, and when a solution's
@@ -250,8 +250,6 @@ def solve_spd(m, rhs, ridge: float | None = None) -> np.ndarray:
     if not np.all(np.isfinite(rhs_arr)):
         raise NumericalError("rhs contains non-finite entries")
 
-    if ridge is None:
-        ridge = default_ridge(m)
     if ridge < 0:
         raise ValueError(f"ridge must be non-negative, got {ridge}")
 

@@ -12,7 +12,9 @@ lies outside it.  Neither step lowers the objective, and the result is
 accepted only when the exactly recomputed KKT residual meets the
 tolerance.  Most visits to a coordinate leave it where it is, so a visit
 is one read of the gradient, one division and two comparisons in Python
-floats, with no function call; only a change pays for a column update.
+floats, with no function call; only a change pays for a gradient update,
+which reads one row of the symmetric dual matrix.  Each dual holds that
+one n x n matrix and no copy of it.
 
 The dual matrices depend on neither box bound, the alpha dual only on c1
 and the beta dual only on c2.  So ``solve_grid`` solves the problems of
@@ -328,21 +330,22 @@ def _active_set_polish(m: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
     return z
 
 
-def projected_gradient_box_max(m: np.ndarray, c: float, trace: list | None = None) -> np.ndarray:
-    """Maximize e'x - x'Mx/2 over the box [0, c]^n for PSD M.
+def projected_gradient_box_max(m: np.ndarray, c: float) -> np.ndarray:
+    """Maximize e'x - x'Mx/2 over the box [0, c]^n for symmetric PSD M.
 
     Projected coordinate descent: each sweep visits the coordinates in
     order and sets x_i to the clipped exact maximizer along that axis,
     x_i <- clip(x_i + g_i/M_ii, 0, c), updating the gradient g = e - Mx
-    by one column.  The gradient is recomputed exactly at the start of
-    every sweep and that value alone drives the convergence test (the
-    projected gradient's infinity norm at most ``KKT_TOL``), so rounding
-    drift in the updates cannot fake convergence.  A coordinate with
-    M_ii = 0 has a zero row (M is PSD) and sits at c.  Every
-    ``POLISH_EVERY``-th sweep begins with the active-set polish, which
-    moves the iterate uphill to the maximizer of its face; that point is
-    then tested like any other iterate.  ``trace`` receives the objective
-    of each sweep's tested point, so it never decreases.  ``MAX_SWEEPS``,
+    by column i of M, read as its row i, so no transposed copy of M is
+    made.  The gradient is recomputed exactly at the start of every sweep
+    and that value alone drives the convergence test (the projected
+    gradient's infinity norm at most ``KKT_TOL``), so neither rounding
+    drift in the updates nor a last-bit asymmetry of a computed M can
+    fake convergence.  A coordinate with M_ii = 0 has a zero row (M is
+    PSD) and sits at c.  Every ``POLISH_EVERY``-th sweep begins with the
+    active-set polish, which moves the iterate uphill to the maximizer of
+    its face; that point is then tested like any other iterate, so the
+    objective of the tested iterates never decreases.  ``MAX_SWEEPS``,
     read at each call, caps the sweeps; hitting it raises ConvergenceError
     carrying the last iterate and its residual.
     """
@@ -351,14 +354,11 @@ def projected_gradient_box_max(m: np.ndarray, c: float, trace: list | None = Non
     x = np.where(diag > 0.0, 0.0, c)
     active = np.flatnonzero(diag > 0.0).tolist()
     diag = diag.tolist()
-    columns = np.ascontiguousarray(m.T)  # row i is column i of m
     for sweep in range(MAX_SWEEPS):
         if sweep % POLISH_EVERY == 0:
             x = _active_set_polish(m, x, c)
         g = 1.0 - m @ x
         residual = _projected_gradient_norm(g, x, c)
-        if trace is not None:
-            trace.append(dual_objective(m, x))
         if residual <= KKT_TOL:
             return x
         # Python floats in the loop: numpy scalar arithmetic is slower.  Most
@@ -376,7 +376,7 @@ def projected_gradient_box_max(m: np.ndarray, c: float, trace: list | None = Non
                 new = c
             if new != old:
                 values[i] = new
-                g -= (new - old) * columns[i]
+                g -= (new - old) * m[i]
         x = np.array(values)
     residual = box_kkt_residual(m, x, c)
     if residual <= KKT_TOL:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 
 import numpy as np
@@ -318,11 +319,14 @@ def impute_values_per_row(target_values, target_mask, donor_values, donor_mask,
     return filled
 
 
-def box_max_reference(m, c, max_iter=twsvm.MAX_SWEEPS, trace=None):
+def box_max_reference(m, c, max_iter=twsvm.MAX_SWEEPS):
     """Reference ``twsvm.projected_gradient_box_max``: its coordinate loop
     as it was before it read g through a memoryview and clipped by
-    comparisons (``g.item(i)`` and ``min(max(...))``), around the same
-    polish, residual and objective."""
+    comparisons (``g.item(i)`` and ``min(max(...))``), and before it read
+    M's rows in place of a transposed copy's, around the same polish,
+    residual and objective.  It tests each sweep's iterate through
+    ``twsvm._projected_gradient_norm``, as the solver does, so
+    ``sweep_iterates`` records both."""
     c = float(c)
     diag = np.diag(m)
     x = np.where(diag > 0.0, 0.0, c)
@@ -334,8 +338,6 @@ def box_max_reference(m, c, max_iter=twsvm.MAX_SWEEPS, trace=None):
             x = twsvm._active_set_polish(m, x, c)
         g = 1.0 - m @ x
         residual = twsvm._projected_gradient_norm(g, x, c)
-        if trace is not None:
-            trace.append(twsvm.dual_objective(m, x))
         if residual <= twsvm.KKT_TOL:
             return x
         values = x.tolist()
@@ -350,3 +352,23 @@ def box_max_reference(m, c, max_iter=twsvm.MAX_SWEEPS, trace=None):
     if residual <= twsvm.KKT_TOL:
         return x
     raise ConvergenceError("iteration cap", best=x, residual=residual)
+
+
+@contextlib.contextmanager
+def sweep_iterates():
+    """A list that, inside the block, receives a copy of each iterate the
+    dual solver tests: ``twsvm._projected_gradient_norm`` is called once
+    per sweep on the sweep's iterate, and once more on the last iterate
+    where the sweep cap is hit."""
+    seen = []
+    norm = twsvm._projected_gradient_norm
+
+    def record(g, x, c):
+        seen.append(x.copy())
+        return norm(g, x, c)
+
+    twsvm._projected_gradient_norm = record
+    try:
+        yield seen
+    finally:
+        twsvm._projected_gradient_norm = norm

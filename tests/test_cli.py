@@ -797,6 +797,74 @@ class TestGridValidation:
                      f"--grid={key}=1", "--out", "never-written.json"]) == 2
 
 
+@pytest.fixture(scope="module")
+def edge_csvs(tmp_path_factory):
+    """name -> (path, smallest class size): a binary CSV of 8 and 12 rows,
+    and a 3-class one of 6, 7 and 8 rows with four empty cells."""
+    tmp = tmp_path_factory.mktemp("edge")
+    binary = gaussian_blobs([(2.2, 0), (-2.2, 0)], [8, 12], std=0.9, seed=2, labels=[1, -1])
+    three = gaussian_blobs([(3, 0, 0), (-3, 0, 0), (0, 3, 0)], [6, 7, 8], std=0.7, seed=3)
+    mask = np.zeros(three.features.shape, dtype=bool)
+    mask[[1, 8, 15, 20], [0, 2, 1, 0]] = True
+    three = Dataset(np.where(mask, np.nan, three.features), three.labels, mask)
+    paths = {}
+    for name, ds, smallest in (("binary", binary, 8), ("three", three, 6)):
+        paths[name] = str(tmp / f"{name}.csv"), smallest
+        save_csv(ds, paths[name][0])
+    return paths
+
+
+def _cv(argv, out: str) -> tuple[int, str]:
+    """``main(argv)`` writing its result to ``out``: its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv + ["--out", out]), err.getvalue()
+
+
+class TestCvEdgeValues:
+    # small values at and past each flag's limits; none asks for a large
+    # allocation or many processes, and the network kinds train 3 epochs
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.sampled_from(["binary", "three"]), kind=st.sampled_from(sorted(MODELS)),
+           ovr=st.booleans(), folds=st.sampled_from([-1, 0, 1, 2, "smallest", "past"]),
+           repeats=st.integers(-1, 2), knn_k=st.sampled_from([-1, 0, 1, 10**6]),
+           seed=st.sampled_from([2**70, -2**70, -1, 0]),
+           token=st.one_of(st.none(), st.sampled_from(
+               ["hidden=0", "hidden=2.5", "lr=1e300", "lr=1,,2", "=1", "lr=", "c1=1e-320"])))
+    # every kind and one-vs-rest run, so the repeat is compared for each
+    @example(data="three", kind="twin_nn", ovr=True, folds="smallest", repeats=2, knn_k=10**6,
+             seed=2**70, token="lr=1,,2")
+    @example(data="binary", kind="twin_nn", ovr=False, folds="smallest", repeats=2, knn_k=1,
+             seed=-2**70, token="lr=1e300")
+    @example(data="three", kind="rfnn", ovr=True, folds=2, repeats=1, knn_k=1, seed=-1,
+             token=None)
+    @example(data="three", kind="twin_nn_mc", ovr=False, folds="smallest", repeats=2,
+             knn_k=10**6, seed=0, token="lr=1e300")
+    @example(data="binary", kind="twsvm_linear", ovr=False, folds="smallest", repeats=2, knn_k=1,
+             seed=2**70, token="c1=1e-320")
+    @example(data="three", kind="twsvm_rbf", ovr=True, folds="smallest", repeats=2, knn_k=10**6,
+             seed=-2**70, token="c1=1e-320")
+    def test_cv_exits_with_a_code_and_repeats_its_bytes(self, edge_csvs, data, kind, ovr, folds,
+                                                         repeats, knn_k, seed, token):
+        path, smallest = edge_csvs[data]
+        folds = {"smallest": smallest, "past": smallest + 1}.get(folds, folds)
+        argv = ["cv", "--data", path, "--model", kind, f"--folds={folds}",
+                f"--repeats={repeats}", f"--knn-k={knn_k}", f"--seed={seed}"]
+        argv += ["--one-vs-rest"] if ovr else []
+        argv += ["--grid", "epochs=3"] if "epochs" in MODELS[kind].params else []
+        argv += ["--grid", token] if token else []
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+            code, err = _cv(argv, first)
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert len(err.splitlines()) == 1, err
+                return
+            assert _cv(argv, second)[0] == 0
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+
+
 def _write_labeled(path, fmt: str, labels) -> None:
     """Five one-feature rows, labels as given, in CSV or LibSVM format."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

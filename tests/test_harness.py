@@ -4,9 +4,7 @@ import functools
 import json
 import multiprocessing
 import os
-import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -515,9 +513,8 @@ class TestParallelFolds:
                             functools.wraps(twsvm.solve_dual)(lambda *a: None))
         assert harness._wrapped()
 
-    @pytest.mark.parametrize("imports", [False, True])
-    def test_a_job_that_imported_a_module_does_not_decide(self, monkeypatch, cpus, imports):
-        # job i takes i + 1 seconds; an import in job 0 makes job 1's time decide
+    def test_job_0_decides(self, monkeypatch, cpus):
+        # job i takes i + 1 seconds; job 0's time decides for the four left
         asked = []
 
         def never(job_s, remaining, workers):
@@ -526,14 +523,9 @@ class TestParallelFolds:
 
         monkeypatch.setattr(harness, "worth_forking", never)
         cpus(2)
-
-        def job(i):
-            if i == 0 and imports:
-                monkeypatch.setitem(sys.modules, "lazily_imported", types.ModuleType("x"))
-            return i, float(i + 1)
-
-        assert harness._run_jobs(job, 5) == [(i, float(i + 1)) for i in range(5)]
-        assert asked == [(2.0, 3, 2)] if imports else [(1.0, 4, 2)]
+        results = harness._run_jobs(lambda i: (i, float(i + 1)), 5)
+        assert results == [(i, float(i + 1)) for i in range(5)]
+        assert asked == [(1.0, 4, 2)]
 
     @pytest.mark.parametrize("job_s, remaining, workers, fork", [
         # 4 jobs on 2 workers save two jobs' time, against four 10 ms starts

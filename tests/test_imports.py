@@ -1,11 +1,16 @@
 """Import guards: every exported name exists, no module imports a name it
-never uses, and scipy loads only where it runs.
+never uses, no function imports a module but two, and scipy loads only
+where it runs.
 
 Only the Friedman p-value (``evalstats.friedman``, run by ``compare``)
 uses scipy, and it imports it inside the function.  Every other command,
 twin SVM fits included, must run in a fresh interpreter without loading
 it, so that a new module-level import cannot quietly bring back its
-start-up time and memory.
+start-up time and memory.  The fork pool (``harness._forked``) imports
+multiprocessing where it starts.  No other function imports anything: a
+fit that imported a module on first use would inflate the time of CV
+job 0, which alone decides whether the other jobs fork
+(``harness._run_jobs``).
 """
 
 import ast
@@ -62,12 +67,58 @@ def test_the_unused_import_guard_sees_unused_names():
                                       "xml (line 4)"]
 
 
-@pytest.mark.parametrize("path", sorted(
-    os.path.join(SRC, "twinlearn", name) for name in os.listdir(os.path.join(SRC, "twinlearn"))
-    if name.endswith(".py")), ids=os.path.basename)
-def test_no_module_imports_a_name_it_never_uses(path):
+SOURCES = sorted(os.path.join(SRC, "twinlearn", name)
+                 for name in os.listdir(os.path.join(SRC, "twinlearn")) if name.endswith(".py"))
+
+
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        assert unused_imports(fh.read()) == []
+        return fh.read()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(_read(path)) == []
+
+
+def function_imports(source: str) -> list[tuple[str, str]]:
+    """(function, module) for each import inside a function body of the
+    module ``source``, credited to the innermost enclosing function; a
+    relative module keeps its leading dots."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Import) and function:
+                found.update((function, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and function:
+                found.add((function, "." * child.level + (child.module or "")))
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_the_function_import_guard_sees_nested_imports():
+    source = "import os\nclass A:\n    def m(self):\n        if os:\n            import json\n" \
+             "def f():\n    def g():\n        from .data import x\n    import xml.dom, re\n"
+    assert function_imports(source) == [("f", "re"), ("f", "xml.dom"), ("g", ".data"),
+                                        ("m", "json")]
+
+
+# (file, function, module): the only imports a function body may hold
+LAZY_IMPORTS = {("harness.py", "_forked", "multiprocessing"),
+                ("harness.py", "_forked", "concurrent.futures"),
+                ("evalstats.py", "friedman", "scipy.special")}
+
+
+def test_no_function_imports_a_module_but_two():
+    found = {(os.path.basename(path), function, module)
+             for path in SOURCES for function, module in function_imports(_read(path))}
+    assert found - LAZY_IMPORTS == set()
 
 PRELUDE = """
 import sys

@@ -47,11 +47,11 @@ class TestSolveSpd:
 
     def test_non_square(self):
         with pytest.raises(ShapeError):
-            solve_spd(np.ones((2, 3)), [1.0, 2.0])
+            solve_spd(np.ones((2, 3)), [1.0, 2.0], ridge=0.0)
 
     def test_asymmetric(self):
         with pytest.raises(ShapeError):
-            solve_spd([[1.0, 5.0], [0.0, 1.0]], [1.0, 1.0])
+            solve_spd([[1.0, 5.0], [0.0, 1.0]], [1.0, 1.0], ridge=0.0)
 
     def test_not_positive_definite_mentions_ridge(self):
         with pytest.raises(FactorizationError, match="ridge"):
@@ -60,8 +60,13 @@ class TestSolveSpd:
     def test_default_ridge_regularizes_singular(self):
         # rank-deficient + default ridge is solvable
         m = np.ones((3, 3))
-        x = solve_spd(m, [1.0, 1.0, 1.0])
+        x = solve_spd(m, [1.0, 1.0, 1.0], ridge=numcore.default_ridge(m))
         assert np.all(np.isfinite(x))
+
+    def test_the_ridge_is_required(self):
+        # the twin SVM's default ridge is worked out in one place, its caller
+        with pytest.raises(TypeError):
+            solve_spd(np.eye(2), [1.0, 1.0])
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
@@ -121,9 +126,10 @@ class TestSolveSpdProperties:
                                                          columns, ridge):
         a, rng = _spd(n, seed, log_cond, scale)
         b = rng.standard_normal(n if columns is None else (n, columns))
+        ridge = numcore.default_ridge(a) if ridge is None else ridge
         x = solve_spd(a, b, ridge=ridge)
         assert x.shape == b.shape
-        ridged = a + (numcore.default_ridge(a) if ridge is None else ridge) * np.eye(n)
+        ridged = a + ridge * np.eye(n)
         reference = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridged, lower=True), b)
         eps = np.finfo(np.float64).eps
         # as backward stable as scipy's solve: at most ten times its backward error, or n*eps

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinlearn.twsvm as twsvm
-from conftest import box_max_reference, own_plane_distance
+from conftest import box_max_reference, own_plane_distance, sweep_iterates
 from twinlearn.data import Dataset
 from twinlearn.harness import ExperimentSpec, run_experiment
 from twinlearn.models import MODELS
@@ -35,12 +36,12 @@ def random_problem(rng, n_a=6, n_b=3, m=2, c1=0.5, c2=0.5, ridge=1e-6):
     return TwsvmProblem(a, b, c1=c1, c2=c2, ridge=ridge)
 
 
-def at_cap(sweeps, m, c, **kwargs):
+def at_cap(sweeps, m, c):
     """``projected_gradient_box_max`` with its sweep cap, ``twsvm.MAX_SWEEPS``,
     set to ``sweeps`` for this one call."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(twsvm, "MAX_SWEEPS", sweeps)
-        return projected_gradient_box_max(m, c, **kwargs)
+        return projected_gradient_box_max(m, c)
 
 
 def blob_rows(seed, n_plus, n_minus, centre):
@@ -125,8 +126,9 @@ class TestProjectedGradient:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
         m = a.T @ a + 0.5 * np.eye(4)
-        trace = []
-        projected_gradient_box_max(m, c=2.0, trace=trace)
+        with sweep_iterates() as iterates:
+            projected_gradient_box_max(m, c=2.0)
+        trace = [dual_objective(m, x) for x in iterates]
         assert all(y >= x - 1e-15 for x, y in zip(trace, trace[1:]))
 
     def test_interior_solution_matches_explicit_solve(self):
@@ -184,8 +186,9 @@ class TestProjectedGradient:
         if zero:
             f[:, n // 2] = 0.0
         m = f.T @ f
-        trace = []
-        x = projected_gradient_box_max(m, c, trace=trace)
+        with sweep_iterates() as iterates:
+            x = projected_gradient_box_max(m, c)
+        trace = [dual_objective(m, z) for z in iterates]
         assert np.all(x >= 0.0) and np.all(x <= c)
         assert box_kkt_residual(m, x, c) <= 1e-8
         # neither a coordinate step nor the polish can lower the objective;
@@ -203,8 +206,10 @@ class TestProjectedGradient:
     def test_coordinate_loop_gives_the_reference_bits(self, n, rank, seed, duplicate, zero,
                                                       scale, bounds, cap):
         # the same iterates, bit for bit, as the loop that called g.item(i)
-        # and min(max(...)): solution, trace and, at a small sweep cap, the
-        # ConvergenceError's best iterate and residual
+        # and min(max(...)) and read a transposed copy of M (F'F is exactly
+        # symmetric, so its rows are its columns): solution, every tested
+        # iterate and, at a small sweep cap, the ConvergenceError's best
+        # iterate and residual
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((rank, n)) * scale
         if duplicate:
@@ -214,17 +219,33 @@ class TestProjectedGradient:
         m = f.T @ f
 
         def run(solve):
-            trace = []
-            try:
-                x = solve(trace)
-            except ConvergenceError as exc:
-                return "cap", exc.best.tobytes(), exc.residual, np.array(trace).tobytes()
-            return "solved", x.tobytes(), None, np.array(trace).tobytes()
+            with sweep_iterates() as iterates:
+                try:
+                    x = solve()
+                except ConvergenceError as exc:
+                    outcome = "cap", exc.best.tobytes(), exc.residual
+                else:
+                    outcome = "solved", x.tobytes(), None
+            return outcome, np.array(iterates).tobytes()
 
         for c in bounds:
             for sweeps in (twsvm.MAX_SWEEPS, cap):
-                assert (run(lambda trace: at_cap(sweeps, m, c, trace=trace))
-                        == run(lambda trace: box_max_reference(m, c, sweeps, trace)))
+                assert (run(lambda: at_cap(sweeps, m, c))
+                        == run(lambda: box_max_reference(m, c, sweeps)))
+
+    def test_a_dual_holds_no_copy_of_its_matrix(self):
+        # the coordinate loop reads M's rows: above M, a solve holds a few
+        # n-vectors and the polish's free block, not a second n x n array
+        a, b = blob_rows(0, 40, 1500, (1.0, 0.0, 0.0, 0.0))
+        m, _ = dual_matrices(TwsvmProblem(a, b, c1=1.0, c2=1.0))
+        tracemalloc.start()
+        try:
+            x = projected_gradient_box_max(m, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert box_kkt_residual(m, x, 1.0) <= twsvm.KKT_TOL
+        assert peak < 0.25 * m.nbytes
 
     @pytest.mark.parametrize("n_plus, n_minus, centre, kernel, c1, bound", [
         (50, 1000, (1.0, 0.0, 0.0, 0.0), KernelSpec(), 1.0, 50),
@@ -232,14 +253,14 @@ class TestProjectedGradient:
         (20, 60, (1.0, 0.0), KernelSpec("rbf", gamma=1.0), 1.0, 200),
     ])
     def test_sweep_counts_stay_bounded(self, n_plus, n_minus, centre, kernel, c1, bound):
-        # a work count, not a time: one trace entry per sweep
+        # a work count, not a time: one tested iterate per sweep
         a, b = blob_rows(0, n_plus, n_minus, centre)
         problem = TwsvmProblem(a, b, c1=c1, c2=1.0, kernel=kernel)
         for m, c in zip(dual_matrices(problem), (c1, 1.0)):
-            trace = []
-            x = projected_gradient_box_max(m, c, trace=trace)
+            with sweep_iterates() as iterates:
+                x = projected_gradient_box_max(m, c)
             assert box_kkt_residual(m, x, c) <= 1e-8
-            assert len(trace) <= bound
+            assert len(iterates) <= bound
 
 
 class TestSolveDual:
