@@ -198,7 +198,7 @@ def _cmd_gen_imbalance(args) -> int:
 
 def _load_scores(path) -> tuple[np.ndarray, list[str]]:
     """Scores CSV: header 'dataset,<alg1>,<alg2>,...', one row per dataset."""
-    rows = _csv_rows(path)
+    rows = list(_csv_rows(path))
     if len(rows) < 2:
         raise DataError(f"{path}: expected a header plus at least one data row")
     algorithms = [name.strip() for name in rows[0][1:]]
@@ -322,6 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # mix_seed and Rng fold a seed into 64 bits; in this range no two
+        # seeds share a state
+        if "seed" in args and not -2**63 <= args.seed < 2**63:
+            raise UsageError(f"--seed {args.seed} is outside [-2**63, 2**63)")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -10,7 +10,10 @@ an explicit boolean mask; the two representations are kept consistent.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +83,8 @@ class Dataset:
         else:
             if (nan_cells != mask).any():
                 raise DataError("missing mask and NaN cells disagree")
-            if not np.all(np.isfinite(feats[~mask])):
+            # NaN cells are exactly the masked ones, so only inf is left
+            if np.isinf(feats).any():
                 raise DataError("observed features contain non-finite values")
         for arr in (feats, labels) + (() if mask is None else (mask,)):
             arr.setflags(write=False)
@@ -172,49 +176,66 @@ def _is_int64(value: float) -> bool:
     return value.is_integer() and -2.0**63 <= value < 2.0**63
 
 
-def _parse_label_tokens(tokens: list[str]) -> tuple[np.ndarray, dict[int, str]]:
-    """Map raw label tokens to integers with a recorded mapping.
+def _parse_label_tokens(distinct: list[str],
+                        codes: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Map label tokens to integers with a recorded mapping; row i's token
+    is ``distinct[codes[i]]``, and ``distinct`` is in first-row order.
 
     Integral tokens in the int64 range keep their values (so a +-1 file
-    stays +-1); anything else, nan and inf included, is mapped to dense
-    integers 0..K-1 with distinct tokens ordered numerically when
-    possible, lexicographically otherwise.
+    stays +-1), each value named by the token of the last row that has
+    it; anything else, nan and inf included, is mapped to dense integers
+    0..K-1 with distinct tokens ordered numerically when possible,
+    lexicographically otherwise.
     """
     try:
-        values = [float(t) for t in tokens]
+        values = [float(t) for t in distinct]
         if all(_is_int64(v) for v in values):
-            labels = np.array([int(v) for v in values], dtype=np.int64)
-            names = {int(v): t for v, t in zip(values, tokens)}
-            return labels, names
+            ints = [int(v) for v in values]
+            names = dict.fromkeys(ints)  # values in first-row order
+            # tokens by their last row, so a later token names the value
+            last = codes.size - 1 - np.unique(codes[::-1], return_index=True)[1]
+            for j in np.argsort(last).tolist():
+                names[ints[j]] = distinct[j]
+            return np.array(ints, dtype=np.int64)[codes], names
     except ValueError:
         pass
-    distinct = sorted(set(tokens))
+    ordered = sorted(distinct)
     try:
-        distinct.sort(key=float)
+        ordered.sort(key=float)
     except ValueError:
         pass
-    index = {tok: i for i, tok in enumerate(distinct)}
-    labels = np.array([index[t] for t in tokens], dtype=np.int64)
-    return labels, {i: tok for tok, i in index.items()}
+    rank = {tok: i for i, tok in enumerate(ordered)}
+    labels = np.array([rank[t] for t in distinct], dtype=np.int64)[codes]
+    return labels, dict(enumerate(ordered))
 
 
 def _lines(path):
-    """The lines of UTF-8 text file ``path``, ends as read, as ``csv.reader``
-    needs them; DataError naming the file if it is not UTF-8."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    """The lines of UTF-8 text file ``path``, ends as read, split where a
+    file opened with ``newline=""`` splits them, as ``csv.reader`` needs
+    them.  Each line is decoded as it is read, so the DataError naming the
+    file for a byte that is not UTF-8 comes after every line before it."""
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            if "\r" in line:
+                # a lone carriage return also ends a line
+                yield from io.StringIO(line, newline="")
+            else:
+                yield line
 
 
-def _csv_rows(path) -> list[list[str]]:
-    """The non-empty rows of CSV file ``path``; DataError naming the file and
-    line where ``csv.reader`` refuses a row, such as one with a field longer
-    than its limit of 131,072 characters."""
+def _csv_rows(path):
+    """The non-empty rows of CSV file ``path``, one at a time; DataError
+    naming the file and line where ``csv.reader`` refuses a row, such as
+    one with a field longer than its limit of 131,072 characters."""
     reader = csv.reader(_lines(path))
     try:
-        return [row for row in reader if row]
+        for row in reader:
+            if row:
+                yield row
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -224,52 +245,56 @@ def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
 
     ``label_column`` is a header name (when ``has_header``) or a column
     index (negative indices count from the end).  Empty feature cells
-    become missing values; empty or non-numeric labels are errors.
+    become missing values; empty or non-numeric labels are errors.  Rows
+    are parsed as they are read, into one float buffer, so a file's first
+    fault in file order is the one reported.
     """
     rows = _csv_rows(path)
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         raise DataError(f"{path}: file is empty")
 
-    body = rows[1:] if has_header else rows
     if not isinstance(label_column, str):
         label_idx = int(label_column)
     elif not has_header:
         raise DataError("label_column must be an index when the file has no header")
     else:
-        header = [h.strip() for h in rows[0]]
+        header = [h.strip() for h in first]
         if label_column not in header:
             raise DataError(f"{path}: unknown label column {label_column!r}")
         label_idx = header.index(label_column)
 
-    if not body:
+    if has_header:
+        first = next(rows, None)
+    if first is None:
         raise DataError(f"{path}: no data rows")
-    width = len(body[0])
+    width = len(first)
     if not -width <= label_idx < width:
         raise DataError(f"{path}: label column index {label_idx} out of range for width {width}")
     label_idx %= width
 
-    label_tokens: list[str] = []
-    values = np.empty((len(body), width - 1))
-    for i, row in enumerate(body):
+    cells = array("d")
+    codes = array("q")
+    code_of: dict[str, int] = {}  # one string per distinct label token
+    for i, row in enumerate(itertools.chain((first,), rows), start=1):
         if len(row) != width:
-            raise DataError(f"{path}: malformed row {i + 1}: expected {width} fields, got {len(row)}")
+            raise DataError(f"{path}: malformed row {i}: expected {width} fields, got {len(row)}")
         row = [cell.strip() for cell in row]
         tok = row.pop(label_idx)
         if not tok:
-            raise DataError(f"{path}: row {i + 1} has an empty label")
-        label_tokens.append(tok)
-        parsed = []
+            raise DataError(f"{path}: row {i} has an empty label")
+        codes.append(code_of.setdefault(tok, len(code_of)))
         for cell in row:
             try:
                 x = float(cell) if cell else math.nan
             except ValueError:
-                raise DataError(f"{path}: non-numeric cell {cell!r} at row {i + 1}") from None
+                raise DataError(f"{path}: non-numeric cell {cell!r} at row {i}") from None
             if cell and not math.isfinite(x):
-                raise DataError(f"{path}: non-finite cell {cell!r} at row {i + 1}")
-            parsed.append(x)
-        values[i] = parsed
+                raise DataError(f"{path}: non-finite cell {cell!r} at row {i}")
+            cells.append(x)
 
-    labels, names = _parse_label_tokens(label_tokens)
+    labels, names = _parse_label_tokens(list(code_of), np.frombuffer(codes, dtype=np.int64))
+    values = np.frombuffer(cells).reshape(len(codes), width - 1)
     # a parsed cell is finite, so NaN marks exactly the empty cells
     return Dataset(values, labels, np.isnan(values), names)
 
@@ -300,8 +325,10 @@ def load_libsvm(path) -> Dataset:
     indices; blank lines are skipped.  Indices absent from a line are 0.0
     (observed), never missing.  Labels must be integral.
     """
-    labels: list[int] = []
-    rows: list[dict[int, float]] = []
+    labels = array("q")
+    widths = array("q")  # entries per line
+    columns = array("q")
+    values = array("d")
     max_index = 0
     for lineno, line in enumerate(_lines(path), start=1):
         line = line.strip()
@@ -314,7 +341,6 @@ def load_libsvm(path) -> Dataset:
             raise DataError(f"{path}: line {lineno}: unparsable label {parts[0]!r}") from None
         if not _is_int64(raw):
             raise DataError(f"{path}: line {lineno}: label {parts[0]!r} is not an int64")
-        entry: dict[int, float] = {}
         prev = 0
         for token in parts[1:]:
             try:
@@ -332,19 +358,21 @@ def load_libsvm(path) -> Dataset:
             if not math.isfinite(val):
                 raise DataError(f"{path}: line {lineno}: non-finite value in {token!r}")
             prev = idx
-            entry[idx - 1] = val
+            columns.append(idx - 1)
+            values.append(val)
         labels.append(int(raw))
-        rows.append(entry)
+        widths.append(len(parts) - 1)
         max_index = max(max_index, prev)
-    if not rows:
+    if not labels:
         raise DataError(f"{path}: no data rows")
     if max_index == 0:
         raise DataError(f"{path}: no feature indices found")
 
-    features = np.zeros((len(rows), max_index))
-    for i, entry in enumerate(rows):
-        features[i, list(entry)] = list(entry.values())
-    return Dataset(features, np.array(labels, dtype=np.int64))
+    features = np.zeros((len(labels), max_index))
+    # ascending indices: every (row, column) pair is written once
+    rows = np.repeat(np.arange(len(labels)), np.frombuffer(widths, dtype=np.int64))
+    features[rows, np.frombuffer(columns, dtype=np.int64)] = np.frombuffer(values)
+    return Dataset(features, np.frombuffer(labels, dtype=np.int64))
 
 
 def fit_scaling(dataset: Dataset) -> ScalingParams:

@@ -4,7 +4,7 @@ import csv
 import numpy as np
 from hypothesis import settings
 
-from twinlearn.data import DataError, Dataset, _parse_label_tokens, make_folds, save_csv
+from twinlearn.data import DataError, Dataset, _is_int64, make_folds, save_csv
 from twinlearn import twsvm
 from twinlearn.harness import OvrEnsemble, ovr_distances
 from twinlearn.models import MODELS
@@ -40,6 +40,26 @@ def fold_data_error_csv(path, folds=3, seed=44):
     mask[:, 2] = make_folds(ds, folds, 1, seed).assignments[0] != 1
     save_csv(Dataset(np.where(mask, np.nan, ds.features), ds.labels, mask), path)
     return str(path)
+
+
+def label_tokens_per_row(tokens):
+    """Reference label mapping: one float, int and name entry per row, the
+    last row's token naming each integral value."""
+    try:
+        values = [float(t) for t in tokens]
+        if all(_is_int64(v) for v in values):
+            labels = np.array([int(v) for v in values], dtype=np.int64)
+            return labels, {int(v): t for v, t in zip(values, tokens)}
+    except ValueError:
+        pass
+    distinct = sorted(set(tokens))
+    try:
+        distinct.sort(key=float)
+    except ValueError:
+        pass
+    index = {tok: i for i, tok in enumerate(distinct)}
+    labels = np.array([index[t] for t in tokens], dtype=np.int64)
+    return labels, {i: tok for tok, i in index.items()}
 
 
 def load_csv_per_cell(path, label_column="label", has_header=True):
@@ -97,7 +117,7 @@ def load_csv_per_cell(path, label_column="label", has_header=True):
                     raise DataError(f"{path}: non-finite cell {cell!r} at row {i + 1}")
                 values[i, j] = x
             j += 1
-    labels, names = _parse_label_tokens(label_tokens)
+    labels, names = label_tokens_per_row(label_tokens)
     return Dataset(values, labels, mask if mask.any() else None, names)
 
 

@@ -185,6 +185,16 @@ class TestLongCsvFields:
         assert capsys.readouterr().err == (
             f"data error: {wide}: line 2: field larger than field limit (131072)\n")
 
+    @pytest.mark.parametrize("argv", [["cv"], ["compare"]])
+    def test_names_a_later_line(self, tmp_path, capsys, argv):
+        # rows are read one at a time: the rows before it are parsed first
+        wide = tmp_path / "wide.csv"
+        wide.write_text("f0,label\n2.0,-1\n3.0,1\n" + "1" * 200_000 + ",1\n4.0,-1\n")
+        flag = "--scores" if argv[0] == "compare" else "--data"
+        assert main(argv + [flag, str(wide)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {wide}: line 4: field larger than field limit (131072)\n")
+
 
 def _drop(key):
     return lambda d: {k: v for k, v in d.items() if k != key}
@@ -828,22 +838,28 @@ class TestCvEdgeValues:
     @given(data=st.sampled_from(["binary", "three"]), kind=st.sampled_from(sorted(MODELS)),
            ovr=st.booleans(), folds=st.sampled_from([-1, 0, 1, 2, "smallest", "past"]),
            repeats=st.integers(-1, 2), knn_k=st.sampled_from([-1, 0, 1, 10**6]),
-           seed=st.sampled_from([2**70, -2**70, -1, 0]),
+           seed=st.sampled_from([2**70, -2**70, 2**64, -2**64, 2**63, -2**63 - 1,
+                                 2**63 - 1, -2**63, -1, 0]),
            token=st.one_of(st.none(), st.sampled_from(
                ["hidden=0", "hidden=2.5", "lr=1e300", "lr=1,,2", "=1", "lr=", "c1=1e-320"])))
     # every kind and one-vs-rest run, so the repeat is compared for each
     @example(data="three", kind="twin_nn", ovr=True, folds="smallest", repeats=2, knn_k=10**6,
-             seed=2**70, token="lr=1,,2")
+             seed=2**63 - 1, token="lr=1,,2")
     @example(data="binary", kind="twin_nn", ovr=False, folds="smallest", repeats=2, knn_k=1,
-             seed=-2**70, token="lr=1e300")
+             seed=-2**63, token="lr=1e300")
     @example(data="three", kind="rfnn", ovr=True, folds=2, repeats=1, knn_k=1, seed=-1,
              token=None)
     @example(data="three", kind="twin_nn_mc", ovr=False, folds="smallest", repeats=2,
              knn_k=10**6, seed=0, token="lr=1e300")
     @example(data="binary", kind="twsvm_linear", ovr=False, folds="smallest", repeats=2, knn_k=1,
-             seed=2**70, token="c1=1e-320")
+             seed=2**63 - 1, token="c1=1e-320")
     @example(data="three", kind="twsvm_rbf", ovr=True, folds="smallest", repeats=2, knn_k=10**6,
-             seed=-2**70, token="c1=1e-320")
+             seed=-2**63, token="c1=1e-320")
+    # past 64 bits a seed would share its state with one inside the range
+    @example(data="binary", kind="twin_nn", ovr=False, folds=2, repeats=1, knn_k=1,
+             seed=2**64, token=None)
+    @example(data="binary", kind="twin_nn", ovr=False, folds=2, repeats=1, knn_k=1,
+             seed=-2**64, token=None)
     def test_cv_exits_with_a_code_and_repeats_its_bytes(self, edge_csvs, data, kind, ovr, folds,
                                                          repeats, knn_k, seed, token):
         path, smallest = edge_csvs[data]
@@ -857,12 +873,27 @@ class TestCvEdgeValues:
             first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
             code, err = _cv(argv, first)
             assert code in (0, 2, 3, 4)
+            if not -2**63 <= seed < 2**63:
+                assert (code, err) == (2, f"usage error: --seed {seed} is outside "
+                                          "[-2**63, 2**63)\n")
             if code:
                 assert len(err.splitlines()) == 1, err
                 return
             assert _cv(argv, second)[0] == 0
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
+
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 2**64, -2**64])
+    @pytest.mark.parametrize("command", [
+        ["cv"], ["bench", "--model", "twin_nn"], ["train", "--out", "never-written.json"],
+    ])
+    def test_a_seed_past_64_bits_is_refused_before_reading_data(self, tmp_path, capsys,
+                                                                 command, seed):
+        # reading the absent file would exit 3
+        absent = str(tmp_path / "absent.csv")
+        assert main(command + ["--data", absent, f"--seed={seed}"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --seed {seed} is outside [-2**63, 2**63)\n")
 
 
 def _write_labeled(path, fmt: str, labels) -> None:

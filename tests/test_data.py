@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     impute_values_per_row,
+    label_tokens_per_row,
     load_csv_per_cell,
     make_folds_per_sample,
     row_distances,
@@ -83,6 +85,27 @@ class TestDataset:
             Dataset(feats, [0, 1])  # NaN without mask
         with pytest.raises(DataError):
             Dataset(np.ones((2, 2)), [0, 1], mask)  # mask without NaN
+
+    def test_observed_inf_refused_beside_a_mask(self):
+        feats = np.array([[np.inf, np.nan], [2.0, 3.0]])
+        mask = np.array([[False, True], [False, False]])
+        with pytest.raises(DataError, match="^observed features contain non-finite values$"):
+            Dataset(feats, [0, 1], mask)
+
+    def test_checking_a_masked_dataset_copies_no_observed_cell(self):
+        # the features' own copy plus bool temporaries, no float copy of
+        # the observed cells besides it
+        feats = np.arange(80_000.0).reshape(10_000, 8)
+        mask = np.zeros(feats.shape, dtype=bool)
+        mask[::7, 3] = True
+        feats[mask] = np.nan
+        tracemalloc.start()
+        try:
+            Dataset(feats, np.zeros(10_000), mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * feats.nbytes
 
     def test_immutable(self):
         ds = Dataset(np.ones((2, 2)), [0, 1])
@@ -194,6 +217,59 @@ class TestLoadCsv:
                          for load in (load_csv, load_csv_per_cell))
         assert got == want
 
+    def test_the_last_token_of_an_integral_value_names_it(self, tmp_path):
+        p = write(tmp_path / "d.csv",
+                  "a,label\n1,1\n2,-1\n3,1.0\n4,-1e0\n5,+1\n6,-1\n7,01\n")
+        ds = load_csv(p)
+        assert ds.label_names == {1: "01", -1: "-1"}
+        assert list(ds.label_names) == [1, -1]
+        assert _outcome(load_csv, p) == _outcome(load_csv_per_cell, p)
+        tokens = ["b", "1", "a", "2.5", "b", "nan", "1", "-inf"]
+        labels, names = label_tokens_per_row(tokens)
+        got = data._parse_label_tokens(["b", "1", "a", "2.5", "nan", "-inf"],
+                                       np.array([0, 1, 2, 3, 0, 4, 1, 5]))
+        assert got[0].tobytes() == labels.tobytes() and got[1] == names
+
+    @pytest.mark.parametrize("later", [
+        b"1" * 200_000 + b",1\n",  # past the csv module's field limit
+        b"\xff,1\n",  # not UTF-8
+    ], ids=["long-field", "not-utf-8"])
+    def test_the_first_fault_in_file_order_is_reported(self, tmp_path, later):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,label\n1,1\nx,-1\n2,1\n" + later)
+        with pytest.raises(DataError, match=r"^.*: non-numeric cell 'x' at row 2$"):
+            load_csv(p)
+        # with the earlier row mended, the later fault is the one reported
+        p.write_bytes(b"a,label\n1,1\n3,-1\n2,1\n" + later)
+        with pytest.raises(DataError, match="line 5: field larger|not UTF-8"):
+            load_csv(p)
+
+    def test_line_ends_split_as_in_a_text_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,label\r\n1,1\r2,-1\n3,\"1\"\r\n\r\n4,-1")
+        ds = load_csv(p)
+        assert ds.features.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert ds.labels.tolist() == [1, -1, 1, -1]
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self, tmp_path):
+        # one float per cell in the read buffer, the Dataset's copy and the
+        # mask's bool temporaries; holding every row's strings takes ~15x
+        n = 20_000
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((n, 8))
+        mask = rng.random(feats.shape) < 0.05
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(np.where(mask, np.nan, feats), np.where(rng.random(n) < 0.05, 1, -1),
+                         mask), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.nbytes == n * 8 * 8
+        assert peak < 4 * ds.features.nbytes
+
     @pytest.mark.parametrize("named_labels", [False, True])
     def test_save_then_load_keeps_every_byte(self, tmp_path, named_labels):
         rng = np.random.default_rng(4)
@@ -246,6 +322,31 @@ class TestLoadLibsvm:
         p = write(tmp_path / "d.svm", "1 1:x\n")
         with pytest.raises(DataError, match="unparsable token"):
             load_libsvm(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.none() | st.sampled_from([0.0, -0.0, 2.5, -1e308, 5e-324]), max_size=5),
+    ), min_size=1, max_size=6))
+    def test_equals_a_dense_fill_per_entry(self, rows):
+        entries = [[(j, v) for j, v in enumerate(cells) if v is not None] for _, cells in rows]
+        text = "".join(f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in line) + "\n"
+                       for (label, _), line in zip(rows, entries))
+        width = max((j + 1 for line in entries for j, _ in line), default=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp) / "d.svm", text)
+            if not width:
+                with pytest.raises(DataError, match="no feature indices found"):
+                    load_libsvm(path)
+                return
+            ds = load_libsvm(path)
+        want = np.zeros((len(rows), width))
+        for i, line in enumerate(entries):
+            for j, v in line:
+                want[i, j] = v
+        assert ds.features.tobytes() == want.tobytes()
+        assert ds.labels.tolist() == [label for label, _ in rows]
+        assert ds.missing is None
 
 
 class TestScaling:
